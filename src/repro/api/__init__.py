@@ -59,14 +59,6 @@ from ..core import (
 from ..core.boxstats import BoxStats
 from ..core.outliers import OutlierReport
 from ..errors import ConfigError
-from ..gpu.dvfs import (
-    SOLVER_ENV_VAR,
-    SOLVER_FLEET,
-    SOLVER_GRID,
-    SOLVER_LADDER,
-    default_solver,
-    solver_scope,
-)
 from .requests import (
     EXECUTION_FIELDS,
     REQUEST_KINDS,
@@ -258,13 +250,6 @@ __all__ = [
     "analyze_fleet_health",
     "validate_health_report",
     "write_health_events",
-    # steady-state solver selection
-    "SOLVER_LADDER",
-    "SOLVER_FLEET",
-    "SOLVER_GRID",
-    "SOLVER_ENV_VAR",
-    "default_solver",
-    "solver_scope",
     # typed request objects (one validated surface: CLI, Python, HTTP)
     "REQUEST_SCHEMA_VERSION",
     "REQUEST_KINDS",
@@ -402,7 +387,6 @@ def characterize(
     wire surface shared with the CLI and :mod:`repro.service`) or the
     constructed ``cluster``/``workload``/``config`` objects — not both.
     """
-    solver = None
     if request is not None:
         _require_request_only(
             "characterize", cluster=cluster, workload=workload,
@@ -419,23 +403,21 @@ def characterize(
             power_limit_w=request.power_limit_w,
         )
         workers = request.workers
-        solver = request.solver
     _require_built("characterize", cluster=cluster, workload=workload)
     config = config if config is not None else CampaignConfig()
-    with solver_scope(solver):
-        dataset = run_campaign(
-            cluster=cluster,
-            workload=workload,
-            config=config,
-            workers=workers,
-            tracer=tracer,
-            manifest=manifest,
-            timeline=timeline,
-        )
-        suite = VariabilitySuite(cluster, config, workers=workers)
-        return CharacterizationResult(
-            report=suite.analyze(dataset), dataset=dataset
-        )
+    dataset = run_campaign(
+        cluster=cluster,
+        workload=workload,
+        config=config,
+        workers=workers,
+        tracer=tracer,
+        manifest=manifest,
+        timeline=timeline,
+    )
+    suite = VariabilitySuite(cluster, config, workers=workers)
+    return CharacterizationResult(
+        report=suite.analyze(dataset), dataset=dataset
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +476,6 @@ def monitor_fleet(
     ``window`` feeds both the metrics pipeline and the health detector) or
     the constructed objects — not both.
     """
-    solver = None
     if request is not None:
         _require_request_only(
             "monitor_fleet", cluster=cluster, workload=workload,
@@ -513,22 +494,20 @@ def monitor_fleet(
         workers = request.workers
         policy = HealthPolicy(window_runs=request.window)
         monitor_config = MonitorConfig(window_runs=request.window)
-        solver = request.solver
     _require_built("monitor_fleet", cluster=cluster, workload=workload)
     monitor = FleetMonitor(monitor_config)
-    with solver_scope(solver):
-        dataset = run_campaign(
-            cluster=cluster,
-            workload=workload,
-            config=config,
-            workers=workers,
-            parallel=parallel,
-            progress=progress,
-            tracer=tracer,
-            manifest=manifest,
-            monitor=monitor,
-            timeline=timeline,
-        )
+    dataset = run_campaign(
+        cluster=cluster,
+        workload=workload,
+        config=config,
+        workers=workers,
+        parallel=parallel,
+        progress=progress,
+        tracer=tracer,
+        manifest=manifest,
+        monitor=monitor,
+        timeline=timeline,
+    )
     # Health analysis replays the merged monitor stream on this thread, so
     # activating the recorder here captures every transition in the same
     # deterministic order the tracker emits them — after the campaign's own
@@ -599,7 +578,6 @@ def screen(
     Pass either a :class:`~repro.api.requests.ScreenRequest` (workloads by
     name) or the constructed objects — not both.
     """
-    solver = None
     if request is not None:
         _require_request_only(
             "screen", cluster=cluster, workloads=workloads, config=config,
@@ -612,27 +590,25 @@ def screen(
         config = CampaignConfig(days=request.days)
         min_confirmations = request.min_confirmations
         workers = request.workers
-        solver = request.solver
     _require_built("screen", cluster=cluster, workloads=workloads)
     config = config if config is not None else CampaignConfig(days=3)
     screens: list[WorkloadScreen] = []
     reports: list[OutlierReport] = []
-    with solver_scope(solver):
-        for workload in workloads:
-            dataset = run_campaign(
-                cluster=cluster,
-                workload=workload,
-                config=config,
-                workers=workers,
-                tracer=tracer,
-                manifest=manifest,
-                timeline=timeline,
-            )
-            report = flag_outlier_gpus(dataset, METRIC_PERFORMANCE)
-            screens.append(
-                WorkloadScreen(workload=workload.name, outliers=report)
-            )
-            reports.append(report)
+    for workload in workloads:
+        dataset = run_campaign(
+            cluster=cluster,
+            workload=workload,
+            config=config,
+            workers=workers,
+            tracer=tracer,
+            manifest=manifest,
+            timeline=timeline,
+        )
+        report = flag_outlier_gpus(dataset, METRIC_PERFORMANCE)
+        screens.append(
+            WorkloadScreen(workload=workload.name, outliers=report)
+        )
+        reports.append(report)
     confirmed = persistent_outliers(
         reports, min_occurrences=min(min_confirmations, len(reports))
     )
@@ -687,7 +663,6 @@ def sweep(
     Pass either a :class:`~repro.api.requests.SweepRequest` or the
     constructed objects — not both.
     """
-    solver = None
     if request is not None:
         _require_request_only(
             "sweep", cluster=cluster, power_limits_w=power_limits_w,
@@ -700,25 +675,23 @@ def sweep(
         workload = load_workload(request.workload)
         runs = request.runs
         workers = request.workers
-        solver = request.solver
     _require_built("sweep", cluster=cluster, power_limits_w=power_limits_w)
     workload = workload if workload is not None else get_workload("sgemm")
     points: list[SweepPoint] = []
-    with solver_scope(solver):
-        for limit in power_limits_w:
-            dataset = run_campaign(
-                cluster=cluster,
-                workload=workload,
-                config=CampaignConfig(
-                    days=1, runs_per_day=runs, power_limit_w=float(limit)
-                ),
-                workers=workers,
-                tracer=tracer,
-                manifest=manifest,
-                timeline=timeline,
-            )
-            stats = BoxStats.from_values(dataset.column(METRIC_PERFORMANCE))
-            points.append(SweepPoint(power_limit_w=float(limit), stats=stats))
+    for limit in power_limits_w:
+        dataset = run_campaign(
+            cluster=cluster,
+            workload=workload,
+            config=CampaignConfig(
+                days=1, runs_per_day=runs, power_limit_w=float(limit)
+            ),
+            workers=workers,
+            tracer=tracer,
+            manifest=manifest,
+            timeline=timeline,
+        )
+        stats = BoxStats.from_values(dataset.column(METRIC_PERFORMANCE))
+        points.append(SweepPoint(power_limit_w=float(limit), stats=stats))
     return SweepReport(
         cluster=cluster.name,
         workload=workload.name,
@@ -1022,7 +995,6 @@ def schedule(
     Same ``cluster`` seed + same ``trace`` + same ``policy`` ⇒
     byte-identical event log and report, under either engine.
     """
-    solver = None
     if request is not None:
         _require_request_only(
             "schedule", cluster=cluster, trace=trace,
@@ -1045,15 +1017,13 @@ def schedule(
         power_budget_w = request.power_budget_w
         profile_config = CampaignConfig(days=request.profile_days)
         workers = request.workers
-        solver = request.solver
     _require_built("schedule", cluster=cluster)
-    with solver_scope(solver):
-        return _schedule_built(
-            cluster=cluster, policy=policy, trace=trace, engine=engine,
-            power_budget_w=power_budget_w, profile_workload=profile_workload,
-            profile_config=profile_config, workers=workers, tracer=tracer,
-            manifest=manifest, timeline=timeline,
-        )
+    return _schedule_built(
+        cluster=cluster, policy=policy, trace=trace, engine=engine,
+        power_budget_w=power_budget_w, profile_workload=profile_workload,
+        profile_config=profile_config, workers=workers, tracer=tracer,
+        manifest=manifest, timeline=timeline,
+    )
 
 
 def _schedule_built(
@@ -1137,7 +1107,6 @@ def chaos(
     n_jobs: int = 40,
     trace_seed: int = 0,
     workers: int | None = None,
-    solver: str | None = None,
     tracer: Tracer | None = None,
     manifest: Manifest | None = None,
     timeline: TimelineRecorder | None = None,
@@ -1168,9 +1137,9 @@ def chaos(
         Campaign shape for both the faulted run and the baseline twin.
     n_jobs, trace_seed:
         Job trace for the health-aware scheduling reaction.
-    workers, solver:
-        Execution-only knobs; the scorecard is byte-identical for every
-        combination (same guarantee as every campaign output).
+    workers:
+        Execution-only knob; the scorecard is byte-identical for every
+        worker count (same guarantee as every campaign output).
     tracer, manifest, timeline:
         Observability sinks.  The timeline receives the *faulted* run's
         flight log — scenario/fault declarations, campaign, health,
@@ -1190,7 +1159,6 @@ def chaos(
         n_jobs = request.n_jobs
         trace_seed = request.trace_seed
         workers = request.workers
-        solver = request.solver
     _require_built("chaos", scenario=scenario)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -1205,7 +1173,6 @@ def chaos(
         n_jobs=n_jobs,
         trace_seed=trace_seed,
         workers=workers,
-        solver=solver,
         tracer=tracer,
         manifest=manifest,
         timeline=timeline,

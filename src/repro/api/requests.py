@@ -23,7 +23,7 @@ Work identity
 :func:`request_digest` hashes the canonical dict *minus* the
 execution-only fields (``workers``, ``solver``, ``deadline_s``): those
 select how fast the answer arrives, never what the answer is (campaign
-outputs are bit-identical across workers and solvers), so two requests
+outputs are bit-identical across worker counts), so two requests
 differing only there coalesce onto one computation in the service's
 batcher.  Any field that changes the result — preset, seed, scale, days,
 policy, … — changes the digest.
@@ -61,9 +61,13 @@ REQUEST_SCHEMA_VERSION = 1
 #: Fields that select *how* a request executes, never *what* it computes.
 #: Excluded from :func:`request_digest` so requests differing only here
 #: share one coalesced computation (outputs are bit-identical by the
-#: parallel- and solver-equivalence guarantees).
+#: parallel-equivalence guarantee).  ``solver`` is accepted and ignored:
+#: there is one DVFS solver, and the field leaves the wire schema at the
+#: next :data:`REQUEST_SCHEMA_VERSION` bump.
 EXECUTION_FIELDS = frozenset({"workers", "solver", "deadline_s"})
 
+#: Values the ignored ``solver`` field still validates against, so
+#: clients written against schema version 1 keep their 4xx contract.
 _SOLVERS = (None, "ladder", "fleet", "grid")
 
 

@@ -9,7 +9,7 @@ fleet under failure":
   catalog (schema-validated);
 * :mod:`~repro.chaos.plan` — scenario compilation against a concrete
   cluster; the compiled plan rides on the cluster into every worker, so
-  injection is bit-identical at any worker count and solver mode;
+  injection is bit-identical at any worker count;
 * :mod:`~repro.chaos.score` — the end-to-end scoring harness (injection
   → health detection → scheduler reaction) emitting schema-validated
   scorecards against an automatically-run no-fault baseline.

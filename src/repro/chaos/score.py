@@ -19,7 +19,7 @@ claims from the log alone (:func:`derive_detection` is shared with the
 replayer for exactly that purpose).
 
 Determinism: both campaigns, the trace, and the scheduler are bit-exact
-at any worker count and in every solver mode, so a scorecard — and the
+at any worker count, so a scorecard — and the
 chaos timeline behind it — is a pure function of
 (scenario, cluster, seed, scale, workload, campaign shape).
 """
@@ -335,7 +335,6 @@ def score_scenario(
     n_jobs: int = 40,
     trace_seed: int = 0,
     workers: int | None = None,
-    solver: str | None = None,
     tracer: Any = None,
     manifest: Any = None,
     timeline: TimelineRecorder | None = None,
@@ -350,7 +349,7 @@ def score_scenario(
     timeline is the faulted machine's flight log).
     """
     # Deferred: the facade imports this module's result types.
-    from ..api import load_preset, load_workload, monitor_fleet, solver_scope
+    from ..api import load_preset, load_workload, monitor_fleet
     from ..sim import CampaignConfig
 
     require(days >= 1, f"days must be >= 1, got {days}")
@@ -372,29 +371,28 @@ def score_scenario(
             days=days, runs_per_day=runs_per_day,
         )
 
-    with solver_scope(solver):
-        faulted = monitor_fleet(
-            cluster=faulted_cluster, workload=workload, config=config,
-            workers=workers, timeline=timeline, tracer=tracer,
-            manifest=manifest,
+    faulted = monitor_fleet(
+        cluster=faulted_cluster, workload=workload, config=config,
+        workers=workers, timeline=timeline, tracer=tracer,
+        manifest=manifest,
+    )
+    # Mask any outer active recorder: the baseline twin must never
+    # appear on the faulted machine's flight log.
+    with activate_recorder(None):
+        baseline = monitor_fleet(
+            cluster=baseline_cluster, workload=workload, config=config,
+            workers=workers,
         )
-        # Mask any outer active recorder: the baseline twin must never
-        # appear on the faulted machine's flight log.
-        with activate_recorder(None):
-            baseline = monitor_fleet(
-                cluster=baseline_cluster, workload=workload, config=config,
-                workers=workers,
-            )
-        sched_f, misrouted_f, slow_f = _sched_reaction(
-            faulted_cluster, faulted.tracker,
-            n_jobs=n_jobs, trace_seed=trace_seed, timeline=timeline,
-            tracer=tracer,
+    sched_f, misrouted_f, slow_f = _sched_reaction(
+        faulted_cluster, faulted.tracker,
+        n_jobs=n_jobs, trace_seed=trace_seed, timeline=timeline,
+        tracer=tracer,
+    )
+    with activate_recorder(None):
+        sched_b, misrouted_b, slow_b = _sched_reaction(
+            baseline_cluster, baseline.tracker,
+            n_jobs=n_jobs, trace_seed=trace_seed, timeline=None,
         )
-        with activate_recorder(None):
-            sched_b, misrouted_b, slow_b = _sched_reaction(
-                baseline_cluster, baseline.tracker,
-                n_jobs=n_jobs, trace_seed=trace_seed, timeline=None,
-            )
 
     observations = [
         (event.day, event.gpu_label)

@@ -48,18 +48,13 @@ driven from the shell:
     digests from the log alone (``--check``).
 
 Every subcommand accepts the same execution options — ``--seed``,
-``--workers``, ``--solver``, ``--trace PATH``, ``--manifest PATH`` and
-``--timeline PATH`` —
-through one shared builder, so observability is uniformly available:
-``--solver`` selects the steady-state DVFS solver (``ladder``, ``fleet``
-or ``grid`` — bit-identical outputs, different speed; see
-docs/PERFORMANCE.md) by exporting ``REPRO_DVFS_SOLVER`` for the duration
-of the command. ``--trace``
-writes a Chrome-trace JSON (Perfetto-loadable; ``.jsonl`` suffix switches
-to JSON Lines events), ``--manifest`` writes the reproducibility-audit
-document, and ``--timeline`` records the unified flight-recorder event
-stream for later ``repro replay`` (see :mod:`repro.obs` and
-docs/OBSERVABILITY.md).  None of these flags changes any computed output:
+``--workers``, ``--trace PATH``, ``--manifest PATH`` and
+``--timeline PATH`` — through one shared builder, so observability is
+uniformly available: ``--trace`` writes a Chrome-trace JSON
+(Perfetto-loadable; ``.jsonl`` suffix switches to JSON Lines events),
+``--manifest`` writes the reproducibility-audit document, and
+``--timeline`` records the unified flight-recorder event stream for later
+``repro replay`` (see :mod:`repro.obs` and docs/OBSERVABILITY.md).  None of these flags changes any computed output:
 results are bit-identical with or without them.
 
 All commands delegate to the stable :mod:`repro.api` facade.  The five
@@ -315,14 +310,6 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
                    help="record the unified flight-recorder event stream "
                         "as JSON Lines (byte-identical at any worker "
                         "count; inspect with `repro replay`)")
-    p.add_argument("--solver", default=None,
-                   choices=(api.SOLVER_LADDER, api.SOLVER_FLEET,
-                            api.SOLVER_GRID),
-                   help="steady-state DVFS solver (all three are "
-                        "bit-identical; 'fleet' batches the whole fleet "
-                        "per solve and is the fastest — see "
-                        "docs/PERFORMANCE.md; default honours "
-                        f"${api.SOLVER_ENV_VAR})")
 
 
 class _ObsSession:
@@ -367,19 +354,10 @@ def _build_cluster(args: argparse.Namespace) -> "api.Cluster":
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code.
-
-    ``--solver`` routes through :func:`repro.api.solver_scope` (the env
-    var :data:`repro.api.SOLVER_ENV_VAR`, restored on exit) so the
-    selection reaches controllers and campaign worker processes without
-    threading through every signature; for the request-carrying commands
-    the request's own ``solver`` field applies the identical scope inside
-    the facade — nesting the same value is a no-op.
-    """
+    """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        with api.solver_scope(getattr(args, "solver", None)):
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -414,7 +392,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             runs_per_day=args.runs_per_day,
             coverage=args.coverage,
             workers=args.workers,
-            solver=args.solver,
         ),
         tracer=obs.tracer,
         manifest=obs.manifest,
@@ -442,7 +419,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             coverage=args.coverage,
             window=args.window,
             workers=args.workers,
-            solver=args.solver,
         ),
         tracer=obs.tracer,
         manifest=obs.manifest,
@@ -482,7 +458,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
             days=args.days,
             min_confirmations=args.min_confirmations,
             workers=args.workers,
-            solver=args.solver,
         ),
         tracer=obs.tracer,
         manifest=obs.manifest,
@@ -509,7 +484,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ),
             runs=args.runs,
             workers=args.workers,
-            solver=args.solver,
         ),
         tracer=obs.tracer,
         manifest=obs.manifest,
@@ -565,7 +539,6 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             power_budget_w=args.power_budget_w,
             profile_days=args.profile_days,
             workers=args.workers,
-            solver=args.solver,
         ),
         tracer=obs.tracer,
         manifest=obs.manifest,
@@ -608,7 +581,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             n_jobs=args.jobs,
             trace_seed=args.trace_seed,
             workers=args.workers,
-            solver=args.solver,
         ),
         tracer=obs.tracer,
         manifest=obs.manifest,

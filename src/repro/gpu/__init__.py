@@ -22,8 +22,6 @@ from .defects import DefectType, DefectConfig, assign_defects
 from .power import PowerModel
 from .thermal import ThermalModel
 from .dvfs import (
-    SOLVER_GRID,
-    SOLVER_LADDER,
     DvfsController,
     DvfsPolicy,
     SolverStats,
@@ -51,8 +49,6 @@ __all__ = [
     "DvfsController",
     "DvfsPolicy",
     "SolverStats",
-    "SOLVER_LADDER",
-    "SOLVER_GRID",
     "default_solver",
     "GPUFleet",
 ]

@@ -20,48 +20,35 @@ This is what makes Corona's per-run repeatability much worse (Fig. 8, median
 6.06% vs 0.12–0.44% on NVIDIA clusters) and weakens its perf/frequency
 correlation (-0.76 vs -0.97/-0.99) despite identical physics.
 
-Steady-state solvers
---------------------
-Three interchangeable, **bit-identical** solvers find the settled ladder
-level (see ``docs/PERFORMANCE.md`` for the full argument and measurements):
+Steady-state solver
+-------------------
+:meth:`DvfsController.solve_steady` finds each GPU's settled ladder level
+with the batched fleet search (see ``docs/PERFORMANCE.md`` for the full
+argument and measurements): one vectorized solve over the whole
+(n_gpus, n_pstates) feasibility matrix with a masked-convergence loop.  An
+analytic per-row boundary estimate (a ``searchsorted`` against the
+dynamic-power ladder basis, refined by a few O(n) leakage passes) seeds one
+batched pair evaluation of each GPU's estimated level and the level above;
+where the pair brackets the boundary — almost the whole fleet — that GPU
+is done and the pair *is* the epilogue's (level, above) output.  Stragglers
+gallop outward from their estimates, and converged GPUs drop out of every
+subsequent array operation — both out of the ladder search and out of the
+leakage/temperature fixed point (a cell whose float32 iterate repeats
+bit-for-bit is frozen, because every further iteration would reproduce it
+exactly).  Boost ceilings are pre-clamped analytically.
 
-* ``"ladder"`` (default) — a monotone binary search along the p-state
-  ladder.  Power and temperature never decrease up the ladder, so
-  feasibility is a prefix and the settled index is its boundary; only
-  O(log k) ladder columns per GPU are evaluated.  Each column runs the
-  *same elementwise fixed point* the dense grid runs — a (GPU, p-state)
-  cell's fixed point depends on nothing but that cell's inputs — so the
-  result is bit-for-bit identical to the dense scan.
-* ``"fleet"`` — the batched fleet search: one vectorized solve over the
-  whole (n_gpus, n_pstates) feasibility matrix with a masked-convergence
-  loop.  An analytic per-row boundary estimate (a ``searchsorted`` against
-  the dynamic-power ladder basis, refined by a few O(n) leakage passes)
-  seeds one batched pair evaluation of each GPU's estimated level and the
-  level above; where the pair brackets the boundary — almost the whole
-  fleet — that GPU is done and the pair *is* the epilogue's (level, above)
-  output.  Stragglers gallop outward from their estimates, and converged
-  GPUs drop out of every subsequent array operation — both out of the
-  ladder search and out of the leakage/temperature fixed point (a cell
-  whose float32 iterate repeats bit-for-bit is frozen, because every
-  further iteration would reproduce it exactly).  Boost ceilings are
-  pre-clamped analytically.  Select with ``REPRO_DVFS_SOLVER=fleet``.
-* ``"grid"`` — the dense (n, k) feasibility scan, kept as an escape hatch
-  and cross-check (``REPRO_DVFS_SOLVER=grid`` selects it globally).
-
-All paths evaluate the same elementwise fixed point — the ladder and grid
-solvers through :meth:`DvfsController.power_grid_columns`, the fleet
-solver through its masked row-subset twin — and the work each solve
-performs is counted in :class:`SolverStats`.  Because every (GPU, p-state)
-cell depends on nothing but its own inputs, *any* evaluation order,
-subset, or masking produces bit-identical cells, which is what the
-differential equivalence suite (``tests/gpu/test_dvfs_fleet_equivalence``)
-pins across presets, defects, and cap edge cases.
+The semantic definition is the dense scan: settle every (GPU, p-state)
+cell with :meth:`DvfsController.power_grid` and take the highest feasible
+level.  Because every cell depends on nothing but its own inputs, *any*
+evaluation order, subset, or masking produces bit-identical cells, so the
+fleet search returns exactly the dense scan's answer while evaluating ~2
+cells per GPU instead of k.  The dense scan lives in the test suite as the
+differential oracle (``tests/gpu/dvfs_oracle.py``); the work each solve
+performs is counted in :class:`SolverStats`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from dataclasses import dataclass
 
@@ -79,29 +66,13 @@ __all__ = [
     "SteadyOperatingPoint",
     "SolverStats",
     "DvfsController",
-    "SOLVER_LADDER",
-    "SOLVER_FLEET",
-    "SOLVER_GRID",
-    "solver_scope",
+    "default_solver",
 ]
 
 #: Fixed-point iterations for the leakage/temperature coupling.  The
 #: contraction factor is R * dP_leak/dT ~ 0.05-0.1, so 7 iterations push the
 #: error far below sensor resolution.
 _FIXED_POINT_ITERS = 7
-
-#: Monotone binary search along the ladder (the default).
-SOLVER_LADDER = "ladder"
-#: Batched fleet search: estimate-guided pair probe with masked convergence.
-SOLVER_FLEET = "fleet"
-#: Dense (n, k) feasibility scan — escape hatch and cross-check baseline.
-SOLVER_GRID = "grid"
-
-_SOLVERS = (SOLVER_LADDER, SOLVER_FLEET, SOLVER_GRID)
-
-#: Environment variable overriding the default solver for newly-created
-#: controllers (``ladder``, ``fleet``, or ``grid``).
-SOLVER_ENV_VAR = "REPRO_DVFS_SOLVER"
 
 #: Bins in the fleet solver's inverse-basis lookup table (the analytic
 #: boundary estimate's replacement for a per-row binary search).
@@ -172,14 +143,14 @@ class SolverStats:
     its :meth:`~DvfsController.solve_steady` calls; the campaign executor
     carries per-shard copies through
     :class:`repro.telemetry.progress.ShardTiming` so operators can see how
-    much of the dense grid the ladder search skipped.
+    much of the dense grid the fleet search skipped.
     """
 
     #: Per-GPU steady states solved: every ``solve_steady`` call counts its
     #: whole population, so one batched fleet solve over n GPUs adds n — the
     #: same n the GPUs would add if solved alone.  This is what keeps the
-    #: total invariant across solver modes *and* shard plans (a worker's
-    #: shard solves its GPU subset).
+    #: total invariant across shard plans (a worker's shard solves its GPU
+    #: subset).
     solves: int = 0
     #: ``solve_steady`` invocations (batches), regardless of population size.
     batches: int = 0
@@ -197,7 +168,7 @@ class SolverStats:
 
     @property
     def dense_fraction_avoided(self) -> float:
-        """Fraction of the dense grid's work avoided (0.0 for the grid solver)."""
+        """Fraction of the dense grid's work avoided."""
         if self.dense_cells <= 0:
             return 0.0
         return self.cells_avoided / self.dense_cells
@@ -232,46 +203,12 @@ class SolverStats:
 
 
 def default_solver() -> str:
-    """The solver newly-created controllers use.
+    """Name of the steady-state solver: always ``"fleet"``.
 
-    ``ladder`` unless overridden by the ``REPRO_DVFS_SOLVER`` environment
-    variable — the escape hatch for running the batched ``fleet`` search or
-    cross-checking the dense ``grid`` scan on a full campaign without
-    touching code.
+    The manifest records it under ``solver.mode`` and benchmark
+    environment records report it.
     """
-    solver = os.environ.get(SOLVER_ENV_VAR, SOLVER_LADDER)
-    require(solver in _SOLVERS,
-            f"{SOLVER_ENV_VAR} must be one of {_SOLVERS}, got {solver!r}")
-    return solver
-
-
-@contextlib.contextmanager
-def solver_scope(solver: str | None):
-    """Select the steady-state solver for the duration of a ``with`` block.
-
-    Controllers consult :data:`SOLVER_ENV_VAR` at construction time (also
-    inside campaign worker processes, which inherit the environment), so
-    the selection routes through the environment rather than through every
-    intermediate API signature.  ``None`` is a no-op; the prior value is
-    restored on exit, so scopes nest and re-entrant callers (the CLI, the
-    service layer) never leak state.  All solvers produce bit-identical
-    outputs — the scope only selects speed.
-    """
-    if solver is None:
-        yield
-        return
-    require(solver in _SOLVERS,
-            f"solver must be one of {_SOLVERS}, got {solver!r}")
-    sentinel = object()
-    prior = os.environ.get(SOLVER_ENV_VAR, sentinel)
-    os.environ[SOLVER_ENV_VAR] = solver
-    try:
-        yield
-    finally:
-        if prior is sentinel:
-            os.environ.pop(SOLVER_ENV_VAR, None)
-        else:
-            os.environ[SOLVER_ENV_VAR] = prior  # type: ignore[arg-type]
+    return "fleet"
 
 
 class DvfsController:
@@ -282,12 +219,6 @@ class DvfsController:
     spec, power_model, thermal_model, policy:
         The SKU, its electrical and thermal models, and the firmware policy
         (vendor default when ``None``).
-    solver:
-        Steady-state solver: ``"ladder"`` (monotone binary search, default),
-        ``"fleet"`` (batched pilot-guided search with masked convergence),
-        or ``"grid"`` (dense scan).  ``None`` defers to
-        :func:`default_solver`.  All produce bit-identical results; see
-        the module docstring.
     """
 
     def __init__(
@@ -296,30 +227,24 @@ class DvfsController:
         power_model: PowerModel,
         thermal_model: ThermalModel,
         policy: DvfsPolicy | None = None,
-        solver: str | None = None,
     ) -> None:
         if power_model.n != thermal_model.n:
             raise ValueError(
                 f"power model covers {power_model.n} GPUs but thermal model "
                 f"covers {thermal_model.n}"
             )
-        solver = solver if solver is not None else default_solver()
-        require(solver in _SOLVERS,
-                f"solver must be one of {_SOLVERS}, got {solver!r}")
         self.spec = spec
         self.power = power_model
         self.thermal = thermal_model
         self.policy = policy if policy is not None else DvfsPolicy.for_spec(spec)
-        self.solver = solver
         self.stats = SolverStats()
         self._pstates: np.ndarray | None = None
         self._ladder_basis: np.ndarray | None = None
         self._basis_lut: tuple[np.ndarray | None, float, float] | None = None
         self._vsq_steps: np.ndarray | None = None
-        # Reusable float32 buffers keyed by evaluation shape; the ladder
-        # search re-enters the fixed point O(log k) times per solve and
-        # simulate_run re-solves up to three times per run, so the (t, p,
-        # scratch) triple is recycled instead of reallocated.
+        # Reusable float32 buffers keyed by dense-grid shape: callers that
+        # re-evaluate the same grid reuse the (t, p, scratch) triple
+        # instead of reallocating it.
         self._workspaces: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
         # Grow-only (float32, bool) scratch pair for the masked fixed
         # point — same recycling rationale as _workspaces.
@@ -479,7 +404,8 @@ class DvfsController:
 
         The cell (i, j)'s result depends only on GPU ``i``'s parameters and
         ``f_mhz[i, j]`` — never on neighbouring cells — which is what makes
-        any subset of ladder columns bit-identical to the dense grid.
+        any subset of ladder columns (the fleet search's masked twins
+        below) bit-identical to the dense grid.
         ``activity``/``dram_utilization``/``efficiency`` must broadcast
         against ``f_mhz`` along axis 0.
         """
@@ -693,37 +619,6 @@ class DvfsController:
         out_p[sel] = p_w
         return out_p, out_t
 
-    def power_grid_columns(
-        self,
-        pstate_idx: np.ndarray,
-        activity: np.ndarray | float,
-        dram_utilization: np.ndarray | float,
-        efficiency: np.ndarray | float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fixed-point settled (power, temperature) at chosen ladder columns.
-
-        ``pstate_idx`` holds per-GPU ladder indices, shape ``(n,)`` or
-        ``(n, m)``; returns two float arrays of the same shape whose cells
-        are bit-identical to the corresponding :meth:`power_grid` entries.
-        This is the column evaluator both steady-state solvers share.
-        """
-        idx = np.asarray(pstate_idx, dtype=np.int64)
-        if idx.ndim not in (1, 2) or idx.shape[0] != self.n:
-            raise ValueError(
-                f"pstate_idx must be (n,) or (n, m) with n={self.n}, "
-                f"got shape {idx.shape}"
-            )
-        f = self.pstates()[idx]
-        if idx.ndim == 1:
-            act = _as_vec(activity, self.n)
-            util = _as_vec(dram_utilization, self.n)
-            eff = _as_vec(efficiency, self.n)
-        else:
-            act = _as_col(activity, self.n)
-            util = _as_col(dram_utilization, self.n)
-            eff = _as_col(efficiency, self.n)
-        return self._settle(f, act, util, eff)
-
     def power_grid(
         self,
         activity: np.ndarray | float,
@@ -752,7 +647,6 @@ class DvfsController:
         power_cap_w: np.ndarray | float | None = None,
         f_cap_mhz: np.ndarray | float | None = None,
         rng: np.random.Generator | None = None,
-        solver: str | None = None,
     ) -> SteadyOperatingPoint:
         """Settled operating point of every GPU under a stationary load.
 
@@ -771,14 +665,7 @@ class DvfsController:
         rng:
             Required when the policy dithers (AMD); supplies the per-call
             duty cycles.
-        solver:
-            Per-call solver override (``"ladder"``, ``"fleet"``, or
-            ``"grid"``); ``None`` uses the controller's solver.  All are
-            bit-identical.
         """
-        solver = solver if solver is not None else self.solver
-        require(solver in _SOLVERS,
-                f"solver must be one of {_SOLVERS}, got {solver!r}")
         if power_cap_w is None:
             cap = np.full(self.n, self.spec.tdp_w)
         else:
@@ -795,8 +682,7 @@ class DvfsController:
         k = steps.shape[0]
         t_limit = self.spec.t_slowdown_c - self.policy.thermal_headroom_c
         # A batched call solves every GPU in the population: count n per-GPU
-        # solves (and one batch) so totals are invariant across solver modes
-        # and shard plans.
+        # solves (and one batch) so totals are invariant across shard plans.
         self.stats.solves += self.n
         self.stats.batches += 1
         self.stats.dense_cells += self.n * k
@@ -809,18 +695,9 @@ class DvfsController:
             span_start = time.time()
             span_t0 = time.perf_counter()
 
-        if solver == SOLVER_GRID:
-            idx, p_level, t_level, p_above, t_above = self._scan_dense(
-                activity, dram_utilization, efficiency, cap, f_cap, t_limit
-            )
-        elif solver == SOLVER_FLEET:
-            idx, p_level, t_level, p_above, t_above = self._search_fleet(
-                activity, dram_utilization, efficiency, cap, f_cap, t_limit
-            )
-        else:
-            idx, p_level, t_level, p_above, t_above = self._search_ladder(
-                activity, dram_utilization, efficiency, cap, f_cap, t_limit
-            )
+        idx, p_level, t_level, p_above, t_above = self._search_fleet(
+            activity, dram_utilization, efficiency, cap, f_cap, t_limit
+        )
 
         above = np.minimum(idx + 1, k - 1)
         f_level = steps[idx]
@@ -893,7 +770,6 @@ class DvfsController:
                 start_s=span_start,
                 duration_s=time.perf_counter() - span_t0,
                 n=self.n,
-                solver=solver,
             )
         monitor = active_monitor()
         if monitor is not None:
@@ -910,93 +786,6 @@ class DvfsController:
             power_capped=power_capped,
             thermally_capped=thermally_capped,
         )
-
-    def _scan_dense(
-        self,
-        activity: np.ndarray | float,
-        dram_utilization: np.ndarray | float,
-        efficiency: np.ndarray | float,
-        cap: np.ndarray,
-        f_cap: np.ndarray | None,
-        t_limit: float,
-    ) -> tuple[np.ndarray, ...]:
-        """Dense solver core: materialize the grid, scan for the top level."""
-        steps = self.pstates()
-        k = steps.shape[0]
-        p_grid, t_grid = self.power_grid(activity, dram_utilization, efficiency)
-
-        feasible = (p_grid <= cap[:, None]) & (t_grid <= t_limit)
-        if f_cap is not None:
-            feasible &= steps[None, :] <= f_cap[:, None]
-
-        # Highest feasible ladder index per GPU; the ladder is monotone in
-        # power and temperature so feasibility is a prefix — but scan
-        # explicitly, which is what makes this path the cross-check baseline.
-        rev = feasible[:, ::-1]
-        first_true = np.argmax(rev, axis=1)
-        any_true = rev.any(axis=1)
-        idx = np.where(any_true, k - 1 - first_true, 0)
-
-        rows = np.arange(self.n)
-        above = np.minimum(idx + 1, k - 1)
-        return (
-            idx,
-            p_grid[rows, idx],
-            t_grid[rows, idx],
-            p_grid[rows, above],
-            t_grid[rows, above],
-        )
-
-    def _search_ladder(
-        self,
-        activity: np.ndarray | float,
-        dram_utilization: np.ndarray | float,
-        efficiency: np.ndarray | float,
-        cap: np.ndarray,
-        f_cap: np.ndarray | None,
-        t_limit: float,
-    ) -> tuple[np.ndarray, ...]:
-        """Ladder solver core: binary search for the feasibility boundary.
-
-        Settled power and temperature are nondecreasing along the ladder
-        (dynamic power rises with f and V(f); leakage follows temperature,
-        which follows power), so per-GPU feasibility — power cap AND
-        thermal limit AND boost ceiling, each individually a prefix — is a
-        prefix of the ladder.  A vectorized binary search with sentinels
-        ``lo = -1`` (feasible) and ``hi = k`` (infeasible) finds the
-        boundary evaluating ceil(log2(k + 1)) columns instead of k.
-        """
-        steps = self.pstates()
-        k = steps.shape[0]
-        n = self.n
-        lo = np.full(n, -1, dtype=np.int64)
-        hi = np.full(n, k, dtype=np.int64)
-        while True:
-            gap = hi - lo
-            active = gap > 1
-            if not active.any():
-                break
-            # Converged rows get a clamped, ignored evaluation; k is shared
-            # by every GPU so nearly all rows converge on the same round and
-            # the waste is at most one column on coarse (AMD) ladders.
-            mid = np.clip((lo + hi) >> 1, 0, k - 1)
-            p_mid, t_mid = self.power_grid_columns(
-                mid, activity, dram_utilization, efficiency
-            )
-            feas = (p_mid <= cap) & (t_mid <= t_limit)
-            if f_cap is not None:
-                feas &= steps[mid] <= f_cap
-            lo = np.where(active & feas, mid, lo)
-            hi = np.where(active & ~feas, mid, hi)
-        idx = np.where(lo >= 0, lo, 0)
-        above = np.minimum(idx + 1, k - 1)
-        p_level, t_level = self.power_grid_columns(
-            idx, activity, dram_utilization, efficiency
-        )
-        p_above, t_above = self.power_grid_columns(
-            above, activity, dram_utilization, efficiency
-        )
-        return idx, p_level, t_level, p_above, t_above
 
     def _pair_invariants(self) -> tuple[np.ndarray, ...]:
         """Duplicated per-GPU parameters for the flat (2n,) pair round.
@@ -1030,8 +819,9 @@ class DvfsController:
     ) -> tuple[np.ndarray, ...]:
         """Fleet solver core: estimate-guided batched search, endpoint caching.
 
-        Finds the same feasibility boundary as :meth:`_search_ladder` with
-        ~2 cell evaluations per GPU instead of ~10:
+        Finds the feasibility boundary the dense scan finds (the highest
+        ladder level under the power cap, the thermal limit, and the boost
+        ceiling) with ~2 cell evaluations per GPU instead of k:
 
         * Boost ceilings are cut analytically before any settle runs —
           ``steps[j] <= f_cap`` is a pure comparison, so ``searchsorted``
@@ -1053,7 +843,8 @@ class DvfsController:
           ceilings, empty feasible sets) run in one final masked batch.
 
         Every cell is settled by the same elementwise float32 fixed point
-        the other solvers use, so the outputs are bit-identical to theirs.
+        :meth:`power_grid` runs, so the outputs are bit-identical to the
+        dense scan's.
         """
         steps = self.pstates()
         k = steps.shape[0]
@@ -1065,7 +856,7 @@ class DvfsController:
         # Per-GPU factors shared between the boundary estimate and the
         # pair round's base-power prep.  Both are elementwise, so folding
         # them once per GPU and duplicating is bit-identical to the
-        # per-cell products the other solvers compute.
+        # per-cell products the dense grid computes.
         ae = act * eff
         mem_w = self.power.memory_power(util)
 
@@ -1098,7 +889,7 @@ class DvfsController:
             # by contiguous duplication (concatenate, not fancy gathers),
             # per-column quantities by small-table gathers, and every
             # elementwise op runs one full-length inner loop — the same
-            # per-cell float64/float32 op sequence as the other solvers.
+            # per-cell float64/float32 op sequence as the dense grid.
             cols_flat = np.concatenate([c_lo, c_hi])
             leak2, r2, tc2, vmult2 = self._pair_invariants()
             p_base = self.power.settle_base_power_w(
@@ -1283,7 +1074,7 @@ class DvfsController:
             p_m, t_m = self._settle_rows(active, steps[mid], act, util, eff)
             # mid < hi <= the pre-clamped ceiling bracket, so the boost
             # ceiling needs no re-check here; float32 operands widen
-            # exactly against the float64 cap, matching the other solvers'
+            # exactly against the float64 cap, matching the dense scan's
             # comparisons bit for bit.
             feas = (p_m <= cap[active]) & (t_m <= t_limit)
             f_rows = active[feas]

@@ -166,6 +166,7 @@ def build_campaign_manifest(
     deterministic, so serial and parallel executions of the same campaign
     produce identical entries (including the result digest).
     """
+    from ..gpu.dvfs import default_solver
     from ..telemetry.io import dataset_to_csv_text
 
     config_dict = config_to_dict(config)
@@ -199,7 +200,7 @@ def build_campaign_manifest(
             "shard_stream_format": "shard-{shard}-of-{n_shards}",
         },
         solver={
-            "mode": cluster.fleet.controller.solver,
+            "mode": default_solver(),
             "solves": solver_stats.solves,
             "batches": solver_stats.batches,
             "columns_evaluated": solver_stats.columns_evaluated,
@@ -254,6 +255,8 @@ _SOLVER_BLOCK = {
     "required": ["mode", "solves", "columns_evaluated", "dense_cells",
                  "fixed_point_iterations"],
     "properties": {
+        # Writers always emit "fleet"; the retired modes stay valid so
+        # manifests recorded by earlier releases still validate.
         "mode": {"type": "string", "enum": ["ladder", "fleet", "grid"]},
         "batches": {"type": "integer"},
         "solves": {"type": "integer"},

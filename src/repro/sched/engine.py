@@ -534,13 +534,10 @@ def _run_indexed(
     reference_cache: dict[tuple[str, int], tuple[np.ndarray, float]] = {}
 
     def slow_reference(name: str, day: int) -> tuple[np.ndarray, float]:
-        # Same table as the reference path; all solver modes are
-        # bit-identical and "fleet" settles the machine in one call.
+        # Same table as the reference path, memoized per (workload, day).
         key = (name, day)
         if key not in reference_cache:
-            ref = reference_unit_times(
-                cluster, workloads[name], day=day, solver="fleet"
-            )
+            ref = reference_unit_times(cluster, workloads[name], day=day)
             fast = float(np.percentile(ref, FAST_PERCENTILE))
             reference_cache[key] = (ref, fast * (1.0 + SLOW_THRESHOLD))
         return reference_cache[key]

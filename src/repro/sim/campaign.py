@@ -15,15 +15,10 @@ processes; the result is bit-identical to the serial execution.
 
 Attach a :class:`~repro.telemetry.progress.CampaignProgress` to watch shards
 complete; besides per-shard timings, its ``solver_stats`` property
-aggregates the DVFS ladder-search counters
+aggregates the DVFS solver counters
 (:class:`~repro.gpu.dvfs.SolverStats`) across the campaign — how much of
-the dense p-state grid the steady-state solver avoided evaluating.
-
-The steady-state solver backing every run is selected per controller
-(``ladder``, ``fleet`` or ``grid`` — all bit-identical; see
-docs/PERFORMANCE.md).  ``REPRO_DVFS_SOLVER`` switches the default
-fleet-wide, including inside campaign worker processes, so a campaign's
-CSV output is byte-identical under any solver at any worker count.
+the dense p-state grid the steady-state fleet search avoided evaluating
+(see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import numpy as np
 from ..config import require
 from ..errors import SimulationError
 from ..gpu.device import GPUFleet
-from ..gpu.dvfs import SOLVER_FLEET
 from ..obs.metrics import active_monitor
 from ..obs.tracer import active_tracer
 from ..workloads.base import Workload
@@ -30,8 +29,7 @@ from ..workloads.base import Workload
 __all__ = ["EngineConfig", "EngineState", "Engine"]
 
 #: Fast-cap clamp schedule: at most this many rounds, each dropping the
-#: over-cap GPUs this many ladder rungs (floored at the bottom).  Shared by
-#: the sequential and batched clamp paths so they visit identical levels.
+#: over-cap GPUs this many ladder rungs (floored at the bottom).
 _CLAMP_MAX_ROUNDS = 4
 _CLAMP_DOWN_STEP = 4
 
@@ -125,12 +123,6 @@ class Engine:
         self._steps = fleet.spec.pstate_array()
         self._efficiency = fleet.throughput_efficiency()
         self._bandwidth = fleet.memory_bandwidth_gbs()
-        # Under the fleet solver the fast-cap clamp also runs batched: all
-        # candidate drop levels are settled in one flat power evaluation
-        # instead of round-by-round.  Both paths are bit-identical (the
-        # candidate levels depend only on the entry state), so this is
-        # purely an execution-shape switch.
-        self._batched_clamp = fleet.controller.solver == SOLVER_FLEET
         n = fleet.n
         self.state = EngineState(
             time_s=0.0,
@@ -174,46 +166,27 @@ class Engine:
             self._efficiency,
         )
 
-    def _instantaneous_power_at(self, indices: np.ndarray) -> np.ndarray:
-        """Board power for the GPUs at ``indices`` only.
-
-        Elementwise-identical to ``instantaneous_power()[indices]`` — the
-        power model is a per-GPU expression with no cross-GPU terms — but
-        costs O(len(indices)) instead of O(n).  Used by the fast-cap clamp,
-        which only ever changes the state of over-cap GPUs.
-        """
-        s = self.state
-        active = s.kernel_active[indices]
-        act = np.where(active, self.phase.activity, self.config.idle_activity)
-        dram = np.where(active, self.phase.dram_utilization, 0.02)
-        return self.fleet.power_model.total_power(
-            self._steps[s.pstate_index[indices]],
-            s.temperature_c[indices],
-            act,
-            dram,
-            self._efficiency[indices],
-            indices=indices,
-        )
-
-    def _clamp_fast_cap_batched(
+    def _clamp_fast_cap(
         self,
         power: np.ndarray,
         over_idx: np.ndarray,
         cap_fast: np.ndarray,
     ) -> int:
-        """Batched fast-cap clamp: all drop rounds in one power evaluation.
+        """Fast-cap clamp of the ``over_idx`` GPUs, all rounds in one batch.
 
-        The sequential clamp lowers over-cap GPUs ``_CLAMP_DOWN_STEP``
-        rungs per round and re-evaluates, up to ``_CLAMP_MAX_ROUNDS``
-        times.  Each round's level depends only on the entry p-state (not
-        on the intervening power readings) and temperature is frozen for
-        the whole clamp, so every candidate level can be evaluated in one
-        flat batch and the first feasible one selected per GPU — the
-        resulting p-states, power readings, and re-evaluation counts are
-        bit-identical to the sequential path's.  Returns the re-evaluation
-        count (each GPU counts once per round it would have participated
-        in: ``j + 1`` when candidate ``j`` is its first feasible level,
-        all rounds when none is).
+        Semantically the clamp lowers over-cap GPUs ``_CLAMP_DOWN_STEP``
+        rungs per round and re-evaluates their board power, up to
+        ``_CLAMP_MAX_ROUNDS`` times (the round-by-round loop is the test
+        suite's oracle for this method).  Each round's level depends only
+        on the entry p-state (not on the intervening power readings) and
+        temperature is frozen for the whole clamp, so every candidate
+        level is evaluated in one flat batch and the first feasible one
+        selected per GPU — bit-identical p-states, power readings, and
+        re-evaluation counts.  The power model is a per-GPU expression, so
+        GPUs under the cap keep the board power already computed for them.
+        Returns the re-evaluation count (each GPU counts once per round it
+        participates in: ``j + 1`` when candidate ``j`` is its first
+        feasible level, all rounds when none is).
         """
         s = self.state
         m = int(over_idx.size)
@@ -296,20 +269,8 @@ class Engine:
         cap_fast = self.cap * 1.02
         over_idx = np.flatnonzero(power > cap_fast)
         clamp_reevals = 0
-        if over_idx.size and self._batched_clamp:
-            clamp_reevals = self._clamp_fast_cap_batched(
-                power, over_idx, cap_fast
-            )
-        else:
-            for _ in range(_CLAMP_MAX_ROUNDS):
-                if over_idx.size == 0:
-                    break
-                clamp_reevals += int(over_idx.size)
-                s.pstate_index[over_idx] = np.maximum(
-                    s.pstate_index[over_idx] - _CLAMP_DOWN_STEP, 0
-                )
-                power[over_idx] = self._instantaneous_power_at(over_idx)
-                over_idx = over_idx[power[over_idx] > cap_fast[over_idx]]
+        if over_idx.size:
+            clamp_reevals = self._clamp_fast_cap(power, over_idx, cap_fast)
 
         # Firmware control tick.
         self._tick += 1

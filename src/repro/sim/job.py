@@ -22,8 +22,8 @@ Three entry points:
   normal draws come from its own job-id-keyed stream in one
   ``standard_normal`` batch, the gangs are concatenated into a single
   fleet slice, and the whole batch settles in at most two vectorized
-  DVFS solves (the PR 6 fleet solver), bitwise equal to pricing each job
-  alone.  This is the indexed scheduler's hot path.
+  DVFS solves, bitwise equal to pricing each job alone.  This is the
+  indexed scheduler's hot path.
 """
 
 from __future__ import annotations
@@ -87,17 +87,14 @@ def reference_unit_times(
     cluster: Cluster,
     workload: Workload,
     day: int = 0,
-    *,
-    solver: str | None = None,
 ) -> np.ndarray:
     """Noise-free per-GPU unit time (ms) of ``workload`` across the fleet.
 
     The deterministic component of GPU speed — silicon lottery, defects,
     thermal seat, day-``day`` facility conditions — with every run-level
     software and environment draw suppressed.  The scheduler uses this as
-    the ground truth for "is this GPU slow for this workload".  All
-    solver modes are bit-identical; ``solver="fleet"`` settles the whole
-    machine in one vectorized call (the indexed engine passes it).
+    the ground truth for "is this GPU slow for this workload".  The
+    whole machine settles in one vectorized DVFS solve.
     """
     fleet = cluster.fleet_for_day(day)
     spec = fleet.spec
@@ -115,7 +112,6 @@ def reference_unit_times(
         power_cap_w=fleet.power_cap_w(None),
         f_cap_mhz=fleet.frequency_cap_mhz(),
         rng=rng,
-        solver=solver,
     )
     return workload.unit_time_ms(
         op.f_effective_mhz,
@@ -276,8 +272,8 @@ def sample_job_runtimes(
     sliced batch equals the sequential draws), the gangs concatenate into
     a single fleet slice, and the whole batch settles in at most two
     vectorized DVFS solves — one for every gang's free-running unit
-    times, one for the multi-GPU gangs' duty-adjusted power.  The PR 6
-    fleet solver's evaluation-shape freedom makes the concatenated solve
+    times, one for the multi-GPU gangs' duty-adjusted power.  The DVFS
+    solver's evaluation-shape freedom makes the concatenated solve
     bit-identical to per-gang solves.
 
     Pre-drawing is only sound when the DVFS policy does not dither (the
@@ -372,7 +368,6 @@ def sample_job_runtimes(
         efficiency,
         power_cap_w=cap,
         f_cap_mhz=f_cap,
-        solver="fleet",
     )
     mem_bw = fleet.memory_bandwidth_gbs()
     f_effective = op.f_effective_mhz
@@ -443,7 +438,6 @@ def sample_job_runtimes(
             sub_fleet.throughput_efficiency(),
             power_cap_w=sub_fleet.power_cap_w(None),
             f_cap_mhz=sub_fleet.frequency_cap_mhz(),
-            solver="fleet",
         )
         for j in multi:
             power_of[j] = op_eff.power_w[rows_of[j]]

@@ -20,6 +20,8 @@ from repro.obs.timeline import (
 )
 from repro.service.wire import build_response, validate_response
 
+from tests.gpu.dvfs_oracle import dense_solver
+
 #: One fast shape shared by every run in this module.
 SMALL = dict(cluster_name="longhorn", seed=2022, scale=0.25, days=6,
              runs_per_day=2, n_jobs=12)
@@ -96,10 +98,14 @@ class TestDeterminism:
         assert timeline_lines(timeline_w2) == timeline_lines(timeline_w1)
 
     def test_scorecard_is_solver_independent(self, scored):
-        result_default, _ = scored
-        result_fleet = run_scenario(solver="fleet", workers=2)
-        assert (canonical_json(result_fleet.scorecard)
-                == canonical_json(result_default.scorecard))
+        # Campaigns, health detection, and job pricing all re-solved on
+        # the dense-scan oracle (in-process, hence serial) must score the
+        # incident identically.
+        result_fleet, _ = scored
+        with dense_solver():
+            result_dense = run_scenario(workers=None)
+        assert (canonical_json(result_dense.scorecard)
+                == canonical_json(result_fleet.scorecard))
 
 
 class TestChaosTimeline:

@@ -39,6 +39,7 @@ __all__ = [
     "GOLDEN_CONFIG",
     "GOLDEN_CAMPAIGNS",
     "GoldenSpec",
+    "assert_matches_golden",
     "build_golden_dataset",
     "golden_csv_text",
     "golden_path",
@@ -108,6 +109,31 @@ def golden_csv_text(name: str, *, tracer=None, manifest=None,
         build_golden_dataset(name, tracer=tracer, manifest=manifest,
                              monitor=monitor, workers=workers)
     )
+
+
+def assert_matches_golden(name: str, *, workers=None) -> None:
+    """Recompute one fixture's campaign and compare it byte for byte.
+
+    On a mismatch, fails at the first differing line (or the row count)
+    rather than dumping both texts.
+    """
+    expected = read_golden_text(name)
+    actual = golden_csv_text(name, workers=workers)
+    if actual == expected:
+        return
+    where = name if workers is None else f"{name} (workers={workers})"
+    exp_lines = expected.splitlines()
+    act_lines = actual.splitlines()
+    for i, (e, a) in enumerate(zip(exp_lines, act_lines)):
+        assert a == e, (
+            f"{where}: first diff at line {i + 1}\n"
+            f"  golden : {e}\n  current: {a}"
+        )
+    assert len(act_lines) == len(exp_lines), (
+        f"{where}: row count changed "
+        f"({len(exp_lines)} golden vs {len(act_lines)} current)"
+    )
+    raise AssertionError(f"{where}: output text differs from committed golden")
 
 
 def golden_path(name: str) -> Path:

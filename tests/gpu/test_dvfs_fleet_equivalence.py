@@ -1,14 +1,13 @@
 """Differential equivalence harness for the fleet-wide vectorized solver.
 
-``solver="fleet"`` batches every GPU's ladder search into fleet-wide
+The production solver batches every GPU's ladder search into fleet-wide
 float32 array ops (estimate-guided pair probe, masked-convergence fixed
-point, galloping bisection).  Its contract is the same as the ladder's:
-*bit-identical* outputs to the dense grid scan, never allclose.  This
-suite drives the three solvers differentially across every registered
-preset, defect-injected fleets, power-cap and boost-ceiling edge cases,
-and the degenerate fleets (one GPU, one p-state, converged-at-entry)
-where a batched implementation could plausibly diverge from the
-sequential one.
+point, galloping bisection).  Its contract: *bit-identical* outputs to
+the dense grid scan (``tests/gpu/dvfs_oracle.py``), never allclose.  This
+suite drives the two differentially across every registered preset,
+defect-injected fleets, power-cap and boost-ceiling edge cases, and the
+degenerate fleets (one GPU, one p-state, converged-at-entry) where a
+batched implementation could plausibly diverge from the scan.
 
 Masked-convergence behaviour gets its own section: a fleet whose members
 freeze at different fixed-point iteration counts must produce exactly
@@ -19,23 +18,28 @@ the early-dropout machinery actually engaged.
 import numpy as np
 import pytest
 
-from repro.gpu.dvfs import (
-    SOLVER_FLEET,
-    SOLVER_GRID,
-    SOLVER_LADDER,
-    DvfsController,
-    DvfsPolicy,
-)
+from repro.gpu.dvfs import DvfsController
 from repro.gpu.power import PowerModel
 from repro.gpu.silicon import SiliconConfig, sample_population
 from repro.gpu.specs import MI60, V100, GPUSpec, get_spec, list_specs
 from repro.gpu.thermal import ThermalModel
 
-ALL_SOLVERS = (SOLVER_LADDER, SOLVER_FLEET, SOLVER_GRID)
+from tests.gpu.dvfs_oracle import (
+    OP_FIELDS,
+    assert_ops_identical,
+    overshoot_columns,
+    solve_dense,
+)
+
+#: The two sides of every differential: production and oracle.
+SOLVES = {
+    "fleet": lambda ctl, *args, **kwargs: ctl.solve_steady(*args, **kwargs),
+    "dense": solve_dense,
+}
 
 
 def build_controller(n=48, spec=V100, r=0.1, coolant=25.0, seed=0,
-                     policy=None, solver=None, silicon=None):
+                     policy=None, silicon=None):
     """Controller over a sampled population; ``r`` may be per-GPU."""
     if silicon is None:
         silicon = sample_population(
@@ -44,40 +48,28 @@ def build_controller(n=48, spec=V100, r=0.1, coolant=25.0, seed=0,
     power = PowerModel(spec, silicon)
     r_arr = np.broadcast_to(np.asarray(r, dtype=float), (n,)).copy()
     thermal = ThermalModel(spec, r_arr, np.full(n, coolant))
-    return DvfsController(spec, power, thermal, policy, solver=solver)
-
-
-def assert_ops_identical(a, b, context=""):
-    """Every SteadyOperatingPoint array must match bit for bit."""
-    for field in ("pstate_index", "f_effective_mhz", "f_reported_mhz",
-                  "power_w", "temperature_c", "power_capped",
-                  "thermally_capped"):
-        lhs, rhs = getattr(a, field), getattr(b, field)
-        assert lhs.dtype == rhs.dtype, f"{field} {context}"
-        assert np.array_equal(lhs, rhs), f"{field} {context}"
-
-
-def solve_with_each_solver(ctl, *args, rng_seed=None, **kwargs):
-    """One op per solver, feeding identically-seeded RNGs when dithering."""
-    ops = {}
-    for solver in ALL_SOLVERS:
-        rng = (np.random.default_rng(rng_seed)
-               if rng_seed is not None else None)
-        ops[solver] = ctl.solve_steady(*args, rng=rng, solver=solver,
-                                       **kwargs)
-    return ops
+    return DvfsController(spec, power, thermal, policy)
 
 
 def assert_all_solvers_identical(ctl, *args, rng_seed=None, **kwargs):
-    ops = solve_with_each_solver(ctl, *args, rng_seed=rng_seed, **kwargs)
-    assert_ops_identical(ops[SOLVER_GRID], ops[SOLVER_FLEET], "fleet-vs-grid")
-    assert_ops_identical(ops[SOLVER_LADDER], ops[SOLVER_FLEET],
-                         "fleet-vs-ladder")
+    """Production == oracle, with identically-seeded RNGs when dithering.
+
+    Returns the ops keyed ``"fleet"`` / ``"dense"``; the RNG streams must
+    end in the same state too.
+    """
+    ops, states = {}, {}
+    for name, solve in SOLVES.items():
+        rng = (np.random.default_rng(rng_seed)
+               if rng_seed is not None else None)
+        ops[name] = solve(ctl, *args, rng=rng, **kwargs)
+        states[name] = rng.bit_generator.state if rng is not None else None
+    assert_ops_identical(ops["dense"], ops["fleet"], "fleet-vs-dense")
+    assert states["dense"] == states["fleet"]
     return ops
 
 
 class TestAllPresets:
-    """Fleet == ladder == grid on every registered SKU."""
+    """Fleet == dense scan on every registered SKU."""
 
     @pytest.mark.parametrize("name", list_specs())
     def test_randomized_operating_points(self, name):
@@ -146,29 +138,50 @@ class TestDefectInjectedFleets:
 
 class TestPowerCapEdgeCases:
     def test_cap_below_ladder_bottom(self):
-        # Nothing feasible: everyone pins to index 0 in all three solvers.
+        # Nothing feasible: everyone pins to index 0 on both sides.
         ctl = build_controller(n=16)
         ops = assert_all_solvers_identical(ctl, 1.0, 0.35, power_cap_w=1.0)
-        assert np.all(ops[SOLVER_FLEET].pstate_index == 0)
+        assert np.all(ops["fleet"].pstate_index == 0)
 
     def test_cap_above_everything(self):
         ctl = build_controller(n=16)
         ops = assert_all_solvers_identical(ctl, 0.05, 0.05,
                                            power_cap_w=1e6)
         assert np.all(
-            ops[SOLVER_FLEET].pstate_index == V100.n_pstates - 1)
+            ops["fleet"].pstate_index == V100.n_pstates - 1)
 
     def test_cap_exactly_ties_settled_power(self):
         # Feasibility is `power <= cap`; a cap that *equals* the settled
         # power at the boundary level bitwise is the sharpest tie
         # possible.  The settled float32 widens exactly to float64, so
-        # feeding the grid answer back as the cap constructs it.
+        # feeding the dense answer back as the cap constructs it.
         ctl = build_controller(n=24, seed=13)
-        base = ctl.solve_steady(1.0, 0.35, solver=SOLVER_GRID)
+        base = solve_dense(ctl, 1.0, 0.35)
         ops = assert_all_solvers_identical(ctl, 1.0, 0.35,
                                            power_cap_w=base.power_w)
-        assert np.array_equal(ops[SOLVER_FLEET].pstate_index,
+        assert np.array_equal(ops["fleet"].pstate_index,
                               base.pstate_index)
+
+    def test_cap_ties_at_the_probe_pairs_lower_cell(self):
+        # Where the analytic boundary estimate lands one rung high, the
+        # first probe pair is (j, j + 1) and a cap tied to column j's
+        # settled power decides the pair's *lower* cell — a tie the
+        # uniform fleets above never place there.
+        rng = np.random.default_rng(3)
+        n = 64
+        ctl = build_controller(n=n, r=rng.uniform(0.04, 0.35, n),
+                               coolant=30.0, seed=1)
+        act = rng.uniform(0.0, 1.0, n)
+        dram = rng.uniform(0.0, 1.0, n)
+        eff = rng.uniform(0.05, 1.3, n)
+        p_grid, _ = ctl.power_grid(act, dram, eff)
+        cols = overshoot_columns(ctl, act, dram, eff, p_grid)
+        tied = cols < V100.n_pstates - 1
+        assert tied.any()
+        cap = p_grid[np.arange(n), cols]
+        ops = assert_all_solvers_identical(ctl, act, dram, eff,
+                                           power_cap_w=cap)
+        assert np.array_equal(ops["fleet"].pstate_index[tied], cols[tied])
 
     def test_cap_mix_spanning_the_ladder(self):
         # One batch mixing infeasible, mid-ladder, and unconstrained caps
@@ -220,7 +233,7 @@ class TestDegenerateFleets:
         assert_all_solvers_identical(ctl, 1.0, 0.35, power_cap_w=50.0)
 
     def test_single_pstate_ladder(self):
-        # A one-rung ladder collapses the search entirely; every solver
+        # A one-rung ladder collapses the search entirely; both sides
         # must agree on the only level there is, capped or not.
         spec = _single_pstate_spec()
         ctl = build_controller(n=8, spec=spec, seed=6)
@@ -247,17 +260,18 @@ class TestDegenerateFleets:
 class TestDither:
     def test_dither_bits_and_rng_stream(self):
         # AMD dithering draws duty cycles from the caller's RNG *after*
-        # the search; all three solvers must consume identical draws and
-        # leave the stream in the same state.
+        # the search; both sides must consume identical draws and leave
+        # the stream in the same state.
         ctl = build_controller(spec=MI60, n=40, r=0.16, coolant=30.0)
         assert ctl.policy.dither
-        rngs = {s: np.random.default_rng(5) for s in ALL_SOLVERS}
-        ops = {s: ctl.solve_steady(1.0, 0.45, rng=rngs[s], solver=s)
-               for s in ALL_SOLVERS}
-        assert_ops_identical(ops[SOLVER_GRID], ops[SOLVER_FLEET])
-        assert_ops_identical(ops[SOLVER_LADDER], ops[SOLVER_FLEET])
-        states = [rngs[s].bit_generator.state for s in ALL_SOLVERS]
-        assert states[0] == states[1] == states[2]
+        rngs = {name: np.random.default_rng(5) for name in SOLVES}
+        ops = {name: solve(ctl, 1.0, 0.45, rng=rngs[name])
+               for name, solve in SOLVES.items()}
+        assert_ops_identical(ops["dense"], ops["fleet"])
+        assert (rngs["dense"].bit_generator.state
+                == rngs["fleet"].bit_generator.state)
+        assert rngs["fleet"].bit_generator.state \
+            != np.random.default_rng(5).bit_generator.state
 
     def test_dither_with_defects(self):
         ctl = build_controller(spec=MI60, n=24, r=0.2, coolant=42.0,
@@ -291,18 +305,14 @@ class TestMaskedConvergence:
         cap = rng.uniform(0.6, 1.1, n) * spec.tdp_w
         fleet_ctl = build_controller(n=n, spec=spec, r=r, coolant=coolant,
                                      silicon=silicon)
-        batched = fleet_ctl.solve_steady(1.0, 0.4, eff, power_cap_w=cap,
-                                         solver=SOLVER_FLEET)
+        batched = fleet_ctl.solve_steady(1.0, 0.4, eff, power_cap_w=cap)
         for i in range(n):
             solo_ctl = build_controller(
                 n=1, spec=spec, r=r[i], coolant=coolant,
                 silicon=silicon.take(np.array([i])))
             solo = solo_ctl.solve_steady(
-                1.0, 0.4, eff[i:i + 1], power_cap_w=cap[i:i + 1],
-                solver=SOLVER_FLEET)
-            for field in ("pstate_index", "f_effective_mhz",
-                          "f_reported_mhz", "power_w", "temperature_c",
-                          "power_capped", "thermally_capped"):
+                1.0, 0.4, eff[i:i + 1], power_cap_w=cap[i:i + 1])
+            for field in OP_FIELDS:
                 lhs = getattr(batched, field)[i:i + 1]
                 rhs = getattr(solo, field)
                 assert np.array_equal(lhs, rhs), f"{field} gpu={i}"
@@ -310,14 +320,14 @@ class TestMaskedConvergence:
     def test_early_dropout_engages(self):
         # Half the fleet converges at entry: the iteration counter must
         # land strictly below the no-dropout bound (7 per column) while
-        # the answers stay bit-identical to the ladder's.
+        # the answers stay bit-identical to the dense scan's.
         n = 32
         r = np.where(np.arange(n) < n // 2, 1e-12, 0.1)
         ctl = build_controller(n=n, r=r, seed=15)
-        ladder = ctl.solve_steady(1.0, 0.35, solver=SOLVER_LADDER)
+        dense = solve_dense(ctl, 1.0, 0.35)
         ctl.stats = type(ctl.stats)()
-        fleet = ctl.solve_steady(1.0, 0.35, solver=SOLVER_FLEET)
-        assert_ops_identical(ladder, fleet)
+        fleet = ctl.solve_steady(1.0, 0.35)
+        assert_ops_identical(dense, fleet)
         stats = ctl.stats
         assert stats.columns_evaluated > 0
         assert stats.fixed_point_iterations < \
@@ -327,7 +337,7 @@ class TestMaskedConvergence:
         # Control case: identical lanes freeze together, so per-cell
         # iteration depth stays at the fixed-point budget and nothing is
         # dropped early — guards against the masked loop *under*-running.
-        ctl = build_controller(n=16, solver=SOLVER_FLEET)
+        ctl = build_controller(n=16)
         ctl.solve_steady(1.0, 0.35)
         stats = ctl.stats
         assert stats.fixed_point_iterations <= \
@@ -337,33 +347,41 @@ class TestMaskedConvergence:
 class TestCounterInvariance:
     """Batched solves must count as n per-GPU solves in one batch."""
 
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
+    @pytest.mark.parametrize("solver", sorted(SOLVES))
     def test_one_call_counts_n_solves_one_batch(self, solver):
-        ctl = build_controller(n=32, solver=solver)
-        ctl.solve_steady(1.0, 0.35)
+        ctl = build_controller(n=32)
+        solve = SOLVES[solver]
+        solve(ctl, 1.0, 0.35)
         assert ctl.stats.solves == 32
         assert ctl.stats.batches == 1
-        ctl.solve_steady(0.5, 0.2)
+        solve(ctl, 0.5, 0.2)
         assert ctl.stats.solves == 64
         assert ctl.stats.batches == 2
 
     def test_solve_and_batch_totals_invariant_across_solvers(self):
         totals = {}
-        for solver in ALL_SOLVERS:
-            ctl = build_controller(n=24, solver=solver)
+        for name, solve in SOLVES.items():
+            ctl = build_controller(n=24)
             for trial in range(3):
-                ctl.solve_steady(1.0, 0.35)
-            totals[solver] = (ctl.stats.solves, ctl.stats.batches)
-        assert totals[SOLVER_LADDER] == totals[SOLVER_FLEET] \
-            == totals[SOLVER_GRID] == (72, 3)
+                solve(ctl, 1.0, 0.35)
+            totals[name] = (ctl.stats.solves, ctl.stats.batches,
+                            ctl.stats.dense_cells)
+        assert totals["fleet"] == totals["dense"] \
+            == (72, 3, 72 * V100.n_pstates)
 
-    def test_fleet_evaluates_fewer_columns_than_ladder(self):
-        # The point of the estimate-guided pair probe: far fewer settled
-        # columns than even the ladder's galloping search.
-        ladder = build_controller(n=128, solver=SOLVER_LADDER)
-        ladder.solve_steady(1.0, 0.35)
-        fleet = build_controller(n=128, solver=SOLVER_FLEET)
-        fleet.solve_steady(1.0, 0.35)
-        assert fleet.stats.columns_evaluated < \
-            ladder.stats.columns_evaluated
-        assert fleet.stats.dense_cells == ladder.stats.dense_cells
+    def test_fleet_evaluates_fewer_columns_than_dense_grid(self):
+        # The point of the estimate-guided pair probe: a few settled
+        # cells per GPU, not one per rung.  V100's 187-rung ladder makes
+        # the dense grid ~90x the pair probe's two cells per GPU; allow
+        # gallop stragglers but stay far under a binary search's
+        # ceil(log2(k + 1)) + 2 columns per GPU.
+        n = 128
+        ctl = build_controller(n=n)
+        ctl.solve_steady(1.0, 0.35)
+        stats = ctl.stats
+        assert stats.dense_cells == n * V100.n_pstates
+        bisection_columns = n * (int(np.ceil(np.log2(V100.n_pstates + 1)))
+                                 + 2)
+        assert stats.columns_evaluated < bisection_columns / 2
+        assert stats.columns_evaluated <= stats.dense_cells / 20
+        assert stats.dense_fraction_avoided >= 0.95

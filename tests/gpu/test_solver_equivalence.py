@@ -1,52 +1,40 @@
-"""Ladder-search vs dense-grid steady-state solver equivalence.
+"""Production steady-state solver vs the dense-scan oracle.
 
-The ladder solver's entire value proposition is that it is *bit-identical*
-to the dense scan it replaces — every assertion here is exact equality, not
-allclose.  Cases concentrate on the boundaries where a binary search could
-plausibly diverge from an explicit scan: caps below the ladder bottom, caps
-above the ladder top, per-GPU boost ceilings at the extremes, severe defect
-combinations, and AMD dithering (which must consume identical RNG draws
-under both solvers).
+The fleet search's entire value proposition is that it is *bit-identical*
+to the dense scan (``tests/gpu/dvfs_oracle.py``) while evaluating a
+fraction of its cells — every assertion here is exact equality, not
+allclose.  Cases concentrate on the boundaries where a search along the
+p-state ladder could plausibly diverge from an explicit scan: caps below
+the ladder bottom, caps above the ladder top, per-GPU boost ceilings at
+the extremes, severe defect combinations, and AMD dithering (which must
+consume identical RNG draws on both sides).
 """
 
 import numpy as np
 import pytest
 
-from repro.gpu.dvfs import (
-    SOLVER_GRID,
-    SOLVER_LADDER,
-    DvfsController,
-    DvfsPolicy,
-    SolverStats,
-    default_solver,
-)
+from repro.gpu.dvfs import DvfsController, SolverStats
 from repro.gpu.power import PowerModel
 from repro.gpu.silicon import SiliconConfig, sample_population
 from repro.gpu.specs import MI60, RTX5000, V100
 from repro.gpu.thermal import ThermalModel
 
+from tests.gpu.dvfs_oracle import assert_ops_identical, solve_dense
+
 
 def make_controller(n=48, spec=V100, r=0.1, coolant=25.0, seed=0,
-                    policy=None, solver=None):
+                    policy=None):
     silicon = sample_population(
         n, SiliconConfig(), np.random.default_rng(seed)
     )
     power = PowerModel(spec, silicon)
     thermal = ThermalModel(spec, np.full(n, r), np.full(n, coolant))
-    return DvfsController(spec, power, thermal, policy, solver=solver)
-
-
-def assert_ops_identical(a, b):
-    """Every SteadyOperatingPoint array must match bit for bit."""
-    for field in ("pstate_index", "f_effective_mhz", "f_reported_mhz",
-                  "power_w", "temperature_c", "power_capped",
-                  "thermally_capped"):
-        lhs, rhs = getattr(a, field), getattr(b, field)
-        assert lhs.dtype == rhs.dtype, field
-        assert np.array_equal(lhs, rhs), field
+    return DvfsController(spec, power, thermal, policy)
 
 
 class TestLadderMatchesDense:
+    """The production search along the ladder equals the dense scan."""
+
     @pytest.mark.parametrize("spec", [V100, RTX5000, MI60],
                              ids=lambda s: s.name)
     def test_randomized_operating_points(self, spec):
@@ -60,43 +48,36 @@ class TestLadderMatchesDense:
             f_cap = rng.uniform(0.5, 1.0, ctl.n) * spec.f_max_mhz
             kwargs = dict(power_cap_w=cap, f_cap_mhz=f_cap)
             if ctl.policy.dither:
-                grid = ctl.solve_steady(
+                dense = solve_dense(
+                    ctl, act, dram, eff, rng=np.random.default_rng(trial),
+                    **kwargs)
+                fleet = ctl.solve_steady(
                     act, dram, eff, rng=np.random.default_rng(trial),
-                    solver=SOLVER_GRID, **kwargs)
-                ladder = ctl.solve_steady(
-                    act, dram, eff, rng=np.random.default_rng(trial),
-                    solver=SOLVER_LADDER, **kwargs)
+                    **kwargs)
             else:
-                grid = ctl.solve_steady(act, dram, eff,
-                                        solver=SOLVER_GRID, **kwargs)
-                ladder = ctl.solve_steady(act, dram, eff,
-                                          solver=SOLVER_LADDER, **kwargs)
-            assert_ops_identical(grid, ladder)
+                dense = solve_dense(ctl, act, dram, eff, **kwargs)
+                fleet = ctl.solve_steady(act, dram, eff, **kwargs)
+            assert_ops_identical(dense, fleet)
 
     def test_scalar_inputs(self):
         ctl = make_controller()
-        grid = ctl.solve_steady(1.0, 0.35, solver=SOLVER_GRID)
-        ladder = ctl.solve_steady(1.0, 0.35, solver=SOLVER_LADDER)
-        assert_ops_identical(grid, ladder)
+        assert_ops_identical(solve_dense(ctl, 1.0, 0.35),
+                             ctl.solve_steady(1.0, 0.35))
 
     def test_power_cap_below_ladder_bottom(self):
-        # Nothing is feasible: both solvers must settle on index 0.
+        # Nothing is feasible: both sides must settle on index 0.
         ctl = make_controller(n=16)
-        grid = ctl.solve_steady(1.0, 0.35, power_cap_w=1.0,
-                                solver=SOLVER_GRID)
-        ladder = ctl.solve_steady(1.0, 0.35, power_cap_w=1.0,
-                                  solver=SOLVER_LADDER)
-        assert np.all(ladder.pstate_index == 0)
-        assert_ops_identical(grid, ladder)
+        dense = solve_dense(ctl, 1.0, 0.35, power_cap_w=1.0)
+        fleet = ctl.solve_steady(1.0, 0.35, power_cap_w=1.0)
+        assert np.all(fleet.pstate_index == 0)
+        assert_ops_identical(dense, fleet)
 
     def test_power_cap_above_everything(self):
         ctl = make_controller(n=16)
-        grid = ctl.solve_steady(0.05, 0.05, power_cap_w=1e6,
-                                solver=SOLVER_GRID)
-        ladder = ctl.solve_steady(0.05, 0.05, power_cap_w=1e6,
-                                  solver=SOLVER_LADDER)
-        assert np.all(ladder.pstate_index == V100.n_pstates - 1)
-        assert_ops_identical(grid, ladder)
+        dense = solve_dense(ctl, 0.05, 0.05, power_cap_w=1e6)
+        fleet = ctl.solve_steady(0.05, 0.05, power_cap_w=1e6)
+        assert np.all(fleet.pstate_index == V100.n_pstates - 1)
+        assert_ops_identical(dense, fleet)
 
     def test_extreme_boost_ceilings(self):
         # f_cap below the ladder bottom, between rungs, and above the top —
@@ -111,11 +92,9 @@ class TestLadderMatchesDense:
             steps[-1],                 # exactly the top
             steps[-1] * 2.0,           # above the top
         ])
-        grid = ctl.solve_steady(0.4, 0.2, f_cap_mhz=f_cap,
-                                solver=SOLVER_GRID)
-        ladder = ctl.solve_steady(0.4, 0.2, f_cap_mhz=f_cap,
-                                  solver=SOLVER_LADDER)
-        assert_ops_identical(grid, ladder)
+        assert_ops_identical(
+            solve_dense(ctl, 0.4, 0.2, f_cap_mhz=f_cap),
+            ctl.solve_steady(0.4, 0.2, f_cap_mhz=f_cap))
 
     def test_severe_defect_combination(self):
         # Mimic a POWER_DELIVERY + SICK_SLOW pileup: tiny per-GPU caps,
@@ -129,73 +108,90 @@ class TestLadderMatchesDense:
                          rng.uniform(0.4, 0.8, ctl.n) * V100.f_max_mhz,
                          V100.f_max_mhz)
         eff = rng.uniform(0.5, 1.0, ctl.n)
-        grid = ctl.solve_steady(1.0, 0.5, eff, power_cap_w=cap,
-                                f_cap_mhz=f_cap, solver=SOLVER_GRID)
-        ladder = ctl.solve_steady(1.0, 0.5, eff, power_cap_w=cap,
-                                  f_cap_mhz=f_cap, solver=SOLVER_LADDER)
-        assert_ops_identical(grid, ladder)
+        kwargs = dict(power_cap_w=cap, f_cap_mhz=f_cap)
+        assert_ops_identical(solve_dense(ctl, 1.0, 0.5, eff, **kwargs),
+                             ctl.solve_steady(1.0, 0.5, eff, **kwargs))
 
     def test_dither_consumes_identical_rng(self):
         # AMD dithering draws from the caller's rng; the search itself must
-        # consume none, so both solvers leave the stream in the same state.
+        # consume none, so both sides leave the stream in the same state.
         ctl = make_controller(spec=MI60, n=40, r=0.16, coolant=30.0)
         assert ctl.policy.dither
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        grid = ctl.solve_steady(1.0, 0.45, rng=rng_a, solver=SOLVER_GRID)
-        ladder = ctl.solve_steady(1.0, 0.45, rng=rng_b, solver=SOLVER_LADDER)
-        assert_ops_identical(grid, ladder)
+        dense = solve_dense(ctl, 1.0, 0.45, rng=rng_a)
+        fleet = ctl.solve_steady(1.0, 0.45, rng=rng_b)
+        assert_ops_identical(dense, fleet)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestColumnEvaluator:
+    """The fleet search's masked column evaluators equal the dense grid."""
+
     def test_columns_match_grid_bitwise(self):
         ctl = make_controller(n=24)
         rng = np.random.default_rng(2)
         act = rng.uniform(0.2, 1.0, ctl.n)
         dram = rng.uniform(0.0, 0.8, ctl.n)
+        eff = np.ones(ctl.n)
         p_grid, t_grid = ctl.power_grid(act, dram)
         idx = rng.integers(0, V100.n_pstates, size=ctl.n)
-        p_col, t_col = ctl.power_grid_columns(idx, act, dram)
         rows = np.arange(ctl.n)
-        assert np.array_equal(p_col, p_grid[rows, idx])
-        assert np.array_equal(t_col, t_grid[rows, idx])
+        p_col, t_col = ctl._settle_rows(rows, ctl.pstates()[idx], act,
+                                        dram, eff)
+        assert np.array_equal(p_col.astype(np.float64), p_grid[rows, idx])
+        assert np.array_equal(t_col.astype(np.float64), t_grid[rows, idx])
+        # A row subset in scrambled order gathers the same cells.
+        sub = rng.permutation(ctl.n)[:9]
+        p_sub, t_sub = ctl._settle_rows(sub, ctl.pstates()[idx[sub]], act,
+                                        dram, eff)
+        assert np.array_equal(p_sub.astype(np.float64), p_grid[sub, idx[sub]])
+        assert np.array_equal(t_sub.astype(np.float64), t_grid[sub, idx[sub]])
 
     def test_two_dimensional_indices(self):
         ctl = make_controller(n=8)
+        act, dram, eff = (np.full(ctl.n, v) for v in (0.7, 0.3, 1.0))
         p_grid, t_grid = ctl.power_grid(0.7, 0.3)
         idx = np.tile(np.array([0, 50, 186]), (ctl.n, 1))
-        p_col, t_col = ctl.power_grid_columns(idx, 0.7, 0.3)
+        p_col, t_col = ctl._settle_cols(None, idx, act, dram, eff)
         assert p_col.shape == (ctl.n, 3)
         rows = np.arange(ctl.n)[:, None]
-        assert np.array_equal(p_col, p_grid[rows, idx])
-        assert np.array_equal(t_col, t_grid[rows, idx])
+        assert np.array_equal(p_col.astype(np.float64), p_grid[rows, idx])
+        assert np.array_equal(t_col.astype(np.float64), t_grid[rows, idx])
+        picked = np.array([1, 4, 6])
+        p_rows, _ = ctl._settle_cols(picked, idx[picked], act, dram, eff)
+        assert np.array_equal(p_rows.astype(np.float64),
+                              p_grid[picked[:, None], idx[picked]])
 
     def test_rejects_wrong_shape(self):
         ctl = make_controller(n=8)
         with pytest.raises(ValueError):
-            ctl.power_grid_columns(np.zeros((4,), dtype=int), 0.5, 0.2)
+            ctl.power_grid(np.zeros(4), 0.2)
+        with pytest.raises(ValueError):
+            ctl.solve_steady(np.zeros(4), 0.2)
 
 
 class TestSolverStats:
     def test_ladder_avoids_most_of_the_grid(self):
-        ctl = make_controller(n=128, solver=SOLVER_LADDER)
+        ctl = make_controller(n=128)
         ctl.solve_steady(1.0, 0.35)
         stats = ctl.stats
-        # One batched call = n per-GPU solves (invariant across solver
-        # modes and shard plans) grouped into a single batch.
+        # One batched call = n per-GPU solves (invariant across shard
+        # plans) grouped into a single batch.
         assert stats.solves == 128
         assert stats.batches == 1
         assert stats.dense_cells == 128 * V100.n_pstates
         assert stats.columns_evaluated < stats.dense_cells / 5
         assert stats.dense_fraction_avoided > 0.8
-        assert stats.fixed_point_iterations == 7 * stats.columns_evaluated
+        assert stats.fixed_point_iterations <= 7 * stats.columns_evaluated
 
     def test_grid_avoids_nothing(self):
-        ctl = make_controller(n=16, solver=SOLVER_GRID)
-        ctl.solve_steady(1.0, 0.35)
+        ctl = make_controller(n=16)
+        solve_dense(ctl, 1.0, 0.35)
         assert ctl.stats.columns_evaluated >= ctl.stats.dense_cells
         assert ctl.stats.dense_fraction_avoided == 0.0
+        assert ctl.stats.fixed_point_iterations == \
+            7 * ctl.stats.columns_evaluated
 
     def test_merge_and_copy(self):
         a = SolverStats(solves=1, columns_evaluated=10, dense_cells=100,
@@ -208,23 +204,26 @@ class TestSolverStats:
 
 
 class TestSolverSelection:
-    def test_env_var_changes_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DVFS_SOLVER", "grid")
-        assert default_solver() == SOLVER_GRID
-        assert make_controller(n=4).solver == SOLVER_GRID
-        monkeypatch.delenv("REPRO_DVFS_SOLVER")
-        assert default_solver() == SOLVER_LADDER
-
-    def test_bad_env_var_rejected(self, monkeypatch):
-        from repro.errors import ConfigError
-        monkeypatch.setenv("REPRO_DVFS_SOLVER", "quantum")
-        with pytest.raises(ConfigError):
-            default_solver()
+    """There is one solver: no per-controller or per-call selection."""
 
     def test_bad_solver_argument_rejected(self):
-        from repro.errors import ConfigError
+        # The ``solver`` keyword is gone from both signatures, so any
+        # value — a real mode name or not — is a TypeError.
         ctl = make_controller(n=4)
-        with pytest.raises(ConfigError):
-            ctl.solve_steady(1.0, 0.35, solver="nope")
-        with pytest.raises(ConfigError):
-            make_controller(n=4, solver="nope")
+        for solver in ("nope", "fleet"):
+            with pytest.raises(TypeError):
+                ctl.solve_steady(1.0, 0.35, solver=solver)
+            with pytest.raises(TypeError):
+                DvfsController(ctl.spec, ctl.power, ctl.thermal,
+                               solver=solver)
+
+    def test_env_var_is_ignored(self, monkeypatch):
+        # REPRO_DVFS_SOLVER used to switch the process-wide default; the
+        # production solve must not read it.
+        plain = make_controller(n=32)
+        expected = plain.solve_steady(1.0, 0.35)
+        for value in ("grid", "ladder", "quantum"):
+            monkeypatch.setenv("REPRO_DVFS_SOLVER", value)
+            ctl = make_controller(n=32)
+            assert_ops_identical(ctl.solve_steady(1.0, 0.35), expected)
+            assert ctl.stats == plain.stats

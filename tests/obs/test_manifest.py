@@ -44,7 +44,7 @@ class TestEmission:
         assert entry.cluster["seed"] == 5
         assert entry.workload["name"] == sgemm().name
         assert entry.config["days"] == 2
-        assert entry.solver["mode"] in ("ladder", "fleet", "grid")
+        assert entry.solver["mode"] == "fleet"
         assert entry.solver["solves"] > 0
         assert entry.solver["batches"] > 0
         assert entry.result["n_rows"] == dataset.n_rows
@@ -126,6 +126,14 @@ class TestValidator:
         doc = emitted[2].to_dict()
         doc["campaigns"][0]["solver"]["mode"] = "magic"
         with pytest.raises(ConfigError, match="magic"):
+            validate_manifest(doc)
+
+    def test_accepts_retired_solver_modes(self, emitted):
+        # Writers always record "fleet", but manifests from releases that
+        # could select the ladder or dense-grid solver stay valid.
+        for mode in ("ladder", "grid"):
+            doc = emitted[2].to_dict()
+            doc["campaigns"][0]["solver"]["mode"] = mode
             validate_manifest(doc)
 
     def test_type_union_allows_null(self, emitted):

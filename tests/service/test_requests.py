@@ -163,3 +163,64 @@ class TestExecuteRequest:
                 request=api.CharacterizeRequest(),
                 cluster=api.load_preset("cloudlab", scale=0.5),
             )
+
+
+class TestIgnoredSolverField:
+    """``solver`` stays on the wire (schema version 1) but selects nothing.
+
+    There is one DVFS solver; the field is accepted, validated, echoed,
+    and ignored until the next request-schema bump drops it.
+    """
+
+    def test_digest_and_payload_ignore_the_solver(self):
+        import dataclasses
+
+        from repro.service.wire import build_response, encode_response
+
+        plain = api.CharacterizeRequest(cluster="cloudlab", scale=0.5,
+                                        days=1, seed=3)
+        grid = dataclasses.replace(plain, solver="grid")
+        assert api.request_digest(grid) == api.request_digest(plain)
+        bodies = {}
+        for name, request in (("plain", plain), ("grid", grid)):
+            payload = build_response(request, api.execute_request(request))
+            echoed = payload.pop("request")
+            assert echoed == request.to_dict()
+            bodies[name] = encode_response(payload)
+        assert bodies["grid"] == bodies["plain"]
+
+    def test_to_dict_still_carries_the_solver(self):
+        assert api.CharacterizeRequest(solver="grid").to_dict()["solver"] \
+            == "grid"
+        assert api.CharacterizeRequest().to_dict()["solver"] is None
+        assert "solver" in api.EXECUTION_FIELDS
+        assert api.REQUEST_SCHEMA_VERSION == 1
+
+    def test_unknown_solver_still_rejected(self):
+        with pytest.raises(ConfigError, match="solver"):
+            api.CharacterizeRequest(solver="warp")
+        doc = api.CharacterizeRequest().to_dict()
+        doc["solver"] = "warp"
+        with pytest.raises(ConfigError, match="solver"):
+            api.request_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_execute_request_never_writes_the_environment(self, kind):
+        # Requests run concurrently in the service's thread pool, so no
+        # request path may touch process-global state such as os.environ.
+        import dataclasses
+        import os
+        from unittest import mock
+
+        request = dataclasses.replace(_sample(kind), solver="grid",
+                                      workers=None)
+        before = dict(os.environ)
+        setitem, delitem = os._Environ.__setitem__, os._Environ.__delitem__
+        with mock.patch.object(os._Environ, "__setitem__", autospec=True,
+                               side_effect=setitem) as set_spy, \
+                mock.patch.object(os._Environ, "__delitem__", autospec=True,
+                                  side_effect=delitem) as del_spy:
+            api.execute_request(request)
+        assert set_spy.call_count == 0
+        assert del_spy.call_count == 0
+        assert dict(os.environ) == before

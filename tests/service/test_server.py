@@ -116,6 +116,18 @@ class TestRouting:
 
         assert _with_service(scenario).status == 400
 
+    def test_unknown_solver_400(self):
+        # The ignored solver field keeps its validation: a typed 4xx.
+        async def scenario(service):
+            return await http_request(
+                "127.0.0.1", service.port, "POST", "/v1/characterize",
+                b'{"solver": "warp"}',
+            )
+
+        reply = _with_service(scenario)
+        assert reply.status == 400
+        assert b"solver" in reply.body
+
 
 class TestParity:
     def test_characterize_csv_matches_offline_facade_bytes(self):

@@ -1,43 +1,48 @@
-"""Batched vs sequential fast-cap clamp in the reactive engine.
+"""Batched fast-cap clamp vs the round-by-round oracle.
 
-Under ``solver="fleet"`` the engine's hardware fast-cap clamp evaluates
-all candidate drop levels in one flat power-model call instead of
-round-by-round.  The candidate levels depend only on the entry p-state
-and temperature is frozen during the clamp, so the batched path must be
-*bit-identical* to the sequential one — states, power readings, and the
-``engine.clamp_reevaluations`` counter all match exactly.
+The reactive engine's hardware fast-cap clamp evaluates all candidate
+drop levels in one flat power-model call instead of round-by-round.  The
+candidate levels depend only on the entry p-state and temperature is
+frozen during the clamp, so the batched clamp must be *bit-identical* to
+the sequential loop in ``tests/sim/clamp_oracle.py`` — states, power
+readings, and the ``engine.clamp_reevaluations`` counter all match
+exactly.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro.cluster import cloudlab
-from repro.gpu.dvfs import SOLVER_FLEET, SOLVER_LADDER
 from repro.obs import Tracer, activate
+from repro.sim import simulate_timeseries
 from repro.sim.engine import Engine, EngineConfig
 from repro.workloads import sgemm
+
+from tests.sim.clamp_oracle import (
+    clamp_sequential,
+    sequential_clamp,
+    use_sequential_clamp,
+)
 
 STATE_ARRAYS = ("pstate_index", "temperature_c", "kernel_active",
                 "compute_remaining", "memory_remaining",
                 "gap_remaining_s", "kernels_completed")
 
 
-def make_engine(solver, power_limit=None, batched=None, n=8, seed=11):
+def make_engine(power_limit=None, n=8, seed=11):
     """Fresh engine over its own fleet (no state shared between engines)."""
     fleet = cloudlab(seed=seed).fleet.take(np.arange(n))
-    fleet.controller.solver = solver
-    engine = Engine(fleet, sgemm(), EngineConfig(thermal_time_scale=10.0),
-                    power_limit_w=power_limit)
-    if batched is not None:
-        # Force the clamp execution shape independently of the solver so
-        # the test isolates the clamp path from the control-tick solver.
-        engine._batched_clamp = batched
-    return engine
+    return Engine(fleet, sgemm(), EngineConfig(thermal_time_scale=10.0),
+                  power_limit_w=power_limit)
 
 
-def run_traced(engine, seconds=10.0):
+def run_traced(engine, seconds=10.0, oracle=False):
     tracer = Tracer()
-    with activate(tracer):
+    clamp = (use_sequential_clamp(engine) if oracle
+             else contextlib.nullcontext())
+    with clamp, activate(tracer):
         engine.run_for(seconds)
     return tracer.counters
 
@@ -54,12 +59,12 @@ def assert_states_identical(a, b):
 class TestBatchedClampEquivalence:
     @pytest.mark.parametrize("limit", [None, 200.0, 160.0])
     def test_states_and_counters_identical(self, limit):
-        # Same solver on both engines; only the clamp execution shape
-        # differs, so any divergence is the batched clamp's fault.
-        batched = make_engine(SOLVER_FLEET, limit, batched=True)
-        sequential = make_engine(SOLVER_FLEET, limit, batched=False)
+        # Identical engines; only the clamp differs, so any divergence is
+        # the batched clamp's fault.
+        batched = make_engine(limit)
+        sequential = make_engine(limit)
         c_batched = run_traced(batched)
-        c_sequential = run_traced(sequential)
+        c_sequential = run_traced(sequential, oracle=True)
         assert_states_identical(batched, sequential)
         assert c_batched == c_sequential
         if limit is not None:
@@ -68,36 +73,62 @@ class TestBatchedClampEquivalence:
 
     @pytest.mark.parametrize("limit", [None, 160.0])
     def test_fleet_engine_matches_ladder_engine(self, limit):
-        # Full-stack differential: fleet solver + batched clamp vs ladder
-        # solver + sequential clamp, end to end.
-        fleet_eng = make_engine(SOLVER_FLEET, limit)
-        ladder_eng = make_engine(SOLVER_LADDER, limit)
-        assert fleet_eng._batched_clamp
-        assert not ladder_eng._batched_clamp
-        c_fleet = run_traced(fleet_eng)
-        c_ladder = run_traced(ladder_eng)
-        assert_states_identical(fleet_eng, ladder_eng)
-        assert c_fleet == c_ladder
+        # Full-stack differential: the production engine vs one stepping
+        # the ladder down round by round, through simulate_timeseries'
+        # sampled telemetry traces.
+        cluster = cloudlab(seed=11)
+        gpus = np.arange(6)
+
+        def traces():
+            return simulate_timeseries(
+                cluster, sgemm(), gpus, duration_s=4.0,
+                sample_interval_s=0.05, power_limit_w=limit,
+                engine_config=EngineConfig(thermal_time_scale=10.0),
+            )
+
+        fleet_traces = traces()
+        with sequential_clamp():
+            ladder_traces = traces()
+        assert len(fleet_traces) == len(ladder_traces) == gpus.size
+        for a, b in zip(fleet_traces, ladder_traces):
+            for field in ("time_s", "frequency_mhz", "power_w",
+                          "temperature_c", "kernel_starts_s"):
+                assert np.array_equal(getattr(a, field),
+                                      getattr(b, field)), field
 
 
 class TestClampMonotonicity:
     """The clamp only ever steps p-states *down* (regression guard)."""
 
     def _warmed_engine(self):
-        engine = make_engine(SOLVER_FLEET, None)
+        engine = make_engine(None)
         engine.run_for(3.0)
         return engine
 
+    def _both(self, cap_of):
+        """Clamp one warmed engine's state with each implementation."""
+        out = []
+        for clamp in (Engine._clamp_fast_cap, clamp_sequential):
+            engine = self._warmed_engine()
+            power = engine.instantaneous_power()
+            cap_fast = cap_of(power)
+            over_idx = np.flatnonzero(power > cap_fast)
+            idx_before = engine.state.pstate_index.copy()
+            reevals = clamp(engine, power, over_idx, cap_fast)
+            out.append((engine, power, over_idx, idx_before, reevals))
+        (eng_b, power_b, _, _, re_b), (eng_s, power_s, _, _, re_s) = out
+        assert np.array_equal(eng_b.state.pstate_index,
+                              eng_s.state.pstate_index)
+        assert np.array_equal(power_b, power_s)
+        assert re_b == re_s
+        return out[0]
+
     def test_batched_clamp_never_raises_pstates(self):
-        engine = self._warmed_engine()
-        power = engine.instantaneous_power()
         # A cap below every board power forces all GPUs through all
         # clamp rounds.
-        cap_fast = np.full(engine.n, power.min() * 0.25)
-        over_idx = np.flatnonzero(power > cap_fast)
+        engine, _, over_idx, idx_before, reevals = self._both(
+            lambda power: np.full(power.size, power.min() * 0.25))
         assert over_idx.size == engine.n
-        idx_before = engine.state.pstate_index.copy()
-        reevals = engine._clamp_fast_cap_batched(power, over_idx, cap_fast)
         idx_after = engine.state.pstate_index
         assert np.all(idx_after <= idx_before)
         assert np.all(idx_after >= 0)
@@ -105,23 +136,15 @@ class TestClampMonotonicity:
         assert reevals == engine.n * 4
 
     def test_batched_clamp_partial_feasibility(self):
-        engine = self._warmed_engine()
-        power = engine.instantaneous_power()
         # One-rung-down feasible for everyone: single round charged.
-        cap_fast = power * 0.999
-        over_idx = np.flatnonzero(power > cap_fast)
-        idx_before = engine.state.pstate_index.copy()
-        reevals = engine._clamp_fast_cap_batched(power, over_idx, cap_fast)
+        engine, _, over_idx, idx_before, reevals = self._both(
+            lambda power: power * 0.999)
         assert np.all(engine.state.pstate_index <= idx_before)
         assert reevals >= over_idx.size
 
     def test_clamped_power_matches_reported_power(self):
         # The power array the clamp writes back must equal a fresh
         # evaluation at the post-clamp state, bit for bit.
-        engine = self._warmed_engine()
-        power = engine.instantaneous_power()
-        cap_fast = power * 0.8
-        over_idx = np.flatnonzero(power > cap_fast)
-        engine._clamp_fast_cap_batched(power, over_idx, cap_fast)
+        engine, power, _, _, _ = self._both(lambda power: power * 0.8)
         fresh = engine.instantaneous_power()
         assert np.array_equal(power, fresh)

@@ -20,6 +20,8 @@ from repro.sim.job import (
 )
 from repro.workloads import get_workload
 
+from tests.gpu.dvfs_oracle import dense_solver
+
 
 @pytest.fixture(scope="module")
 def cluster():
@@ -122,11 +124,18 @@ class TestBatchEqualsSequential:
 
 
 class TestSolverPassthrough:
+    """Job pricing's solves equal the dense-scan oracle's, bit for bit."""
+
     @pytest.mark.parametrize("name", ("sgemm", "pagerank"))
     def test_fleet_solver_reference_times_bitwise(self, cluster, name):
         workload = get_workload(name)
-        default = reference_unit_times(cluster, workload, day=2)
-        fleet = reference_unit_times(
-            cluster, workload, day=2, solver="fleet"
-        )
-        np.testing.assert_array_equal(default, fleet)
+        fleet = reference_unit_times(cluster, workload, day=2)
+        with dense_solver():
+            dense = reference_unit_times(cluster, workload, day=2)
+        np.testing.assert_array_equal(dense, fleet)
+
+    def test_fleet_solver_job_prices_bitwise(self, cluster):
+        fleet = sample_job_runtimes(cluster, _requests(cluster), day=1)
+        with dense_solver():
+            dense = sample_job_runtimes(cluster, _requests(cluster), day=1)
+        _assert_bitwise_equal(fleet, dense)

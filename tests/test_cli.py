@@ -40,7 +40,7 @@ class TestParser:
     def test_execution_args_accepted_uniformly(self, command):
         argv = [command, "--seed", "7", "--workers", "2",
                 "--trace", "t.json", "--manifest", "m.json",
-                "--timeline", "tl.jsonl", "--solver", "fleet"]
+                "--timeline", "tl.jsonl"]
         if command == "project":
             argv += ["--target-n", "1000"]
         args = build_parser().parse_args(argv)
@@ -49,12 +49,14 @@ class TestParser:
         assert args.trace == "t.json"
         assert args.manifest == "m.json"
         assert args.timeline == "tl.jsonl"
-        assert args.solver == "fleet"
 
     def test_bad_solver_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["characterize", "--solver", "quantum"])
+        # There is one DVFS solver, so --solver no longer exists: argparse
+        # rejects it whatever the value.
+        for value in ("quantum", "fleet"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["characterize", "--solver", value])
 
 
 class TestCommands:
@@ -216,28 +218,20 @@ class TestObservabilityFlags:
         assert traced.startswith(plain)
         assert "trace written" in traced
 
-    @pytest.mark.parametrize("solver", ["fleet", "grid"])
-    def test_solver_flag_output_identical(self, capsys, solver):
-        # All solvers are bit-identical, so the printed report must not
-        # change with --solver.
+    def test_solver_env_var_ignored_and_untouched(self, capsys,
+                                                  monkeypatch):
+        # The retired REPRO_DVFS_SOLVER variable changes nothing, and the
+        # CLI neither reads nor writes the environment for it.
+        import os
         argv = ["characterize", "--cluster", "cloudlab", "--scale", "0.5",
                 "--days", "2", "--runs", "2"]
+        monkeypatch.delenv("REPRO_DVFS_SOLVER", raising=False)
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main(argv + ["--solver", solver]) == 0
-        assert capsys.readouterr().out == plain
-
-    def test_solver_flag_restores_environment(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_DVFS_SOLVER", raising=False)
-        assert main(["characterize", "--cluster", "cloudlab",
-                     "--scale", "0.5", "--days", "1", "--runs", "1",
-                     "--solver", "fleet"]) == 0
         assert "REPRO_DVFS_SOLVER" not in os.environ
         monkeypatch.setenv("REPRO_DVFS_SOLVER", "grid")
-        assert main(["characterize", "--cluster", "cloudlab",
-                     "--scale", "0.5", "--days", "1", "--runs", "1",
-                     "--solver", "fleet"]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
         assert os.environ["REPRO_DVFS_SOLVER"] == "grid"
 
 

@@ -6,6 +6,10 @@ gzipped with a zeroed mtime.  The tests rebuild each campaign from
 scratch and compare against the stored text *exactly* — any change to an
 RNG stream, draw order, float expression, or the CSV writer fails here.
 
+The fixtures pin the only steady-state solver (the fleet search); the
+same campaigns at worker counts 1 and 2 are pinned in
+``tests/test_golden_fleet.py``.
+
 Intentional stream changes must regenerate the fixtures::
 
     PYTHONPATH=src python tools/regen_golden.py
@@ -17,7 +21,7 @@ import pytest
 
 from tests.golden import (
     GOLDEN_CAMPAIGNS,
-    golden_csv_text,
+    assert_matches_golden,
     golden_path,
     read_golden_text,
 )
@@ -47,18 +51,4 @@ def test_fixture_text_is_wellformed():
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_campaign_output_matches_golden(name):
-    expected = read_golden_text(name)
-    actual = golden_csv_text(name)
-    if actual != expected:  # pinpoint the first divergence before failing
-        exp_lines = expected.splitlines()
-        act_lines = actual.splitlines()
-        for i, (e, a) in enumerate(zip(exp_lines, act_lines)):
-            assert a == e, (
-                f"{name}: first diff at line {i + 1}\n"
-                f"  golden : {e}\n  current: {a}"
-            )
-        assert len(act_lines) == len(exp_lines), (
-            f"{name}: row count changed "
-            f"({len(exp_lines)} golden vs {len(act_lines)} current)"
-        )
-        pytest.fail(f"{name}: output text differs from committed golden")
+    assert_matches_golden(name)

@@ -1,46 +1,24 @@
-"""Golden-regression tests under the fleet solver.
+"""Golden-regression tests at worker counts 1 and 2.
 
-The committed fixtures in ``tests/golden/`` were produced under the
-default (ladder) solver.  ``REPRO_DVFS_SOLVER=fleet`` must reproduce
-every one of them byte-for-byte — the batched solve and the batched
-fast-cap clamp are execution shape only — and the guarantee holds at any
-worker count, since worker processes inherit the environment and the
-shard plan never feeds one GPU's lanes into another's.
+The committed fixtures in ``tests/golden/`` pin the fleet DVFS search and
+its batched fast-cap clamp (the only production solver and clamp).  The
+guarantee holds at any worker count, since the shard plan never feeds one
+GPU's lanes into another's: every fixture must reproduce byte-for-byte
+through the parallel executor as well as serially
+(``tests/test_golden.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.golden import GOLDEN_CAMPAIGNS, golden_csv_text, read_golden_text
+from tests.golden import GOLDEN_CAMPAIGNS, assert_matches_golden
 
 ALL_NAMES = sorted(GOLDEN_CAMPAIGNS)
-
-
-@pytest.fixture(autouse=True)
-def fleet_solver(monkeypatch):
-    monkeypatch.setenv("REPRO_DVFS_SOLVER", "fleet")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_fleet_campaign_matches_golden(name, workers):
-    expected = read_golden_text(name)
-    actual = golden_csv_text(name, workers=workers)
-    if actual != expected:  # pinpoint the first divergence before failing
-        exp_lines = expected.splitlines()
-        act_lines = actual.splitlines()
-        for i, (e, a) in enumerate(zip(exp_lines, act_lines)):
-            assert a == e, (
-                f"{name} (workers={workers}): first diff at line {i + 1}\n"
-                f"  golden : {e}\n  current: {a}"
-            )
-        assert len(act_lines) == len(exp_lines), (
-            f"{name} (workers={workers}): row count changed "
-            f"({len(exp_lines)} golden vs {len(act_lines)} current)"
-        )
-        pytest.fail(
-            f"{name} (workers={workers}): fleet-solver output differs "
-            "from committed golden"
-        )
+    assert_matches_golden(name, workers=workers)

@@ -68,9 +68,6 @@ API_SURFACE = frozenset({
     "BackfillPolicy", "VariabilityAwarePolicy", "HealthAwarePolicy",
     "EnergyCappedPolicy", "node_power_watts", "POLICY_NAMES", "ENGINE_MODES",
     "validate_scheduling_report", "write_event_log",
-    # steady-state solver selection
-    "SOLVER_LADDER", "SOLVER_FLEET", "SOLVER_GRID", "SOLVER_ENV_VAR",
-    "default_solver", "solver_scope",
     # typed request surface (shared by Python, CLI, and the HTTP service)
     "REQUEST_SCHEMA_VERSION", "REQUEST_KINDS", "EXECUTION_FIELDS",
     "CharacterizeRequest", "ScreenRequest", "SweepRequest",
@@ -114,6 +111,22 @@ class TestFacade:
         assert len(positional) <= 1, f"{name}: {positional}"
         if positional:
             assert positional[0].name == "name"
+
+    def test_solver_selection_surface_is_gone(self):
+        # One DVFS solver: the selection knobs left repro.api and repro.gpu.
+        import repro.gpu
+
+        removed = ("SOLVER_LADDER", "SOLVER_FLEET", "SOLVER_GRID",
+                   "SOLVER_ENV_VAR", "solver_scope")
+        for name in removed + ("default_solver",):
+            assert not hasattr(api, name), name
+        for name in removed:
+            assert not hasattr(repro.gpu, name), name
+            assert name not in repro.gpu.__all__, name
+        # Kept for manifests and benchmark environment records.
+        assert repro.gpu.default_solver() == "fleet"
+        for verb in ("chaos", "characterize", "schedule"):
+            assert "solver" not in inspect.signature(getattr(api, verb)).parameters
 
     def test_import_emits_no_warnings(self):
         import subprocess

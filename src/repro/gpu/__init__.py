@@ -27,7 +27,7 @@ from .dvfs import (
     SolverStats,
     default_solver,
 )
-from .device import GPUFleet
+from .device import FleetArrays, GPUFleet
 
 __all__ = [
     "GPUSpec",
@@ -51,4 +51,5 @@ __all__ = [
     "SolverStats",
     "default_solver",
     "GPUFleet",
+    "FleetArrays",
 ]

@@ -36,7 +36,7 @@ carries a hazard multiplier drawn from a Gamma distribution.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -168,14 +168,24 @@ class DefectAssignment:
         return int(np.count_nonzero(self.kind == int(kind)))
 
     def take(self, indices: np.ndarray) -> "DefectAssignment":
-        """Sub-assignment at ``indices``."""
-        return DefectAssignment(
-            kind=self.kind[indices].copy(),
-            power_cap_frac=self.power_cap_frac[indices].copy(),
-            frequency_cap_frac=self.frequency_cap_frac[indices].copy(),
-            efficiency=self.efficiency[indices].copy(),
-            extra_thermal_resistance=self.extra_thermal_resistance[indices].copy(),
-        )
+        """Sub-assignment at ``indices`` (a 1-D index array).
+
+        Validation happens where data enters — :func:`assign_defects`,
+        forced defects, chaos-scaled caps.  Every check is per element or
+        per length, so a 1-D gather of a validated assignment is valid by
+        construction and skips ``__post_init__``.
+        """
+        indices = np.asarray(indices)
+        if indices.ndim != 1:
+            raise ValueError(
+                f"indices must be 1-D, got shape {indices.shape}"
+            )
+        sub = object.__new__(DefectAssignment)
+        for field in fields(self):
+            object.__setattr__(
+                sub, field.name, getattr(self, field.name)[indices]
+            )
+        return sub
 
 
 def assign_defects(

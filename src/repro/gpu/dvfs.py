@@ -49,6 +49,7 @@ performs is counted in :class:`SolverStats`.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -66,6 +67,8 @@ __all__ = [
     "SteadyOperatingPoint",
     "SolverStats",
     "DvfsController",
+    "LadderTables",
+    "ladder_tables",
     "default_solver",
 ]
 
@@ -202,6 +205,74 @@ class SolverStats:
         )
 
 
+class LadderTables:
+    """Read-only p-state tables of one SKU, shared by all its controllers.
+
+    Every table is a pure function of the :class:`GPUSpec`, so one set is
+    built per spec (:func:`ladder_tables`) instead of once per controller —
+    job pricing builds hundreds of small controllers per schedule.
+
+    * ``pstates`` — the ladder (ascending MHz);
+    * ``basis`` — the per-column dynamic-power basis ``C_eff * V(f)^2 * f``.
+      Dynamic power factors into ``(activity * eff * (1 + v_off)^2)`` per
+      GPU times this strictly rising basis, which is what lets the fleet
+      solver invert the power cap into a ladder index per row;
+    * ``vsq`` — squared nominal voltage per column.  ``voltage_at`` is
+      elementwise, so gathering ``V(steps)**2`` by column index is
+      bit-identical to evaluating it at the gathered frequencies (see
+      :meth:`PowerModel.dynamic_power`'s ``v_sq`` contract);
+    * the inverse-basis lookup table behind :meth:`basis_lookup`.
+    """
+
+    def __init__(self, spec: GPUSpec) -> None:
+        steps = spec.pstate_array()
+        vsq = spec.voltage_at(steps) ** 2
+        basis = spec.c_eff_w_per_v2mhz * vsq * steps
+        self.pstates = steps
+        self.basis = basis
+        self.vsq = vsq
+        b0 = float(basis[0])
+        span = float(basis[-1]) - b0
+        self._lut: np.ndarray | None = None
+        self._lut_b0 = b0
+        self._lut_inv_step = 0.0
+        if basis.shape[0] >= 8 and span > 0.0:
+            edges = np.linspace(b0, float(basis[-1]), _BASIS_LUT_SIZE)
+            self._lut = np.searchsorted(basis, edges)
+            self._lut.setflags(write=False)
+            self._lut_inv_step = (_BASIS_LUT_SIZE - 1) / span
+        for table in (steps, basis, vsq):
+            table.setflags(write=False)
+
+    def basis_lookup(self, q: np.ndarray) -> np.ndarray:
+        """Approximate ``searchsorted(basis, q)`` via a uniform LUT.
+
+        A 4096-bin table over the basis range replaces the per-row binary
+        search with one subtract/multiply/gather.  The table quantizes bin
+        edges downward, so dense low-frequency basis regions can return an
+        index a few rungs low — harmless, because the result is only the
+        fleet solver's starting hint and the gallop rounds correct any
+        offset with exact evaluations.  Non-finite queries (idle rows
+        divide by zero activity) clamp to the table ends.
+        """
+        if self._lut is None:
+            return np.searchsorted(self.basis, q)
+        j = np.clip(
+            np.minimum(
+                (q - self._lut_b0) * self._lut_inv_step, _BASIS_LUT_SIZE - 1.0
+            ).astype(np.int64),
+            0,
+            _BASIS_LUT_SIZE - 1,
+        )
+        return self._lut[j]
+
+
+@functools.cache
+def ladder_tables(spec: GPUSpec) -> LadderTables:
+    """The shared :class:`LadderTables` of ``spec`` (built on first use)."""
+    return LadderTables(spec)
+
+
 def default_solver() -> str:
     """Name of the steady-state solver: always ``"fleet"``.
 
@@ -238,10 +309,7 @@ class DvfsController:
         self.thermal = thermal_model
         self.policy = policy if policy is not None else DvfsPolicy.for_spec(spec)
         self.stats = SolverStats()
-        self._pstates: np.ndarray | None = None
-        self._ladder_basis: np.ndarray | None = None
-        self._basis_lut: tuple[np.ndarray | None, float, float] | None = None
-        self._vsq_steps: np.ndarray | None = None
+        self.ladder = ladder_tables(spec)
         # Reusable float32 buffers keyed by dense-grid shape: callers that
         # re-evaluate the same grid reuse the (t, p, scratch) triple
         # instead of reallocating it.
@@ -267,77 +335,8 @@ class DvfsController:
     # ------------------------------------------------------------------
 
     def pstates(self) -> np.ndarray:
-        """The SKU ladder as a cached, read-only float array (ascending MHz)."""
-        if self._pstates is None:
-            steps = self.spec.pstate_array()
-            steps.setflags(write=False)
-            self._pstates = steps
-        return self._pstates
-
-    def ladder_basis(self) -> np.ndarray:
-        """Per-column dynamic-power basis ``C_eff * V(f)^2 * f`` (cached).
-
-        Dynamic power factors into ``(activity * eff * (1 + v_off)^2)``
-        per GPU times this strictly rising per-column basis, which is what
-        lets the fleet solver invert the power cap into a ladder index
-        with one ``searchsorted`` per row.
-        """
-        if self._ladder_basis is None:
-            steps = self.pstates()
-            v_nom = self.spec.voltage_at(steps)
-            basis = self.spec.c_eff_w_per_v2mhz * v_nom**2 * steps
-            basis.setflags(write=False)
-            self._ladder_basis = basis
-        return self._ladder_basis
-
-    def _vsq_ladder(self) -> np.ndarray:
-        """Squared nominal voltage per ladder column (cached, read-only).
-
-        ``voltage_at`` is elementwise, so gathering ``V(steps)**2`` by
-        column index is bit-identical to evaluating it at the gathered
-        frequencies — the fleet solver trades the per-cell V/F polynomial
-        for one small-table gather (see :meth:`PowerModel.dynamic_power`'s
-        ``v_sq`` contract).
-        """
-        if self._vsq_steps is None:
-            vsq = self.spec.voltage_at(self.pstates()) ** 2
-            vsq.setflags(write=False)
-            self._vsq_steps = vsq
-        return self._vsq_steps
-
-    def _basis_lookup(self, q: np.ndarray) -> np.ndarray:
-        """Approximate ``searchsorted(ladder_basis, q)`` via a uniform LUT.
-
-        A 4096-bin table over the basis range replaces the per-row binary
-        search with one subtract/multiply/gather.  The table quantizes bin
-        edges downward, so dense low-frequency basis regions can return an
-        index a few rungs low — harmless, because the result is only the
-        fleet solver's starting hint and the gallop rounds correct any
-        offset with exact evaluations.  Non-finite queries (idle rows
-        divide by zero activity) clamp to the table ends.
-        """
-        if self._basis_lut is None:
-            basis = self.ladder_basis()
-            b0 = float(basis[0])
-            span = float(basis[-1]) - b0
-            if basis.shape[0] < 8 or span <= 0.0:
-                self._basis_lut = (None, 0.0, 0.0)
-            else:
-                edges = np.linspace(b0, float(basis[-1]), _BASIS_LUT_SIZE)
-                lut = np.searchsorted(basis, edges)
-                lut.setflags(write=False)
-                self._basis_lut = (lut, b0, (_BASIS_LUT_SIZE - 1) / span)
-        lut, b0, inv_step = self._basis_lut
-        if lut is None:
-            return np.searchsorted(self.ladder_basis(), q)
-        j = np.clip(
-            np.minimum((q - b0) * inv_step, _BASIS_LUT_SIZE - 1.0).astype(
-                np.int64
-            ),
-            0,
-            _BASIS_LUT_SIZE - 1,
-        )
-        return lut[j]
+        """The SKU ladder as a read-only float array (ascending MHz)."""
+        return self.ladder.pstates
 
     def _estimate_boundary(
         self,
@@ -384,7 +383,7 @@ class DvfsController:
             c0 = mem_idle + leak * np.exp(
                 f32(self.spec.leakage_temp_coeff) * (t_bound - f32(25.0))
             )
-            return self._basis_lookup((cap_eff - c0) / a)
+            return self.ladder.basis_lookup((cap_eff - c0) / a)
 
     def _workspace(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         ws = self._workspaces.get(shape)
@@ -896,7 +895,7 @@ class DvfsController:
                 steps[cols_flat],
                 np.concatenate([ae, ae]),
                 util,  # unused: mem_w below already carries the memory term
-                v_sq=self._vsq_ladder()[cols_flat] * vmult2,
+                v_sq=self.ladder.vsq[cols_flat] * vmult2,
                 mem_w=np.concatenate([mem_w, mem_w]),
             ).astype(np.float32)
             p_flat, t_flat = self._settle_masked(p_base, leak2, r2, tc2)

@@ -42,6 +42,7 @@ class PowerModel:
     def __init__(self, spec: GPUSpec, silicon: SiliconPopulation) -> None:
         self.spec = spec
         self.silicon = silicon
+        self._leakage_scale = silicon.leakage_scale
         # Pre-square the per-die voltage multiplier once.
         self._v_mult_sq = (1.0 + silicon.voltage_offset) ** 2
         self._leak_f32: np.ndarray | None = None
@@ -49,7 +50,30 @@ class PowerModel:
     @property
     def n(self) -> int:
         """Population size."""
-        return self.silicon.n
+        return int(self._v_mult_sq.shape[0])
+
+    def take(
+        self,
+        indices: np.ndarray,
+        silicon: SiliconPopulation | None = None,
+    ) -> "PowerModel":
+        """The model of the dies at ``indices``, gathered, not re-derived.
+
+        Every per-die array here is an elementwise function of the silicon
+        sample, so gathering the cached arrays gives the same bits as
+        deriving them on ``silicon.take(indices)``.  ``silicon`` is that
+        gathered sample when the caller has one (a sub-fleet); solver-only
+        callers (job pricing) omit it.
+        """
+        sub = object.__new__(PowerModel)
+        sub.spec = self.spec
+        sub.silicon = silicon
+        sub._leakage_scale = self._leakage_scale[indices]
+        sub._v_mult_sq = self._v_mult_sq[indices]
+        leak = self.leakage_scale_w_f32()[indices]
+        leak.setflags(write=False)
+        sub._leak_f32 = leak
+        return sub
 
     @property
     def v_mult_sq(self) -> np.ndarray:
@@ -70,7 +94,7 @@ class PowerModel:
         """
         if self._leak_f32 is None:
             leak = (
-                self.silicon.leakage_scale * self.spec.leakage_nominal_w
+                self._leakage_scale * self.spec.leakage_nominal_w
             ).astype(np.float32)
             leak.setflags(write=False)
             self._leak_f32 = leak
@@ -136,9 +160,9 @@ class PowerModel:
             self.spec.leakage_temp_coeff * (t - 25.0)
         )
         scale = (
-            self.silicon.leakage_scale
+            self._leakage_scale
             if indices is None
-            else self.silicon.leakage_scale[indices]
+            else self._leakage_scale[indices]
         )
         return _col(scale, t.ndim) * base
 

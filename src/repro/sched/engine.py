@@ -31,8 +31,10 @@ Two dispatch paths produce that same log:
   static policy orders resolved through
   :class:`~repro.sched.index.OrderedFreeIndex` segment trees, random
   policy draws resolved with one vectorized scan, a per-gang-size
-  blocked-queue index instead of head rescans, and per-round batched job
-  pricing through :func:`~repro.sim.job.sample_job_runtimes`.  Policies
+  blocked-queue index instead of head rescans, and lookahead job
+  pricing: runtimes are drawn at placement and solved in batches through
+  :func:`~repro.sim.job.sample_job_runtimes` only once a finish time
+  could be the next event.  Policies
   describe their ranking via
   :meth:`~repro.sched.policies.PlacementPolicy.indexed_ranking`;
   ``docs/SCHEDULING.md`` carries the byte-stability argument.
@@ -43,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +58,9 @@ from ..errors import SimulationError
 from ..obs.timeline import active_recorder
 from ..obs.tracer import active_tracer
 from ..sim.job import (
+    JobDraw,
     JobPricingRequest,
+    draw_job_runtime,
     reference_unit_times,
     sample_job_runtime,
     sample_job_runtimes,
@@ -517,11 +522,20 @@ def _run_indexed(
     * random rankings are still drawn at every reference attempt point —
       stream parity — but each drawn order resolves in one vectorized
       scan;
-    * placements of one dispatch round are priced in a single
-      :func:`~repro.sim.job.sample_job_runtimes` batch.  Finish-event
-      heap entries use sequence numbers reserved at placement time, and
-      the heap orders by ``(time, kind, seq)``, so deferring the push to
-      the end of the round cannot reorder anything.
+    * pricing looks ahead.  At placement the job's start event is
+      emitted (it carries no runtime), its finish ``seq`` reserved, and
+      its run-level draws taken by
+      :func:`~repro.sim.job.draw_job_runtime`, which also returns an
+      exact runtime floor.  Before each pop, if the heap is empty or
+      the smallest pending ``start + floor`` is ``<=`` the head's time,
+      every pending job is priced — one
+      :func:`~repro.sim.job.sample_job_runtimes` batch per placement day
+      — and its record and finish event land.  A finish is never
+      earlier than its floor, so nothing pending can precede a head
+      that every floor exceeds; ``<=`` because a FINISH sorts ahead of
+      a SUBMIT at equal times, and the heap's ``(time, kind, seq)``
+      order makes the late push unobservable.  Dithering fleets have a
+      zero floor, so they price every round before the next pop.
     """
     allocator = FreeListAllocator(cluster.topology)
     policy_rng = cluster.rng_factory.child("sched-policy").generator(
@@ -602,13 +616,17 @@ def _run_indexed(
             return [(node, job.n_gpus)]
         return tree.take_prefix(job.n_gpus)
 
-    # Placements of the current dispatch round, priced as one batch:
-    # (job, allocation, backfilled, finish_seq, slow_assigned).
-    round_placements: list[tuple[Job, GangAllocation, bool, int, bool]] = []
+    # Placed jobs whose runtime is drawn but not yet solved, each with
+    # the finish-event seq reserved at placement; ``earliest`` is the
+    # smallest start + floor among them.
+    pending: list[
+        tuple[Job, float, tuple[int, ...], tuple[int, ...], bool, int, JobDraw]
+    ] = []
+    earliest = math.inf
 
     def place(job: Job, requests: list[tuple[int, int]],
               backfilled: bool, now: float) -> None:
-        nonlocal seq
+        nonlocal seq, earliest
         allocation = allocator.allocate(requests)
         running[job.job_id] = allocation
         if admission is not None:
@@ -616,7 +634,39 @@ def _run_indexed(
         day = int(now // _SECONDS_PER_DAY)
         ref, threshold = slow_reference(job.workload_name, day)
         slow = bool(ref[allocation.gpu_indices].max() > threshold)
-        round_placements.append((job, allocation, backfilled, seq, slow))
+        nodes = tuple(allocation.node_indices.tolist())
+        gpus = tuple(allocation.gpu_indices.tolist())
+        # The start event carries no runtime, so it is emitted now.
+        events.append(
+            {
+                "event": "start",
+                "t": _round(now),
+                "job": job.job_id,
+                "nodes": nodes,
+                "gpus": gpus,
+                "backfilled": backfilled,
+            }
+        )
+        if tracer is not None:
+            tracer.add("sched.placements")
+            if backfilled:
+                tracer.add("sched.backfills")
+            if slow:
+                tracer.add("sched.slow_assignments")
+        draw = draw_job_runtime(
+            cluster,
+            JobPricingRequest(
+                workload=workloads[job.workload_name],
+                gpu_indices=allocation.gpu_indices,
+                work_units=job.work_units,
+                rng=cluster.rng_factory.child(
+                    f"sched-job-{job.job_id}"
+                ).generator("run"),
+            ),
+            day=day,
+        )
+        pending.append((job, now, nodes, gpus, slow, seq, draw))
+        earliest = min(earliest, now + draw.floor_s)
         seq += 1
 
     def dispatch_static(now: float) -> None:
@@ -680,64 +730,43 @@ def _run_indexed(
 
     dispatch = dispatch_static if static else dispatch_random
 
-    def price_round(now: float) -> None:
-        if not round_placements:
-            return
-        day = int(now // _SECONDS_PER_DAY)
-        pricing = [
-            JobPricingRequest(
-                workload=workloads[job.workload_name],
-                gpu_indices=allocation.gpu_indices,
-                work_units=job.work_units,
-                rng=cluster.rng_factory.child(
-                    f"sched-job-{job.job_id}"
-                ).generator("run"),
-            )
-            for job, allocation, _, _, _ in round_placements
-        ]
-        perfs = sample_job_runtimes(cluster, pricing, day=day)
-        if tracer is not None:
-            tracer.add("sched.price_batches")
-        for (job, allocation, backfilled, finish_seq, slow), perf in zip(
-            round_placements, perfs
-        ):
-            finish_t = now + perf.runtime_s
-            record = JobRecord(
-                job_id=job.job_id,
-                workload_name=job.workload_name,
-                n_gpus=job.n_gpus,
-                work_units=job.work_units,
-                submit_time_s=job.submit_time_s,
-                start_time_s=now,
-                finish_time_s=finish_t,
-                node_indices=tuple(allocation.node_indices.tolist()),
-                gpu_indices=tuple(allocation.gpu_indices.tolist()),
-                runtime_s=perf.runtime_s,
-                energy_j=perf.energy_j,
-                gang_imbalance=perf.gang_imbalance,
-                slow_assigned=slow,
-            )
-            records.append(record)
-            events.append(
-                {
-                    "event": "start",
-                    "t": _round(now),
-                    "job": job.job_id,
-                    "nodes": record.node_indices,
-                    "gpus": record.gpu_indices,
-                    "backfilled": backfilled,
-                }
+    def price_pending() -> None:
+        nonlocal earliest
+        by_day: dict[int, list[tuple]] = {}
+        for entry in pending:
+            by_day.setdefault(entry[-1].day, []).append(entry)
+        for day, entries in by_day.items():
+            perfs = sample_job_runtimes(
+                cluster, [entry[-1] for entry in entries], day=day
             )
             if tracer is not None:
-                tracer.add("sched.placements")
-                if backfilled:
-                    tracer.add("sched.backfills")
-                if slow:
-                    tracer.add("sched.slow_assignments")
-            heapq.heappush(
-                heap, (finish_t, _EVT_FINISH, finish_seq, job.job_id)
-            )
-        round_placements.clear()
+                tracer.add("sched.price_batches")
+            for (job, start, nodes, gpus, slow, finish_seq, _), perf in zip(
+                entries, perfs
+            ):
+                finish_t = start + perf.runtime_s
+                records.append(
+                    JobRecord(
+                        job_id=job.job_id,
+                        workload_name=job.workload_name,
+                        n_gpus=job.n_gpus,
+                        work_units=job.work_units,
+                        submit_time_s=job.submit_time_s,
+                        start_time_s=start,
+                        finish_time_s=finish_t,
+                        node_indices=nodes,
+                        gpu_indices=gpus,
+                        runtime_s=perf.runtime_s,
+                        energy_j=perf.energy_j,
+                        gang_imbalance=perf.gang_imbalance,
+                        slow_assigned=slow,
+                    )
+                )
+                heapq.heappush(
+                    heap, (finish_t, _EVT_FINISH, finish_seq, job.job_id)
+                )
+        pending.clear()
+        earliest = math.inf
 
     span = (
         tracer.span(
@@ -748,7 +777,15 @@ def _run_indexed(
         else contextlib.nullcontext()
     )
     with span:
-        while heap:
+        while True:
+            # Lookahead: a pending job's finish is >= its start + floor, so
+            # nothing pending can precede the heap head while every floor
+            # lies beyond it.  ``<=``, not ``<``: at equal times a FINISH
+            # sorts ahead of a SUBMIT.
+            if pending and (not heap or earliest <= heap[0][0]):
+                price_pending()
+            if not heap:
+                break
             now, kind, _, job_id = heapq.heappop(heap)
             if kind == _EVT_SUBMIT:
                 job = by_id[job_id]
@@ -780,7 +817,6 @@ def _run_indexed(
                 if tracer is not None:
                     tracer.add("sched.completed")
             dispatch(now)
-            price_round(now)
 
     queued = len(bucket_queue) if use_buckets else len(flat_queue)
     if queued or running:

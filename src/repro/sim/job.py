@@ -8,7 +8,7 @@ member gates every iteration.  The physics is the same steady-state DVFS
 solve and roofline evaluation the campaigns use, so a job lands exactly
 where the characterization says its GPUs sit.
 
-Three entry points:
+Four entry points:
 
 * :func:`reference_unit_times` — the noise-free per-GPU unit time of a
   workload across the whole fleet (intrinsic GPU speed).  The scheduler's
@@ -18,16 +18,19 @@ Three entry points:
   gang imbalance on its allocated GPUs, with the run-level software and
   environment draws of :mod:`repro.sim.run` keyed per job so the same job
   draws the same factors under every placement policy.
-* :func:`sample_job_runtimes` — several jobs priced together: each job's
-  normal draws come from its own job-id-keyed stream in one
-  ``standard_normal`` batch, the gangs are concatenated into a single
-  fleet slice, and the whole batch settles in at most two vectorized
-  DVFS solves, bitwise equal to pricing each job alone.  This is the
-  indexed scheduler's hot path.
+* :func:`draw_job_runtime` and :func:`sample_job_runtimes` — two-phase
+  pricing, the indexed scheduler's hot path.  The draw step takes a job's
+  normal draws from its own job-id-keyed stream in one
+  ``standard_normal`` batch and bounds its runtime from below (exactly,
+  in IEEE doubles); the solve step prices many drawn jobs together,
+  gathering their GPUs' solver inputs by index from the day fleet and
+  settling the batch in at most two vectorized DVFS solves, bitwise
+  equal to pricing each job alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +47,10 @@ from .run import (
 __all__ = [
     "JobPerformance",
     "JobPricingRequest",
+    "JobDraw",
     "reference_unit_times",
     "sample_job_runtime",
+    "draw_job_runtime",
     "sample_job_runtimes",
     "DEFAULT_SYNC_OVERHEAD_MS",
     "INTER_NODE_SYNC_FACTOR",
@@ -198,25 +203,12 @@ def sample_job_runtime(
         * np.clip(drift, 0.5, 1.5)
     )
 
-    spanned = int(
-        np.unique(cluster.topology.node_of_gpu[gpu_indices]).shape[0]
+    job_unit_ms = _job_unit_ms(
+        workload, unit_ms, _nodes_spanned(cluster, gpu_indices)
     )
     if n == 1:
-        job_unit_ms = float(unit_ms[0])
         power = op.power_w
     else:
-        sync_ms = (
-            workload.sync_overhead_ms
-            if workload.sync_overhead_ms > 0.0
-            else DEFAULT_SYNC_OVERHEAD_MS
-        )
-        sync_ms *= 1.0 + INTER_NODE_SYNC_FACTOR * (spanned - 1)
-        jitter_amp = expected_max_of_normals(n)
-        job_unit_ms = float(
-            unit_ms.max()
-            * (1.0 + workload.iteration_jitter_sigma * jitter_amp)
-            + sync_ms
-        )
         # Early finishers busy-wait at low activity; their sustained power
         # drops with their idle share (Fig. 15 semantics).
         duty = np.clip(unit_ms / job_unit_ms, 0.0, 1.0)
@@ -243,6 +235,34 @@ def sample_job_runtime(
     )
 
 
+def _nodes_spanned(cluster: Cluster, gang: np.ndarray) -> int:
+    return int(np.unique(cluster.topology.node_of_gpu[gang]).shape[0])
+
+
+def _job_unit_ms(workload: Workload, unit_ms: np.ndarray, spanned: int) -> float:
+    """Gang-synchronous unit time: the slowest member plus synchronization.
+
+    Non-decreasing in every element of ``unit_ms`` under IEEE
+    round-to-nearest (``max``, a multiply by a factor >= 1, and adding a
+    non-negative constant are each monotone) — half of the argument that
+    :attr:`JobDraw.floor_s` bounds the priced runtime.
+    """
+    n = int(unit_ms.shape[0])
+    if n == 1:
+        return float(unit_ms[0])
+    sync_ms = (
+        workload.sync_overhead_ms
+        if workload.sync_overhead_ms > 0.0
+        else DEFAULT_SYNC_OVERHEAD_MS
+    )
+    sync_ms *= 1.0 + INTER_NODE_SYNC_FACTOR * (spanned - 1)
+    jitter_amp = expected_max_of_normals(n)
+    return float(
+        unit_ms.max() * (1.0 + workload.iteration_jitter_sigma * jitter_amp)
+        + sync_ms
+    )
+
+
 @dataclass(frozen=True)
 class JobPricingRequest:
     """One job to price in a :func:`sample_job_runtimes` batch.
@@ -258,131 +278,199 @@ class JobPricingRequest:
     rng: np.random.Generator
 
 
+@dataclass(frozen=True)
+class JobDraw:
+    """A job's run-level draws, taken at placement and priced later.
+
+    :func:`draw_job_runtime` builds it; :func:`sample_job_runtimes` prices
+    a batch of them.  ``floor_s`` is an exact lower bound on the priced
+    ``runtime_s``: the engine may defer pricing until a job's finish time
+    could be the next event.  On dithering fleets nothing is pre-drawn
+    (the per-GPU fields are ``None``, the stream untouched) and the floor
+    is ``0.0``.
+    """
+
+    request: JobPricingRequest
+    day: int
+    gpu_indices: np.ndarray  # sorted
+    spanned: int             # nodes the gang spans
+    floor_s: float
+    coolant_c: np.ndarray | None = None
+    act_run: np.ndarray | None = None
+    dram0: float = 0.0
+    time_multiplier: np.ndarray | None = None
+    drift: np.ndarray | None = None
+
+
+def draw_job_runtime(
+    cluster: Cluster,
+    request: JobPricingRequest,
+    *,
+    day: int = 0,
+) -> JobDraw:
+    """Take one job's run-level draws and bound its runtime from below.
+
+    The job's normal draws collapse into one ``standard_normal(1 + 5n)``
+    call on its own stream (numpy's ``normal(loc, scale)`` is
+    ``loc + scale * z``, and a sliced batch equals the sequential draws of
+    :func:`sample_job_runtime`).  The floor is the runtime expression of
+    :func:`sample_job_runtimes` with the solved clock replaced by the top
+    p-state: ``roofline_time_ms`` does not increase as the clock rises, and
+    every later step (``* time_multiplier``, ``* drift``, the gang
+    expression of :func:`_job_unit_ms`, ``* work_units / 1000``) is
+    monotone under IEEE round-to-nearest, so ``floor_s <= runtime_s``
+    holds bit for bit.
+
+    Dithering fleets draw run noise *after* the first solve, which on
+    dithering ladders consumes the stream, so nothing can be drawn ahead:
+    the stream is left untouched and the floor is ``0.0``.
+    """
+    gang = np.sort(np.asarray(request.gpu_indices, dtype=np.int64))
+    n = int(gang.shape[0])
+    if n < 1:
+        raise SimulationError("a job needs at least one GPU")
+    if int(request.work_units) < 1:
+        raise SimulationError(
+            f"work_units must be >= 1, got {request.work_units}"
+        )
+    spanned = _nodes_spanned(cluster, gang)
+    day_fleet = cluster.fleet_for_day(day)
+    if day_fleet.policy.dither:
+        return JobDraw(request, day, gang, spanned, 0.0)
+
+    spec = day_fleet.spec
+    workload = request.workload
+    act0, dram0 = workload.steady_load(
+        spec.f_max_mhz, spec.compute_throughput, spec.mem_bandwidth_gbs
+    )
+    z = request.rng.standard_normal(1 + 5 * n)
+    z_local = z[1 : 1 + n]
+    z_shared = z[1 + n : 1 + 2 * n]
+    z_speed_ortho = z[1 + 2 * n : 1 + 3 * n]
+    z_act_ortho = z[1 + 3 * n : 1 + 4 * n]
+    z_drift = z[1 + 4 * n : 1 + 5 * n]
+    coolant = (
+        day_fleet.coolant_c[gang]
+        + (0.0 + RUN_COOLANT_SIGMA_SHARED * z[0])
+        + (0.0 + RUN_COOLANT_SIGMA_LOCAL * z_local)
+    )
+    corr = np.sqrt(workload.activity_speed_correlation)
+    ortho = np.sqrt(1 - corr**2)
+    z_speed = corr * z_shared + ortho * z_speed_ortho
+    z_act = corr * z_shared + ortho * z_act_ortho
+    time_multiplier = np.exp(workload.run_speed_sigma * z_speed)
+    act_run = np.clip(
+        act0 * np.exp(-workload.activity_mix_sigma * z_act), 0.02, 1.0
+    )
+    drift = np.clip(
+        1.0 + (0.0 + cluster.run_noise_sigma * z_drift), 0.5, 1.5
+    )
+    arrays = day_fleet.arrays
+    floor_unit_ms = (
+        workload.unit_time_ms(
+            spec.f_max_mhz,
+            spec.compute_throughput,
+            arrays.mem_bandwidth_gbs[gang],
+            arrays.efficiency[gang],
+        )
+        * time_multiplier
+        * drift
+    )
+    floor_s = (
+        _job_unit_ms(workload, floor_unit_ms, spanned)
+        * int(request.work_units)
+        / 1000.0
+    )
+    return JobDraw(
+        request=request,
+        day=day,
+        gpu_indices=gang,
+        spanned=spanned,
+        floor_s=floor_s,
+        coolant_c=coolant,
+        act_run=act_run,
+        dram0=dram0,
+        time_multiplier=time_multiplier,
+        drift=drift,
+    )
+
+
 def sample_job_runtimes(
     cluster: Cluster,
-    requests: list[JobPricingRequest],
+    requests: Sequence[JobDraw | JobPricingRequest],
     *,
     day: int = 0,
 ) -> list[JobPerformance]:
     """Price several gang jobs together, bitwise equal to pricing alone.
 
-    The batched twin of :func:`sample_job_runtime`: per-job normal draws
-    collapse into one ``standard_normal(1 + 5n)`` call on the job's own
-    stream (numpy's ``normal(loc, scale)`` is ``loc + scale * z``, and a
-    sliced batch equals the sequential draws), the gangs concatenate into
-    a single fleet slice, and the whole batch settles in at most two
-    vectorized DVFS solves — one for every gang's free-running unit
-    times, one for the multi-GPU gangs' duty-adjusted power.  The DVFS
-    solver's evaluation-shape freedom makes the concatenated solve
-    bit-identical to per-gang solves.
+    The solve step of two-phase pricing: ``requests`` holds jobs drawn on
+    day ``day`` by :func:`draw_job_runtime` (bare requests are drawn
+    here first).  The gangs' solver inputs are gathered by index from the
+    day fleet (:meth:`~repro.gpu.GPUFleet.solver_at` — no sub-fleet is
+    built), and the whole batch settles in at most two vectorized DVFS
+    solves: one for every gang's free-running unit times, one for the
+    multi-GPU gangs' duty-adjusted power.  The DVFS solver's
+    evaluation-shape freedom makes the concatenated solve bit-identical
+    to per-gang solves, so batch composition is unobservable.
 
-    Pre-drawing is only sound when the DVFS policy does not dither (the
-    reference path draws run noise *after* the first solve, which on
-    dithering ladders consumes the stream); dithering fleets fall back to
-    the sequential path, preserving stream-exact equality everywhere.
+    Dithering fleets fall back to the sequential
+    :func:`sample_job_runtime` per job, preserving stream-exact equality
+    everywhere.
     """
     if not requests:
         return []
+    draws = [
+        r if isinstance(r, JobDraw) else draw_job_runtime(cluster, r, day=day)
+        for r in requests
+    ]
+    for draw in draws:
+        if draw.day != day:
+            raise SimulationError(
+                f"a job drawn on day {draw.day} cannot price on day {day}"
+            )
     day_fleet = cluster.fleet_for_day(day)
-    if day_fleet.controller.policy.dither:
+    if day_fleet.policy.dither:
         return [
             sample_job_runtime(
                 cluster,
-                request.workload,
-                request.gpu_indices,
+                draw.request.workload,
+                draw.gpu_indices,
                 day=day,
-                work_units=request.work_units,
-                rng=request.rng,
+                work_units=draw.request.work_units,
+                rng=draw.request.rng,
             )
-            for request in requests
+            for draw in draws
         ]
 
-    gangs: list[np.ndarray] = []
-    widths: list[int] = []
-    for request in requests:
-        gang = np.sort(np.asarray(request.gpu_indices, dtype=np.int64))
-        n = int(gang.shape[0])
-        if n < 1:
-            raise SimulationError("a job needs at least one GPU")
-        if int(request.work_units) < 1:
-            raise SimulationError(
-                f"work_units must be >= 1, got {request.work_units}"
-            )
-        gangs.append(gang)
-        widths.append(n)
-
-    offsets = np.zeros(len(requests) + 1, dtype=np.int64)
+    widths = [int(draw.gpu_indices.shape[0]) for draw in draws]
+    offsets = np.zeros(len(draws) + 1, dtype=np.int64)
     np.cumsum(widths, out=offsets[1:])
-    total = int(offsets[-1])
-    concat = np.concatenate(gangs)
-    fleet = day_fleet.take(concat)
-    spec = fleet.spec
-    base_coolant = fleet.coolant_c
-
-    coolant = np.empty(total, dtype=float)
-    act_run = np.empty(total, dtype=float)
-    dram0_row = np.empty(total, dtype=float)
-    time_multiplier = np.empty(total, dtype=float)
-    drift = np.empty(total, dtype=float)
-    dram0_of: list[float] = []
-    run_noise_sigma = cluster.run_noise_sigma
-    for j, request in enumerate(requests):
-        n = widths[j]
-        rows = slice(int(offsets[j]), int(offsets[j + 1]))
-        workload = request.workload
-        act0, dram0 = workload.steady_load(
-            spec.f_max_mhz, spec.compute_throughput, spec.mem_bandwidth_gbs
-        )
-        dram0_of.append(dram0)
-        z = request.rng.standard_normal(1 + 5 * n)
-        z_local = z[1 : 1 + n]
-        z_shared = z[1 + n : 1 + 2 * n]
-        z_speed_ortho = z[1 + 2 * n : 1 + 3 * n]
-        z_act_ortho = z[1 + 3 * n : 1 + 4 * n]
-        z_drift = z[1 + 4 * n : 1 + 5 * n]
-        coolant[rows] = (
-            base_coolant[rows]
-            + (0.0 + RUN_COOLANT_SIGMA_SHARED * z[0])
-            + (0.0 + RUN_COOLANT_SIGMA_LOCAL * z_local)
-        )
-        corr = np.sqrt(workload.activity_speed_correlation)
-        ortho = np.sqrt(1 - corr**2)
-        z_speed = corr * z_shared + ortho * z_speed_ortho
-        z_act = corr * z_shared + ortho * z_act_ortho
-        time_multiplier[rows] = np.exp(workload.run_speed_sigma * z_speed)
-        act_run[rows] = np.clip(
-            act0 * np.exp(-workload.activity_mix_sigma * z_act), 0.02, 1.0
-        )
-        dram0_row[rows] = dram0
-        drift[rows] = np.clip(
-            1.0 + (0.0 + run_noise_sigma * z_drift), 0.5, 1.5
-        )
-
-    fleet = fleet.with_coolant(coolant)
-    efficiency = fleet.throughput_efficiency()
-    cap = fleet.power_cap_w(None)
-    f_cap = fleet.frequency_cap_mhz()
-    op = fleet.controller.solve_steady(
+    concat = np.concatenate([draw.gpu_indices for draw in draws])
+    coolant = np.concatenate([draw.coolant_c for draw in draws])
+    act_run = np.concatenate([draw.act_run for draw in draws])
+    dram0_row = np.repeat([draw.dram0 for draw in draws], widths)
+    controller, arrays = day_fleet.solver_at(concat, coolant)
+    efficiency = arrays.efficiency
+    op = controller.solve_steady(
         act_run,
         dram0_row,
         efficiency,
-        power_cap_w=cap,
-        f_cap_mhz=f_cap,
+        power_cap_w=arrays.power_cap_w,
+        f_cap_mhz=arrays.f_cap_mhz,
     )
-    mem_bw = fleet.memory_bandwidth_gbs()
+    spec = day_fleet.spec
+    mem_bw = arrays.mem_bandwidth_gbs
     f_effective = op.f_effective_mhz
     power_free = op.power_w
 
-    node_of_gpu = cluster.topology.node_of_gpu
     unit_ms_of: list[np.ndarray] = []
     job_unit_ms_of: list[float] = []
     multi: list[int] = []
     act_eff_parts: list[np.ndarray] = []
     dram_eff_parts: list[np.ndarray] = []
-    for j, request in enumerate(requests):
-        n = widths[j]
+    for j, draw in enumerate(draws):
         rows = slice(int(offsets[j]), int(offsets[j + 1]))
-        workload = request.workload
+        workload = draw.request.workload
         unit_ms = (
             workload.unit_time_ms(
                 f_effective[rows],
@@ -390,70 +478,51 @@ def sample_job_runtimes(
                 mem_bw[rows],
                 efficiency[rows],
             )
-            * time_multiplier[rows]
-            * drift[rows]
+            * draw.time_multiplier
+            * draw.drift
         )
         unit_ms_of.append(unit_ms)
-        if n == 1:
-            job_unit_ms_of.append(float(unit_ms[0]))
-            continue
-        spanned = int(np.unique(node_of_gpu[gangs[j]]).shape[0])
-        sync_ms = (
-            workload.sync_overhead_ms
-            if workload.sync_overhead_ms > 0.0
-            else DEFAULT_SYNC_OVERHEAD_MS
-        )
-        sync_ms *= 1.0 + INTER_NODE_SYNC_FACTOR * (spanned - 1)
-        jitter_amp = expected_max_of_normals(n)
-        job_unit_ms = float(
-            unit_ms.max()
-            * (1.0 + workload.iteration_jitter_sigma * jitter_amp)
-            + sync_ms
-        )
+        job_unit_ms = _job_unit_ms(workload, unit_ms, draw.spanned)
         job_unit_ms_of.append(job_unit_ms)
+        if widths[j] == 1:
+            continue
+        # Early finishers busy-wait at low activity (see sample_job_runtime).
         duty = np.clip(unit_ms / job_unit_ms, 0.0, 1.0)
         multi.append(j)
         act_eff_parts.append(
-            act_run[rows] * duty + WAIT_ACTIVITY * (1.0 - duty)
+            draw.act_run * duty + WAIT_ACTIVITY * (1.0 - duty)
         )
-        dram_eff_parts.append(dram0_of[j] * duty)
+        dram_eff_parts.append(draw.dram0 * duty)
 
     power_of: dict[int, np.ndarray] = {}
     if multi:
-        rows_of: dict[int, slice] = {}
-        at = 0
-        for j in multi:
-            rows_of[j] = slice(at, at + widths[j])
-            at += widths[j]
-        sub_fleet = day_fleet.take(
-            np.concatenate([gangs[j] for j in multi])
-        ).with_coolant(
-            np.concatenate(
-                [coolant[offsets[j] : offsets[j + 1]] for j in multi]
-            )
+        sub, sub_arrays = day_fleet.solver_at(
+            np.concatenate([draws[j].gpu_indices for j in multi]),
+            np.concatenate([draws[j].coolant_c for j in multi]),
         )
-        op_eff = sub_fleet.controller.solve_steady(
+        op_eff = sub.solve_steady(
             np.concatenate(act_eff_parts),
             np.concatenate(dram_eff_parts),
-            sub_fleet.throughput_efficiency(),
-            power_cap_w=sub_fleet.power_cap_w(None),
-            f_cap_mhz=sub_fleet.frequency_cap_mhz(),
+            sub_arrays.efficiency,
+            power_cap_w=sub_arrays.power_cap_w,
+            f_cap_mhz=sub_arrays.f_cap_mhz,
         )
+        at = 0
         for j in multi:
-            power_of[j] = op_eff.power_w[rows_of[j]]
+            power_of[j] = op_eff.power_w[at : at + widths[j]]
+            at += widths[j]
 
     out: list[JobPerformance] = []
-    for j, request in enumerate(requests):
-        rows = slice(int(offsets[j]), int(offsets[j + 1]))
+    for j, draw in enumerate(draws):
         unit_ms = unit_ms_of[j]
         job_unit_ms = job_unit_ms_of[j]
         power = power_of.get(j)
         if power is None:
-            power = power_free[rows]
-        runtime_s = job_unit_ms * int(request.work_units) / 1000.0
+            power = power_free[int(offsets[j]) : int(offsets[j + 1])]
+        runtime_s = job_unit_ms * int(draw.request.work_units) / 1000.0
         out.append(
             JobPerformance(
-                gpu_indices=gangs[j],
+                gpu_indices=draw.gpu_indices,
                 unit_time_ms=unit_ms,
                 job_unit_ms=job_unit_ms,
                 runtime_s=runtime_s,

@@ -934,7 +934,6 @@ def schedule(
     cluster: Cluster | None = None,
     policy: str | PlacementPolicy = "fifo",
     trace: TraceConfig | tuple[Job, ...] | list[Job] | None = None,
-    engine: str = "auto",
     power_budget_w: float | None = None,
     profile_workload: Workload | None = None,
     profile_config: CampaignConfig | None = None,
@@ -967,11 +966,6 @@ def schedule(
     trace:
         A :class:`~repro.sched.TraceConfig` (generated deterministically),
         an explicit job tuple, or ``None`` for the default trace.
-    engine:
-        One of :data:`~repro.sched.ENGINE_MODES` — ``"auto"`` (default)
-        uses the indexed near-linear dispatch path whenever the policy
-        supports it, ``"indexed"`` / ``"reference"`` force one path.
-        Both produce byte-identical event logs and reports.
     power_budget_w:
         Fleet-wide power budget for the ``"energy-capped"`` policy, in
         watts.  ``None`` defaults to 60% of the fleet's summed power-cap
@@ -993,7 +987,10 @@ def schedule(
         report from the log alone.
 
     Same ``cluster`` seed + same ``trace`` + same ``policy`` ⇒
-    byte-identical event log and report, under either engine.
+    byte-identical event log and report.  Every policy, built-in or a
+    custom :class:`~repro.sched.PlacementPolicy` subclass, runs through
+    the one dispatch loop of :func:`~repro.sched.run_schedule`; a
+    request's ``engine`` field is validated and ignored.
     """
     if request is not None:
         _require_request_only(
@@ -1013,13 +1010,12 @@ def schedule(
             peak_hour=request.peak_hour,
             day_of_week_weights=request.day_of_week_weights,
         )
-        engine = request.engine
         power_budget_w = request.power_budget_w
         profile_config = CampaignConfig(days=request.profile_days)
         workers = request.workers
     _require_built("schedule", cluster=cluster)
     return _schedule_built(
-        cluster=cluster, policy=policy, trace=trace, engine=engine,
+        cluster=cluster, policy=policy, trace=trace,
         power_budget_w=power_budget_w, profile_workload=profile_workload,
         profile_config=profile_config, workers=workers, tracer=tracer,
         manifest=manifest, timeline=timeline,
@@ -1031,7 +1027,6 @@ def _schedule_built(
     cluster: Cluster,
     policy: str | PlacementPolicy,
     trace: TraceConfig | tuple[Job, ...] | list[Job] | None,
-    engine: str,
     power_budget_w: float | None,
     profile_workload: Workload | None,
     profile_config: CampaignConfig | None,
@@ -1064,7 +1059,7 @@ def _schedule_built(
             stack.enter_context(activate(tracer))
         if timeline is not None:
             stack.enter_context(activate_recorder(timeline))
-        outcome = run_schedule(cluster, jobs, built, engine=engine)
+        outcome = run_schedule(cluster, jobs, built)
     report = build_scheduling_report(
         cluster.name,
         outcome,

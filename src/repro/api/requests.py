@@ -21,12 +21,12 @@ meaning, and teach ``from_dict`` the migration.
 Work identity
 -------------
 :func:`request_digest` hashes the canonical dict *minus* the
-execution-only fields (``workers``, ``solver``, ``deadline_s``): those
-select how fast the answer arrives, never what the answer is (campaign
-outputs are bit-identical across worker counts), so two requests
-differing only there coalesce onto one computation in the service's
-batcher.  Any field that changes the result — preset, seed, scale, days,
-policy, … — changes the digest.
+execution-only fields (``workers``, ``solver``, ``engine``,
+``deadline_s``): those select how fast the answer arrives, never what
+the answer is (campaign outputs are bit-identical across worker counts),
+so two requests differing only there coalesce onto one computation in
+the service's batcher.  Any field that changes the result — preset,
+seed, scale, days, policy, … — changes the digest.
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ REQUEST_SCHEMA_VERSION = 1
 #: Fields that select *how* a request executes, never *what* it computes.
 #: Excluded from :func:`request_digest` so requests differing only here
 #: share one coalesced computation (outputs are bit-identical by the
-#: parallel-equivalence guarantee).  ``solver`` is accepted and ignored:
-#: there is one DVFS solver, and the field leaves the wire schema at the
-#: next :data:`REQUEST_SCHEMA_VERSION` bump.
-EXECUTION_FIELDS = frozenset({"workers", "solver", "deadline_s"})
+#: parallel-equivalence guarantee).  ``solver`` and ``engine`` are
+#: accepted and ignored: there is one DVFS solver and one scheduler
+#: dispatch loop, and both fields leave the wire schema at the next
+#: :data:`REQUEST_SCHEMA_VERSION` bump.
+EXECUTION_FIELDS = frozenset({"workers", "solver", "engine", "deadline_s"})
 
 #: Values the ignored ``solver`` field still validates against, so
 #: clients written against schema version 1 keep their 4xx contract.
@@ -273,6 +274,7 @@ class ScheduleRequest(_RequestBase):
     diurnal_amplitude: float = 0.0
     peak_hour: float = 14.0
     day_of_week_weights: tuple[float, ...] | None = None
+    #: Validated and ignored, like ``solver`` (see :data:`EXECUTION_FIELDS`).
     engine: str = "auto"
     power_budget_w: float | None = None
     profile_days: int = 3

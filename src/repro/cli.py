@@ -171,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--day-weights", default=None, metavar="W0,...,W6",
                    help="7 comma-separated Monday-first weekday rate "
                         "multipliers (e.g. quieter weekends)")
-    p.add_argument("--engine", default="auto",
-                   choices=list(api.ENGINE_MODES),
-                   help="dispatch path: indexed near-linear, reference "
-                        "scan, or auto (byte-identical outputs)")
     p.add_argument("--power-budget-w", type=float, default=None,
                    help="fleet power budget for the energy-capped policy "
                         "(default: 60%% of the summed power caps)")
@@ -535,7 +531,6 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             diurnal_amplitude=args.diurnal_amplitude,
             peak_hour=args.peak_hour,
             day_of_week_weights=day_weights,
-            engine=args.engine,
             power_budget_w=args.power_budget_w,
             profile_days=args.profile_days,
             workers=args.workers,

@@ -12,11 +12,10 @@ end on the simulated machine:
   naive random baseline to variability- and health-aware ranking;
 * :mod:`repro.sched.engine` — the serial discrete-event queue engine
   (submit → queue → place → run → complete) with bulk-synchronous gang
-  pricing from :mod:`repro.sim.job`, in two byte-identical flavors: the
-  reference scan loop and the indexed near-linear path;
-* :mod:`repro.sched.index` — the incremental structures behind the
-  indexed path (order-keyed segment trees, per-gang-size blocked
-  queues);
+  pricing from :mod:`repro.sim.job`: one near-linear dispatch loop for
+  every policy, built-in or custom;
+* :mod:`repro.sched.index` — the incremental structures behind that
+  loop (order-keyed segment trees, per-gang-size blocked queues);
 * :mod:`repro.sched.report` — schema-validated metrics reports and
   byte-stable JSON Lines event logs.
 

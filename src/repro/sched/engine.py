@@ -3,7 +3,7 @@
 One serial event loop drives a whole scheduling run: jobs are submitted
 from a seeded trace, queued, placed by a pluggable policy over a
 :class:`~repro.cluster.allocator.FreeListAllocator`, priced on their
-granted GPUs by :func:`~repro.sim.job.sample_job_runtime` (bulk-synchronous
+granted GPUs by :func:`~repro.sim.job.sample_job_runtimes` (bulk-synchronous
 gang semantics — the slowest member gates the job), and their completions
 return capacity to the free list.
 
@@ -20,24 +20,20 @@ Determinism is structural, not incidental:
   bit-identical across worker counts, so the same seed and policy yield a
   byte-identical event log no matter how the run was configured.
 
-Two dispatch paths produce that same log:
-
-* the **reference** path — the PR 5 loop, kept verbatim: rank every node
-  per attempt, rebuild free counts, scan the wait queue head-first.  It
-  is the semantic definition, and the fallback for custom policies whose
-  ranking the engine cannot see into.
-* the **indexed** path — the same decisions through incremental
-  structures: O(1) fit checks from the allocator's free-count buckets,
-  static policy orders resolved through
-  :class:`~repro.sched.index.OrderedFreeIndex` segment trees, random
-  policy draws resolved with one vectorized scan, a per-gang-size
-  blocked-queue index instead of head rescans, and lookahead job
-  pricing: runtimes are drawn at placement and solved in batches through
-  :func:`~repro.sim.job.sample_job_runtimes` only once a finish time
-  could be the next event.  Policies
-  describe their ranking via
-  :meth:`~repro.sched.policies.PlacementPolicy.indexed_ranking`;
-  ``docs/SCHEDULING.md`` carries the byte-stability argument.
+One dispatch loop produces that log, through incremental structures:
+O(1) fit checks from the allocator's free-count buckets, static policy
+orders resolved through :class:`~repro.sched.index.OrderedFreeIndex`
+segment trees, per-attempt rankings (random draws, or a custom policy's
+opaque :meth:`~repro.sched.policies.PlacementPolicy.rank_nodes`) resolved
+with one vectorized scan, a per-gang-size blocked-queue index instead of
+head rescans, and lookahead job pricing: runtimes are drawn at placement
+and solved in batches through :func:`~repro.sim.job.sample_job_runtimes`
+only once a finish time could be the next event.  Policies describe
+their ranking via
+:meth:`~repro.sched.policies.PlacementPolicy.indexed_ranking`;
+``docs/SCHEDULING.md`` carries the byte-stability argument, and the
+original rank-every-node loop lives on as the test oracle in
+``tests/sched/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from ..sim.job import (
     JobPricingRequest,
     draw_job_runtime,
     reference_unit_times,
-    sample_job_runtime,
     sample_job_runtimes,
 )
 from ..workloads import get_workload
@@ -87,9 +82,9 @@ SLOW_THRESHOLD = 0.06
 #: Percentile of the fleet's reference times taken as the fast baseline.
 FAST_PERCENTILE = 2.0
 
-#: Dispatch paths ``run_schedule(engine=...)`` accepts.  ``auto`` uses the
-#: indexed path whenever the policy's ranking is indexable and falls back
-#: to the reference loop otherwise; both produce byte-identical logs.
+#: Values the ignored ``run_schedule(engine=...)`` keyword still validates
+#: against.  There is one dispatch loop; the keyword (and the matching
+#: request field) leaves at the next request-schema bump.
 ENGINE_MODES = ("auto", "indexed", "reference")
 
 _EVT_FINISH = 0  # completions release capacity before equal-time arrivals
@@ -159,38 +154,6 @@ def event_log_lines(events: tuple[dict[str, object], ...]) -> list[str]:
     ]
 
 
-def _plan_requests(
-    job: Job,
-    ranked: np.ndarray,
-    allocator: FreeListAllocator,
-) -> list[tuple[int, int]] | None:
-    """Node requests satisfying the gang in policy preference order.
-
-    Jobs that fit in one chassis require a single node (gang co-location);
-    wider gangs greedily take capacity across the ranked nodes.  Returns
-    ``None`` when the job cannot start now.
-    """
-    free = allocator.free_counts()
-    if int(free.sum()) < job.n_gpus:
-        return None
-    per_node = allocator.topology.gpus_per_node
-    if job.n_gpus <= per_node:
-        for node in ranked.tolist():
-            if int(free[node]) >= job.n_gpus:
-                return [(int(node), job.n_gpus)]
-        return None
-    requests: list[tuple[int, int]] = []
-    remaining = job.n_gpus
-    for node in ranked.tolist():
-        take = min(int(free[node]), remaining)
-        if take > 0:
-            requests.append((int(node), take))
-            remaining -= take
-        if remaining == 0:
-            return requests
-    return None
-
-
 def _validate_jobs(cluster: Cluster, jobs: tuple[Job, ...],
                    policy: PlacementPolicy) -> None:
     """Shared entry checks: widths fit the machine and the power budget."""
@@ -241,11 +204,8 @@ def run_schedule(
         A constructed :class:`~repro.sched.PlacementPolicy`; its
         ``backfill`` flag selects the queue discipline.
     engine:
-        Dispatch path: ``"auto"`` (default) takes the indexed near-linear
-        path whenever the policy's ranking is indexable, ``"indexed"``
-        asks for it explicitly, ``"reference"`` forces the PR 5 scan
-        loop.  All paths emit byte-identical event logs; policies with an
-        opaque (overridden) ranking always run on the reference path.
+        Accepted for compatibility and ignored: there is one dispatch
+        loop.  Still checked against :data:`ENGINE_MODES`.
 
     Returns the per-job records and the canonical event log.  Emits
     ``sched.*`` counters and a run span on the active tracer, if any.
@@ -255,13 +215,10 @@ def run_schedule(
             f"unknown engine {engine!r}; expected one of {ENGINE_MODES}"
         )
     _validate_jobs(cluster, jobs, policy)
-    spec = None
-    if engine != "reference":
-        spec = policy.indexed_ranking(cluster.topology.n_nodes)
-    if spec is None:
-        outcome = _run_reference(cluster, jobs, policy)
-    else:
-        outcome = _run_indexed(cluster, jobs, policy, spec)
+    outcome = _run_loop(
+        cluster, jobs, policy,
+        policy.indexed_ranking(cluster.topology.n_nodes),
+    )
     recorder = active_recorder()
     if recorder is not None:
         _record_timeline(cluster, policy, jobs, outcome, recorder)
@@ -277,12 +234,13 @@ def _record_timeline(
 ) -> None:
     """Append the run to the unified flight recorder.
 
-    Recorded post-hoc from the outcome — whose event log is byte-identical
-    across engines — rather than inside the dispatch loops, so both paths
-    share one emission order by construction.  Start events carry the
-    *exact* (unrounded) record floats, letting a replayer rebuild every
-    :class:`JobRecord` bit-for-bit and re-derive the scheduling-report
-    digest from the timeline alone.
+    Recorded post-hoc from the outcome rather than inside the dispatch
+    loop, so the timeline is a pure function of the event log and
+    records: any outcome equal to this one (the test oracle's included)
+    records the same bytes.  Start events carry the *exact* (unrounded)
+    record floats, letting a replayer rebuild every :class:`JobRecord`
+    bit-for-bit and re-derive the scheduling-report digest from the
+    timeline alone.
     """
     recorder.record(
         "sched",
@@ -334,184 +292,16 @@ def _record_timeline(
             )
 
 
-def _run_reference(
-    cluster: Cluster,
-    jobs: tuple[Job, ...],
-    policy: PlacementPolicy,
-) -> ScheduleOutcome:
-    """The PR 5 dispatch loop: rank-every-node, head-rescan wait queue."""
-    allocator = FreeListAllocator(cluster.topology)
-    policy_rng = cluster.rng_factory.child("sched-policy").generator(
-        policy.name
-    )
-    workloads = _workload_table(jobs)
-    admission = policy.admission
-    reference_cache: dict[tuple[str, int], tuple[np.ndarray, float]] = {}
-
-    def slow_reference(name: str, day: int) -> tuple[np.ndarray, float]:
-        key = (name, day)
-        if key not in reference_cache:
-            ref = reference_unit_times(cluster, workloads[name], day=day)
-            fast = float(np.percentile(ref, FAST_PERCENTILE))
-            reference_cache[key] = (ref, fast * (1.0 + SLOW_THRESHOLD))
-        return reference_cache[key]
-
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for job in jobs:
-        heapq.heappush(heap, (job.submit_time_s, _EVT_SUBMIT, seq, job.job_id))
-        seq += 1
-
-    by_id = {job.job_id: job for job in jobs}
-    queue: list[int] = []
-    running: dict[int, GangAllocation] = {}
-    records: list[JobRecord] = []
-    events: list[dict[str, object]] = []
-    tracer = active_tracer()
-
-    def emit(event: dict[str, object]) -> None:
-        events.append(event)
-
-    def try_dispatch(now: float) -> None:
-        nonlocal seq
-        index = 0
-        while index < len(queue):
-            job = by_id[queue[index]]
-            if tracer is not None:
-                tracer.add("sched.dispatch_attempts")
-            if admission is not None and not admission.can_admit(job.n_gpus):
-                if not policy.backfill:
-                    return
-                index += 1
-                continue
-            workload = workloads[job.workload_name]
-            ranked = policy.rank_nodes(
-                workload, job.n_gpus, allocator.free_counts(), policy_rng
-            )
-            requests = _plan_requests(job, ranked, allocator)
-            if requests is None:
-                if not policy.backfill:
-                    return
-                index += 1
-                continue
-            allocation = allocator.allocate(requests)
-            running[job.job_id] = allocation
-            if admission is not None:
-                admission.commit(job.job_id, job.n_gpus)
-            backfilled = index > 0
-            queue.pop(index)
-            day = int(now // _SECONDS_PER_DAY)
-            job_rng = cluster.rng_factory.child(
-                f"sched-job-{job.job_id}"
-            ).generator("run")
-            perf = sample_job_runtime(
-                cluster,
-                workload,
-                allocation.gpu_indices,
-                day=day,
-                work_units=job.work_units,
-                rng=job_rng,
-            )
-            ref, threshold = slow_reference(job.workload_name, day)
-            slow = bool(ref[allocation.gpu_indices].max() > threshold)
-            finish_t = now + perf.runtime_s
-            record = JobRecord(
-                job_id=job.job_id,
-                workload_name=job.workload_name,
-                n_gpus=job.n_gpus,
-                work_units=job.work_units,
-                submit_time_s=job.submit_time_s,
-                start_time_s=now,
-                finish_time_s=finish_t,
-                node_indices=tuple(allocation.node_indices.tolist()),
-                gpu_indices=tuple(allocation.gpu_indices.tolist()),
-                runtime_s=perf.runtime_s,
-                energy_j=perf.energy_j,
-                gang_imbalance=perf.gang_imbalance,
-                slow_assigned=slow,
-            )
-            records.append(record)
-            emit(
-                {
-                    "event": "start",
-                    "t": _round(now),
-                    "job": job.job_id,
-                    "nodes": record.node_indices,
-                    "gpus": record.gpu_indices,
-                    "backfilled": backfilled,
-                }
-            )
-            if tracer is not None:
-                tracer.add("sched.placements")
-                if backfilled:
-                    tracer.add("sched.backfills")
-                if slow:
-                    tracer.add("sched.slow_assignments")
-            heapq.heappush(heap, (finish_t, _EVT_FINISH, seq, job.job_id))
-            seq += 1
-            # restart the scan: freeing nothing, but the head may now be
-            # deeper in the queue after the pop
-            if not policy.backfill:
-                index = 0
-
-    span = (
-        tracer.span(
-            "schedule", category="sched", policy=policy.name,
-            n_jobs=len(jobs),
-        )
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    with span:
-        while heap:
-            now, kind, _, job_id = heapq.heappop(heap)
-            if kind == _EVT_SUBMIT:
-                job = by_id[job_id]
-                queue.append(job_id)
-                emit(
-                    {
-                        "event": "submit",
-                        "t": _round(now),
-                        "job": job_id,
-                        "workload": job.workload_name,
-                        "n_gpus": job.n_gpus,
-                        "work_units": job.work_units,
-                    }
-                )
-                if tracer is not None:
-                    tracer.add("sched.submitted")
-            else:
-                allocation = running.pop(job_id)
-                allocator.free(allocation)
-                if admission is not None:
-                    admission.release(job_id)
-                emit({"event": "finish", "t": _round(now), "job": job_id})
-                if tracer is not None:
-                    tracer.add("sched.completed")
-            try_dispatch(now)
-
-    if queue or running:
-        raise SimulationError(
-            f"scheduling run ended with {len(queue)} queued and "
-            f"{len(running)} running jobs"
-        )
-    records.sort(key=lambda r: r.job_id)
-    return ScheduleOutcome(
-        policy_name=policy.name,
-        records=tuple(records),
-        events=tuple(events),
-    )
-
-
-def _run_indexed(
+def _run_loop(
     cluster: Cluster,
     jobs: tuple[Job, ...],
     policy: PlacementPolicy,
     spec,
 ) -> ScheduleOutcome:
-    """The near-linear dispatch path.
+    """The dispatch loop, for every policy.
 
-    Decision-for-decision equal to :func:`_run_reference`:
+    Decision-for-decision equal to the rank-every-node reference loop
+    (``tests/sched/reference_engine.py``):
 
     * fit checks come from the allocator's O(1) free-count buckets — the
       fit predicate ("any node with ≥k free" / "≥k free in total") never
@@ -519,9 +309,12 @@ def _run_indexed(
     * static rankings resolve through one segment tree per distinct
       order, and futile attempts are skipped outright (static policies
       consume no randomness, so skipping leaves no stream trace);
-    * random rankings are still drawn at every reference attempt point —
-      stream parity — but each drawn order resolves in one vectorized
-      scan;
+    * every other ranking — a random spec's draw, or an opaque policy's
+      :meth:`~repro.sched.policies.PlacementPolicy.rank_nodes` on a copy
+      of the free counts (``spec is None``) — is taken at every reference
+      attempt point, before the fit check, for stream parity; each order
+      resolves in one vectorized scan, and an order naming too few free
+      nodes means "does not fit", exactly as in the reference loop;
     * pricing looks ahead.  At placement the job's start event is
       emitted (it carries no runtime), its finish ``seq`` reserved, and
       its run-level draws taken by
@@ -548,7 +341,7 @@ def _run_indexed(
     reference_cache: dict[tuple[str, int], tuple[np.ndarray, float]] = {}
 
     def slow_reference(name: str, day: int) -> tuple[np.ndarray, float]:
-        # Same table as the reference path, memoized per (workload, day).
+        # Slow-assignment table, memoized per (workload, day).
         key = (name, day)
         if key not in reference_cache:
             ref = reference_unit_times(cluster, workloads[name], day=day)
@@ -588,10 +381,11 @@ def _run_indexed(
                 order_cache[key] = which
             return trees[which]
 
-    # Wait-queue representation: random rankings must walk every queued
-    # job at reference draw points, so they keep the flat list; static
-    # non-backfill only ever consults the head; static backfill uses the
-    # per-gang-size index so a free event wakes only widths that now fit.
+    # Wait-queue representation: per-attempt rankings must walk every
+    # queued job at reference draw points, so they keep the flat list;
+    # static non-backfill only ever consults the head; static backfill
+    # uses the per-gang-size index so a free event wakes only widths that
+    # now fit.
     use_buckets = static and policy.backfill
     bucket_queue = SizeBucketQueue() if use_buckets else None
     flat_queue: deque[int] | list[int] = deque() if static else []
@@ -699,7 +493,18 @@ def _run_indexed(
             # so the tree plan cannot miss.
             place(job, plan_static(job), backfilled, now)
 
-    def dispatch_random(now: float) -> None:
+    if spec is None:
+        def rank(job: Job) -> np.ndarray:
+            # A copy: an opaque policy may mutate its argument.
+            return policy.rank_nodes(
+                workloads[job.workload_name], job.n_gpus,
+                allocator.free_counts(), policy_rng,
+            )
+    elif not static:
+        def rank(job: Job) -> np.ndarray:
+            return spec.draw(policy_rng)
+
+    def dispatch_ranked(now: float) -> None:
         index = 0
         while index < len(flat_queue):
             job = by_id[flat_queue[index]]
@@ -710,25 +515,29 @@ def _run_indexed(
                     return
                 index += 1
                 continue
-            # Reference draw point: the ranking is drawn before the fit
+            # Reference draw point: the ranking is taken before the fit
             # check, so the policy stream stays byte-compatible even for
             # attempts that cannot place.
-            ranking = spec.draw(policy_rng)
-            if not capacity_fits(job.n_gpus):
+            ranking = rank(job)
+            requests = None
+            if capacity_fits(job.n_gpus):
+                # None despite capacity: an opaque ranking left out the
+                # nodes that have it.
+                requests = resolve_with_ranking(
+                    ranking, counts_view, job.n_gpus, per_node
+                )
+            if requests is None:
                 if not policy.backfill:
                     return
                 index += 1
                 continue
-            requests = resolve_with_ranking(
-                ranking, counts_view, job.n_gpus, per_node
-            )
             backfilled = index > 0
             flat_queue.pop(index)
             place(job, requests, backfilled, now)
             if not policy.backfill:
                 index = 0
 
-    dispatch = dispatch_static if static else dispatch_random
+    dispatch = dispatch_static if static else dispatch_ranked
 
     def price_pending() -> None:
         nonlocal earliest

@@ -1,8 +1,9 @@
 """Allocation indexes for the near-linear scheduler hot path.
 
-The reference engine answers "where does this gang go?" by rebuilding the
-per-node free-count array and scanning every node in policy-preference
-order — O(n_nodes) Python work per placement attempt.  This module holds
+The reference loop (the test oracle in ``tests/sched/reference_engine.py``)
+answers "where does this gang go?" by rebuilding the per-node free-count
+array and scanning every node in policy-preference order — O(n_nodes)
+Python work per placement attempt.  This module holds
 the structures that make the same answers O(log n) or O(1):
 
 * :class:`OrderedFreeIndex` — a segment tree over a *static* node
@@ -16,16 +17,17 @@ the structures that make the same answers O(log n) or O(1):
   :meth:`~repro.cluster.allocator.FreeListAllocator.add_listener`, so it
   is maintained incrementally as grants and frees mutate the free list.
 * :func:`resolve_with_ranking` — the vectorized one-shot equivalent for
-  *random* preference orders (fifo's per-attempt permutation draw), where
-  a tree cannot be reused across attempts: a NumPy scan over the drawn
-  ranking replacing the reference engine's Python loop.
+  *per-attempt* preference orders (fifo's permutation draw, or a custom
+  policy's opaque ranking), where a tree cannot be reused across
+  attempts: a NumPy scan over the ranking replacing the reference loop's
+  Python scan.
 * :class:`SizeBucketQueue` — the per-gang-size blocked-queue index: jobs
   waiting in FIFO order, bucketed by gang width, so a ``free`` event
   wakes only widths that can now fit instead of rescanning the queue
   head-first.
 
-Every query is a pure function of (order, free state), so the indexed
-engine's placements are byte-identical to the reference scan — the
+Every query is a pure function of (order, free state), so the engine's
+placements are byte-identical to the reference scan — the
 equivalence argument lives in ``docs/SCHEDULING.md``.
 """
 
@@ -141,11 +143,14 @@ def resolve_with_ranking(
 ) -> list[tuple[int, int]] | None:
     """Vectorized gang plan over a one-shot (random) preference order.
 
-    The NumPy equivalent of the reference engine's Python scan: for
+    The NumPy equivalent of the reference loop's Python scan: for
     single-chassis gangs, the first ranked node with enough free GPUs;
     for wider gangs, the greedy prefix of the ranking.  Returns ``None``
-    when the gang cannot start now.
+    when the gang cannot start now — including when a custom policy's
+    ranking names too few (or no) nodes with free capacity.
     """
+    if len(ranking) == 0:
+        return None
     free = counts[ranking]
     if n_gpus <= gpus_per_node:
         hits = free >= n_gpus

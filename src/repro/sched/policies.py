@@ -33,8 +33,8 @@ inputs; ties break by ascending node index.
 Indexed rankings
 ----------------
 
-The indexed engine (``run_schedule(engine="indexed")``) never walks a
-full preference order per attempt; instead it asks a policy to
+The engine (:func:`~repro.sched.engine.run_schedule`) avoids walking a
+full preference order per attempt where it can; it asks a policy to
 *describe* its ranking via :meth:`PlacementPolicy.indexed_ranking`:
 
 * :class:`StaticRankingSpec` — the order is fixed for the whole trace
@@ -44,13 +44,14 @@ full preference order per attempt; instead it asks a policy to
   attempts can be skipped entirely.
 * :class:`RandomRankingSpec` — the order is drawn from the policy
   stream per attempt (fifo's permutation, health-aware's shuffle).  The
-  engine still draws at every point the reference engine would — the
+  engine still draws at every point the reference loop would — the
   stream must stay byte-compatible — but resolves each drawn ranking
   with one vectorized scan instead of a Python loop.
 * ``None`` — the policy's ranking is opaque (a user subclass overrode
-  :meth:`~PlacementPolicy.rank_nodes`); the engine falls back to the
-  reference dispatch path, which calls ``rank_nodes`` exactly as PR 5
-  shipped it.
+  :meth:`~PlacementPolicy.rank_nodes`).  The same loop calls
+  ``rank_nodes`` at every attempt point, on a copy of the free counts,
+  and resolves its order like a random draw; an order that names too
+  few free nodes simply does not fit.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class RandomRankingSpec:
     """A per-attempt ranking drawn from the policy stream.
 
     ``draw(rng)`` must consume exactly the randomness the policy's
-    :meth:`~PlacementPolicy.rank_nodes` would — the indexed engine calls
-    it at every legacy attempt point to keep the stream byte-compatible.
+    :meth:`~PlacementPolicy.rank_nodes` would — the engine calls it at
+    every reference attempt point to keep the stream byte-compatible.
     """
 
     draw: Callable[[np.random.Generator], np.ndarray]
@@ -119,8 +120,8 @@ class PowerBudgetAdmission:
     node's power cap — the §VII knob) until it finishes; a job is
     admitted only while the reservation fits under ``budget_w``.
     Reservations are a pure function of the placement/finish sequence,
-    so both engine paths agree byte-for-byte no matter when job pricing
-    happens.
+    so the engine and the reference loop agree byte-for-byte no matter
+    when job pricing happens.
     """
 
     def __init__(self, budget_w: float, gpu_reserve_w: float) -> None:
@@ -216,11 +217,12 @@ class PlacementPolicy(ABC):
     def indexed_ranking(
         self, n_nodes: int
     ) -> StaticRankingSpec | RandomRankingSpec | None:
-        """Describe this ranking for the indexed engine, if possible.
+        """Describe this ranking to the engine's indexes, if possible.
 
         Returns ``None`` when the ranking is opaque — including when a
-        subclass overrides :meth:`rank_nodes` — which routes the policy
-        through the reference dispatch path.
+        subclass overrides :meth:`rank_nodes`.  The engine then calls
+        :meth:`rank_nodes` at every placement attempt (on a copy of the
+        free counts) and resolves the returned order per attempt.
         """
         return None
 

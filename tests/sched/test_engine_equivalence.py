@@ -1,11 +1,12 @@
-"""Indexed vs reference dispatch: byte-identical, and actually faster.
+"""Production dispatch vs the reference oracle: byte-identical, and faster.
 
-The tentpole guarantee of the indexed engine: for every built-in policy,
-every queue discipline, and every trace shape (flat, congested, diurnal,
-multi-node gangs, power-capped), ``engine="indexed"`` and
-``engine="reference"`` emit the *same bytes* — same event log, same
-records, same report.  A near-linearity guard pins the indexed path's
-work per job so a regression back to head-rescan behavior fails loudly.
+The guarantee of the indexed engine: for every built-in policy, every
+queue discipline, and every trace shape (flat, congested, diurnal,
+multi-node gangs, power-capped), :func:`~repro.sched.run_schedule` and
+the rank-every-node oracle (``tests/sched/reference_engine.py``) emit the
+*same bytes* — same event log, same records, same report.  A
+near-linearity guard pins the engine's work per job so a regression back
+to head-rescan behavior fails loudly.
 """
 
 import numpy as np
@@ -20,11 +21,13 @@ from repro.sched import (
     FifoPolicy,
     HealthAwarePolicy,
     VariabilityAwarePolicy,
+    build_scheduling_report,
     event_log_lines,
     node_power_watts,
     run_schedule,
 )
 from repro.sched.engine import ENGINE_MODES
+from tests.sched.reference_engine import run_reference
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +94,8 @@ DIURNAL = api.TraceConfig(
 
 def _run_both(cluster, policy_key, trace):
     jobs = api.generate_trace(trace)
-    ref = run_schedule(
-        cluster, jobs, _policy(policy_key, cluster), engine="reference"
-    )
-    idx = run_schedule(
-        cluster, jobs, _policy(policy_key, cluster), engine="indexed"
-    )
+    ref = run_reference(cluster, jobs, _policy(policy_key, cluster))
+    idx = run_schedule(cluster, jobs, _policy(policy_key, cluster))
     return ref, idx
 
 
@@ -114,22 +113,31 @@ class TestByteEquivalence:
         assert event_log_lines(ref.events) == event_log_lines(idx.events)
         assert ref.records == idx.records
 
-    def test_auto_matches_forced_indexed(self, cluster):
+    def test_engine_keyword_selects_nothing(self, cluster):
+        """Every accepted ``engine`` value runs the one loop."""
         jobs = api.generate_trace(CONGESTED)
-        auto = run_schedule(cluster, jobs, BackfillPolicy(), engine="auto")
-        idx = run_schedule(cluster, jobs, BackfillPolicy(), engine="indexed")
-        assert event_log_lines(auto.events) == event_log_lines(idx.events)
-
-    def test_report_digests_match_across_engines(self, cluster):
-        results = [
-            api.schedule(
-                cluster=cluster, policy="backfill", trace=CONGESTED,
-                engine=engine,
+        ref = event_log_lines(
+            run_reference(cluster, jobs, BackfillPolicy()).events
+        )
+        for engine in ENGINE_MODES:
+            outcome = run_schedule(
+                cluster, jobs, BackfillPolicy(), engine=engine
             )
-            for engine in ENGINE_MODES
-        ]
-        payloads = {r.report.to_json() for r in results}
-        assert len(payloads) == 1
+            assert event_log_lines(outcome.events) == ref, engine
+
+    def test_report_digest_matches_reference(self, cluster):
+        result = api.schedule(
+            cluster=cluster, policy="backfill", trace=CONGESTED
+        )
+        policy = BackfillPolicy()
+        oracle = build_scheduling_report(
+            cluster.name,
+            run_reference(cluster, api.generate_trace(CONGESTED), policy),
+            policy.describe(),
+            cluster.topology.n_gpus,
+            trace_seed=CONGESTED.seed,
+        )
+        assert result.report.to_json() == oracle.to_json()
 
 
 class TestEngineSelection:
@@ -138,8 +146,8 @@ class TestEngineSelection:
         with pytest.raises(SimulationError, match="unknown engine"):
             run_schedule(cluster, jobs, FifoPolicy(), engine="turbo")
 
-    def test_opaque_policy_falls_back_to_reference(self, cluster):
-        """A subclass that overrides rank_nodes must not be indexed."""
+    def test_opaque_policy_matches_reference(self, cluster):
+        """A subclass that overrides rank_nodes runs the same loop."""
 
         class Reversed(FifoPolicy):
             name = "reversed"
@@ -149,15 +157,16 @@ class TestEngineSelection:
 
         assert Reversed().indexed_ranking(cluster.topology.n_nodes) is None
         jobs = api.generate_trace(CONGESTED)
-        auto = run_schedule(cluster, jobs, Reversed(), engine="auto")
-        ref = run_schedule(cluster, jobs, Reversed(), engine="reference")
-        assert event_log_lines(auto.events) == event_log_lines(ref.events)
+        prod = run_schedule(cluster, jobs, Reversed())
+        ref = run_reference(cluster, jobs, Reversed())
+        assert event_log_lines(prod.events) == event_log_lines(ref.events)
+        assert prod.records == ref.records
 
     def test_indexed_path_batches_pricing(self, cluster):
         jobs = api.generate_trace(CONGESTED)
         tracer = Tracer()
         with activate(tracer):
-            run_schedule(cluster, jobs, BackfillPolicy(), engine="indexed")
+            run_schedule(cluster, jobs, BackfillPolicy())
         assert tracer.counters["sched.price_batches"] >= 1
         assert tracer.counters["sched.placements"] == CONGESTED.n_jobs
         # Lookahead pricing holds placed jobs until their finish times can
@@ -179,16 +188,17 @@ class TestEngineSelection:
         """Stream parity implies attempt-for-attempt parity."""
         jobs = api.generate_trace(CONGESTED)
         attempts = {}
-        for engine in ("reference", "indexed"):
+        for name, run in (("reference", run_reference),
+                          ("production", run_schedule)):
             tracer = Tracer()
             with activate(tracer):
-                run_schedule(cluster, jobs, BackfillPolicy(), engine=engine)
-            attempts[engine] = tracer.counters["sched.dispatch_attempts"]
-        assert attempts["reference"] == attempts["indexed"]
+                run(cluster, jobs, BackfillPolicy())
+            attempts[name] = tracer.counters["sched.dispatch_attempts"]
+        assert attempts["reference"] == attempts["production"]
 
 
 class TestNearLinearity:
-    """The indexed static-backfill path does O(1) queue work per event.
+    """The static-backfill dispatch does O(1) queue work per event.
 
     Each dispatch round costs one failed probe plus one probe per
     placement, and rounds run once per event (one submit + one finish
@@ -206,9 +216,7 @@ class TestNearLinearity:
         )
         tracer = Tracer()
         with activate(tracer):
-            run_schedule(
-                cluster, api.generate_trace(trace), policy, engine="indexed"
-            )
+            run_schedule(cluster, api.generate_trace(trace), policy)
         attempts = tracer.counters["sched.dispatch_attempts"]
         assert attempts <= 3.5 * n_jobs
 
@@ -227,10 +235,7 @@ class TestNearLinearity:
         )
         tracer = Tracer()
         with activate(tracer):
-            run_schedule(
-                cluster, api.generate_trace(trace), policy,
-                engine="reference",
-            )
+            run_reference(cluster, api.generate_trace(trace), policy)
         assert tracer.counters["sched.dispatch_attempts"] > 3.5 * 100
 
 

@@ -112,6 +112,12 @@ class TestResolveWithRanking:
             np.asarray([0, 1]), np.asarray([1, 1]), 8, 4
         ) is None
 
+    @pytest.mark.parametrize("width", (2, 8))
+    def test_empty_ranking_never_fits(self, width):
+        # A custom policy's opaque ranking may name no nodes at all.
+        empty = np.empty(0, dtype=np.int64)
+        assert resolve_with_ranking(empty, np.full(6, 4), width, 4) is None
+
 
 class TestSizeBucketQueue:
     def test_fifo_within_and_across_buckets(self):

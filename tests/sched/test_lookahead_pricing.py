@@ -1,12 +1,13 @@
-"""Lookahead pricing: the indexed engine against the eager reference loop.
+"""Lookahead pricing: the engine against the eager reference loop.
 
-The indexed engine draws a job's runtime factors at placement but solves
-its DVFS operating point only once the job's finish time could be the
-next event — when the smallest pending ``start + floor`` reaches the heap
+The engine draws a job's runtime factors at placement but solves its
+DVFS operating point only once the job's finish time could be the next
+event — when the smallest pending ``start + floor`` reaches the heap
 head (``<=``: at equal times a FINISH sorts ahead of a SUBMIT).  The
-reference engine prices every job eagerly, one at a time, so any
-mis-ordered finish, any pricing on the wrong day, and any stream drawn
-out of turn shows up as a differing event log or record here.
+reference loop (``tests/sched/reference_engine.py``) prices every job
+eagerly, one at a time, so any mis-ordered finish, any pricing on the
+wrong day, and any stream drawn out of turn shows up as a differing
+event log or record here.
 
 Hypothesis varies trace seeds, arrival rates, diurnal shapes, bursts of
 equal submit times, work down to one unit (floors on or near the next
@@ -39,6 +40,7 @@ from repro.sched import (
 from repro.sched.trace import Job
 from repro.sim.job import JobPricingRequest, draw_job_runtime
 from repro.workloads import get_workload
+from tests.sched.reference_engine import run_reference
 
 #: Seconds per facility day (the engine's day index is ``t // DAY``).
 DAY = 86_400.0
@@ -123,12 +125,8 @@ def _jobs(config, burst_s, offset_s) -> tuple[Job, ...]:
 
 
 def _assert_engines_agree(cluster, jobs, key, backfill):
-    ref = run_schedule(
-        cluster, jobs, _policy(key, backfill, cluster), engine="reference"
-    )
-    idx = run_schedule(
-        cluster, jobs, _policy(key, backfill, cluster), engine="indexed"
-    )
+    ref = run_reference(cluster, jobs, _policy(key, backfill, cluster))
+    idx = run_schedule(cluster, jobs, _policy(key, backfill, cluster))
     assert event_log_lines(idx.events) == event_log_lines(ref.events)
     assert idx.records == ref.records
     return idx
@@ -160,9 +158,7 @@ def test_finish_exactly_at_next_submit_prices_first():
     policy = ("variability-aware", False)
     first = Job(job_id=0, submit_time_s=0.0, workload_name="pagerank",
                 n_gpus=1, work_units=3)
-    alone = run_schedule(
-        cluster, (first,), _policy(*policy, cluster), engine="reference"
-    )
+    alone = run_reference(cluster, (first,), _policy(*policy, cluster))
     record = alone.records[0]
     draw = draw_job_runtime(
         cluster,
@@ -196,6 +192,6 @@ def test_pricing_is_deferred_and_batched():
     policy = _policy("variability-aware", True, cluster)
     tracer = Tracer()
     with activate(tracer):
-        run_schedule(cluster, jobs, policy, engine="indexed")
+        run_schedule(cluster, jobs, policy)
     assert tracer.counters["sched.placements"] == 60
     assert tracer.counters["sched.price_batches"] < 60 / 2

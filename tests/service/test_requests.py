@@ -165,6 +165,40 @@ class TestExecuteRequest:
             )
 
 
+class TestIgnoredEngineField:
+    """``engine`` stays on the wire (schema version 1) but selects nothing.
+
+    There is one scheduler dispatch loop; like ``solver``, the field is
+    accepted, validated, echoed, and kept out of the work identity until
+    the next request-schema bump drops it.
+    """
+
+    def test_engine_does_not_split_the_digest(self):
+        import dataclasses
+
+        plain = api.ScheduleRequest(scale=0.25, n_jobs=6)
+        digests = {
+            api.request_digest(dataclasses.replace(plain, engine=engine))
+            for engine in api.ENGINE_MODES
+        }
+        assert len(digests) == 1
+        assert "engine" in api.EXECUTION_FIELDS
+
+    def test_payload_ignores_the_engine(self):
+        import dataclasses
+
+        from repro.service.wire import build_response, encode_response
+
+        plain = api.ScheduleRequest(scale=0.25, n_jobs=6, seed=3)
+        bodies = set()
+        for engine in api.ENGINE_MODES:
+            request = dataclasses.replace(plain, engine=engine)
+            payload = build_response(request, api.execute_request(request))
+            assert payload.pop("request") == request.to_dict()
+            bodies.add(encode_response(payload))
+        assert len(bodies) == 1
+
+
 class TestIgnoredSolverField:
     """``solver`` stays on the wire (schema version 1) but selects nothing.
 

@@ -34,34 +34,27 @@ def per_gpu_repeatability(
     """
     if min_runs < 2:
         raise AnalysisError("min_runs must be >= 2")
-    keys = dataset.column(gpu_key)
+    groups = dataset.group_index(gpu_key)
     values = dataset.column(metric)
-    uniq, first_index, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-
-    rows_idx: list[int] = []
-    variation: list[float] = []
-    n_runs: list[int] = []
-    for gi in range(uniq.shape[0]):
-        v = values[inverse == gi]
-        if v.shape[0] < min_runs:
-            continue
-        med = np.median(v)
-        if med == 0:
-            raise AnalysisError("zero median makes repeat variation undefined")
-        rows_idx.append(int(first_index[gi]))
-        variation.append(float((v.max() - v.min()) / med))
-        n_runs.append(int(v.shape[0]))
-    if not variation:
+    kept = groups.counts >= min_runs
+    if not kept.any():
         raise AnalysisError(
             f"no GPU had at least {min_runs} runs of {metric!r}"
         )
+    medians = groups.medians(values)[kept]
+    if bool(np.any(medians == 0)):
+        raise AnalysisError("zero median makes repeat variation undefined")
+    # Each group's runs in ascending order: the spread is last minus first.
+    ordered = groups.sorted_values(values)
+    starts = groups.starts[kept]
+    n_runs = groups.counts[kept]
+    spread = ordered[starts + n_runs - 1] - ordered[starts]
+    rows_idx = groups.first[kept]
 
     columns: dict[str, np.ndarray] = {
-        gpu_key: keys[rows_idx],
-        "n_runs": np.asarray(n_runs, dtype=np.int64),
-        "repeat_variation": np.asarray(variation),
+        gpu_key: dataset.column(gpu_key)[rows_idx],
+        "n_runs": n_runs.astype(np.int64),
+        "repeat_variation": (spread / medians).astype(np.float64),
     }
     for carry in ("gpu_label", "node_label", "cabinet", "cluster", "workload"):
         if carry in dataset:

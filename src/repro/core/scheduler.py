@@ -60,27 +60,22 @@ def slow_assignment_probability(
 
     if "node_label" not in med:
         raise AnalysisError("multi-GPU impact needs a node_label column")
-    nodes = med.column("node_label")
-    probs: list[float] = []
-    for node in np.unique(nodes):
-        members = slow[nodes == node]
-        width = members.shape[0]
-        if width < n_gpus:
-            continue
-        if n_gpus == width:
-            probs.append(float(members.any()))
-        else:
-            # Hypergeometric: P(no slow GPU among n_gpus of width).
-            n_fast = int((~members).sum())
-            p_clean = 1.0
-            for j in range(n_gpus):
-                p_clean *= max(0, n_fast - j) / (width - j)
-            probs.append(1.0 - p_clean)
-    if not probs:
+    groups = med.group_index("node_label")
+    wide = groups.counts >= n_gpus
+    if not wide.any():
         raise AnalysisError(
             f"no node is wide enough for {n_gpus}-GPU jobs"
         )
-    return float(np.mean(probs))
+    width = groups.counts[wide]
+    n_slow = np.bincount(groups.inverse[slow], minlength=groups.n_groups)
+    n_fast = width - n_slow[wide]
+    # Hypergeometric: P(no slow GPU among n_gpus of width), node by node in
+    # sorted node order.  On a node exactly n_gpus wide the product is
+    # exactly 1.0 (no slow member) or 0.0 (any slow member).
+    p_clean = np.ones(width.shape[0])
+    for j in range(n_gpus):
+        p_clean *= np.maximum(0, n_fast - j) / (width - j)
+    return float(np.mean(1.0 - p_clean))
 
 
 def node_variability_scores(
@@ -96,13 +91,11 @@ def node_variability_scores(
     if "node_label" not in med:
         raise AnalysisError("dataset needs node_label for node scoring")
     values = med.column(metric)
-    nodes = med.column("node_label")
-    fleet_median = np.median(values)
-    scores: dict[str, float] = {}
-    for node in np.unique(nodes):
-        member_values = values[nodes == node]
-        scores[str(node)] = float(member_values.max() / fleet_median)
-    return scores
+    groups = med.group_index("node_label")
+    worst = groups.sorted_values(values)[groups.starts + groups.counts - 1]
+    scores = worst / np.median(values)
+    nodes = med.column("node_label")[groups.first]
+    return {str(node): float(score) for node, score in zip(nodes, scores)}
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ class VariabilitySuite:
 
         power = dataset.column(METRIC_POWER)
         cv = float(power.std() / power.mean())
-        n_observed = int(np.unique(dataset.column("gpu_index")).shape[0])
+        n_observed = dataset.group_index("gpu_index").n_groups
         recommended = required_sample_size(
             cv, population=self.cluster.n_gpus
         )
@@ -123,11 +123,13 @@ class VariabilitySuite:
         )
 
         workload_name = str(dataset.column("workload")[0])
-        n_runs = int(
-            np.unique(
-                dataset.column("day") * 10_000 + dataset.column("run")
-            ).shape[0]
-        )
+        # Distinct (day, run) pairs: sort by both, count where either changes.
+        order = np.lexsort((dataset.column("run"), dataset.column("day")))
+        day = dataset.column("day")[order]
+        run = dataset.column("run")[order]
+        n_runs = 1 + int(np.count_nonzero(
+            (day[1:] != day[:-1]) | (run[1:] != run[:-1])
+        ))
         return ClusterReport(
             cluster_name=self.cluster.name,
             workload_name=workload_name,

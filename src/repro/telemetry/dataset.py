@@ -13,20 +13,101 @@ produced by the campaign runner.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DatasetError
 
-__all__ = ["MeasurementDataset"]
+__all__ = ["GroupIndex", "MeasurementDataset"]
 
 
 def _as_column(values: Any) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in ("U", "S", "O"):
-        return arr.astype(object)
-    return arr
+        arr = arr.astype(object)
+    # A read-only view: the caller's array stays writable, and nothing can
+    # change a column under the dataset's memoized reductions.
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
+class GroupIndex:
+    """The rows of a dataset grouped by one key column, from one stable sort.
+
+    Groups are numbered in ascending key order, as :func:`numpy.unique`
+    numbers them (NaN keys form one group).  ``order[starts[g]:starts[g] +
+    counts[g]]`` are the rows of group ``g`` in ascending row order, so
+    :attr:`first` is each group's first occurrence; ``inverse`` maps every
+    row to its group.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "GroupIndex":
+        """Group the rows of ``keys``."""
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        new = np.ones(ordered.shape[0], dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        if ordered.dtype.kind in "cfmM":
+            new[1:] &= ~(np.isnan(ordered[1:]) & np.isnan(ordered[:-1]))
+        starts = np.flatnonzero(new)
+        inverse = np.empty(order.shape[0], dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        counts = np.diff(starts, append=order.shape[0])
+        return cls(order, starts, counts, inverse)
+
+    @property
+    def n_groups(self) -> int:
+        """Number of distinct keys."""
+        return int(self.starts.shape[0])
+
+    @property
+    def first(self) -> np.ndarray:
+        """Row index of each group's first occurrence."""
+        return self.order[self.starts]
+
+    def sorted_values(self, values: np.ndarray) -> np.ndarray:
+        """``values`` laid out group by group, ascending within each group.
+
+        NaNs sort last, so a group's last element is NaN iff it holds one.
+        """
+        return values[np.lexsort((values, self.inverse))]
+
+    def medians(self, values: np.ndarray) -> np.ndarray:
+        """Each group's ``np.median`` of ``values``, bit for bit.
+
+        ``np.median`` is the mean of the middle element(s): a sum seeded at
+        ``+0.0`` (a lone ``-0.0`` comes out ``+0.0``) divided by the count.
+        Integer and bool input is widened to float64 before the sum, float16
+        is summed in float32, and other floats keep their precision.  A
+        group holding a NaN yields NaN.
+        """
+        if self.n_groups == 0:
+            return np.empty(0)
+        dtype = np.float64 if values.dtype.kind in "biu" else values.dtype
+        ordered = self.sorted_values(values).astype(
+            np.promote_types(dtype, np.float32), copy=False
+        )
+        zero = ordered.dtype.type(0.0)
+        half = self.counts // 2
+        mid = ordered[self.starts + half]
+        out = zero + mid
+        even = self.counts % 2 == 0
+        lo = ordered[self.starts[even] + half[even] - 1]
+        out[even] = ((zero + lo) + mid[even]) / 2
+        last = ordered[self.starts + self.counts - 1]
+        nan = np.isnan(last)
+        out[nan] = last[nan]
+        return out.astype(dtype, copy=False)
 
 
 class MeasurementDataset:
@@ -57,6 +138,14 @@ class MeasurementDataset:
             data[name] = arr
         self._data = data
         self._n = int(n if n is not None else 0)
+        # Group indexes and per-GPU medians, computed once per instance;
+        # sound because columns are read-only.
+        self._memo: dict[tuple, Any] = {}
+
+    def __reduce__(self):
+        # Rebuild through the constructor: unpickled arrays come back
+        # writable, and the memo is cheaper to recompute than to ship.
+        return (MeasurementDataset, (self._data,))
 
     # -- basics ---------------------------------------------------------------
 
@@ -77,7 +166,13 @@ class MeasurementDataset:
         return name in self._data
 
     def column(self, name: str) -> np.ndarray:
-        """The array backing column ``name`` (do not mutate)."""
+        """The array backing column ``name``.
+
+        Columns are read-only: writing through one raises ``ValueError``.
+        A column may share memory with the array the dataset was built
+        from; that array stays writable, but writing into it afterwards is
+        unsupported, because the dataset memoizes its per-group reductions.
+        """
         try:
             return self._data[name]
         except KeyError:
@@ -166,33 +261,47 @@ class MeasurementDataset:
             out[group] = float(reducer(values[col == group]))
         return out
 
+    def group_index(self, name: str) -> GroupIndex:
+        """The rows grouped by column ``name`` (computed once, then reused)."""
+        key = ("groups", name)
+        if key not in self._memo:
+            self._memo[key] = GroupIndex.of(self.column(name))
+        return self._memo[key]
+
     def per_gpu_median(self, value: str, gpu_key: str = "gpu_index") -> "MeasurementDataset":
         """Collapse runs to one row per GPU with the median of ``value``.
 
         The paper's box plots use per-GPU medians to suppress one-off
         transients (Section III).  All identity columns that are constant
         within a GPU group are carried through; varying ones are dropped.
+        The result is computed once per ``(value, gpu_key)`` and reused.
         """
-        keys = self.column(gpu_key)
-        uniq, first_index, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        values = self.column(value)
+        key = ("median", value, gpu_key)
+        if key not in self._memo:
+            out = {
+                name: col for name, col in self._constant(gpu_key).items()
+                if name != value
+            }
+            out[value] = self.group_index(gpu_key).medians(self.column(value))
+            self._memo[key] = MeasurementDataset(out)
+        return self._memo[key]
 
-        medians = np.array([
-            np.median(values[inverse == gi]) for gi in range(uniq.shape[0])
-        ])
-        out: dict[str, np.ndarray] = {}
-        for name in self.column_names:
-            if name == value:
-                continue
-            col = self._data[name]
-            representative = col[first_index]
-            # Keep the column only if it is constant within every group.
-            if bool(np.all(col == representative[inverse])):
-                out[name] = representative
-        out[value] = medians
-        return MeasurementDataset(out)
+    def _constant(self, gpu_key: str) -> dict[str, np.ndarray]:
+        """One row per group of every column constant within every group.
+
+        Computed once per key and shared by every metric's medians.
+        """
+        key = ("constant", gpu_key)
+        if key not in self._memo:
+            groups = self.group_index(gpu_key)
+            first = groups.first
+            constant: dict[str, np.ndarray] = {}
+            for name, col in self._data.items():
+                representative = col[first]
+                if bool(np.all(col == representative[groups.inverse])):
+                    constant[name] = representative
+            self._memo[key] = constant
+        return self._memo[key]
 
     # -- export ---------------------------------------------------------------
 

@@ -53,14 +53,31 @@ def _open(path: Path, mode: str) -> IO:
     return open(path, mode, encoding="utf-8", newline="")
 
 
+#: Rows formatted per ``writerows`` call: bounds the cells held at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _cells(chunk: np.ndarray) -> list:
+    """One column chunk as the objects ``csv.writer`` formats.
+
+    Python scalars print exactly as numpy's do for int, bool and float64;
+    float32 and object columns keep their per-element numpy scalars, since
+    a float32 widened to a Python float prints more digits.
+    """
+    if chunk.dtype.kind in "biu" or chunk.dtype == np.float64:
+        return chunk.tolist()
+    return list(chunk)
+
+
 def _write_csv_to(dataset: MeasurementDataset, fh: IO) -> None:
     names = dataset.column_names
     kinds = {name: _kind_of(dataset.column(name)) for name in names}
     writer = csv.writer(fh)
     writer.writerow([f"{name}:{kinds[name]}" for name in names])
     columns = [dataset.column(name) for name in names]
-    for i in range(dataset.n_rows):
-        writer.writerow([col[i] for col in columns])
+    for start in range(0, dataset.n_rows, _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        writer.writerows(zip(*[_cells(col[start:stop]) for col in columns]))
 
 
 def write_csv(dataset: MeasurementDataset, path: str | Path) -> None:

@@ -90,6 +90,17 @@ class TestVariabilitySuite:
         assert report.n_gpus_observed > 0
         assert report.n_runs == 3
 
+    def test_runs_counted_as_distinct_day_run_pairs(self, sgemm_dataset):
+        from repro.cluster import longhorn
+
+        # (day 0, run 10000) and (day 1, run 0) are two runs; a
+        # day * 10_000 + run key would count them as one.
+        two_days = sgemm_dataset.filter(sgemm_dataset["day"] <= 1)
+        day = two_days["day"]
+        ds = two_days.with_column("run", np.where(day == 0, 10_000, 0))
+        suite = VariabilitySuite(longhorn(seed=11, scale=0.25))
+        assert suite.analyze(ds).n_runs == 2
+
     def test_analyze_rejects_empty(self):
         from repro.cluster import longhorn
         from repro.telemetry.dataset import MeasurementDataset

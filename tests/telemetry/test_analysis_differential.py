@@ -1,0 +1,221 @@
+"""Sort-once analysis layer vs the per-group loop oracles, byte for byte.
+
+Every production reduction in :mod:`tests.telemetry.analysis_oracle`'s
+list must match its oracle on arbitrary datasets: ragged, single-row and
+empty groups, ties, signed zeros, NaN and infinities, int64 beyond 2**53
+(and sums beyond 2**63), bool and float32 values, int and string keys,
+shuffled rows, and identity columns that are and are not constant within
+a group.  Equality is on dtype and raw bytes, not on ``==``.
+"""
+
+from __future__ import annotations
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core import repeatability, scheduler
+from repro.telemetry import io as telemetry_io
+from repro.telemetry.dataset import MeasurementDataset
+from repro.telemetry.io import dataset_to_csv_text
+
+from . import analysis_oracle as oracle
+
+SETTINGS = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308,
+                     1.5, 2.5]),
+    st.floats(allow_nan=False, width=64),
+)
+_FLOAT32S = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, 1.1, 3.4e38, -3.4e38]),
+    st.floats(allow_nan=False, width=32),
+)
+_INTS = st.one_of(
+    st.sampled_from([0, 1, -1, 2**53 + 1, 2**62, 2**62 + 1, -(2**62),
+                     2**63 - 1]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+_VALUE_KINDS = {
+    "float64": (_FLOATS, np.float64),
+    "float32": (_FLOAT32S, np.float32),
+    "int64": (_INTS, np.int64),
+    "bool": (st.booleans(), np.bool_),
+}
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_same_dataset(got: MeasurementDataset, want: MeasurementDataset) -> None:
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        assert_same_array(got.column(name), want.column(name))
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of the error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - compared, not hidden
+            return type(exc), str(exc)
+
+
+@st.composite
+def datasets(draw, value_kinds=tuple(_VALUE_KINDS), max_groups=6):
+    """A shuffled long-form table of ragged per-GPU groups."""
+    values_st, dtype = _VALUE_KINDS[draw(st.sampled_from(value_kinds))]
+    sizes = draw(st.lists(st.integers(1, 5), max_size=max_groups))
+    gpu = np.repeat(np.arange(len(sizes)), sizes)
+    n = gpu.shape[0]
+    order = np.asarray(draw(st.permutations(range(n))), dtype=np.intp)
+    gpu = gpu[order]
+    values = np.asarray(
+        draw(st.lists(values_st, min_size=n, max_size=n)), dtype=dtype
+    )
+    varying = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                       max_size=n)), dtype=np.int64)
+    node_width = draw(st.integers(1, 3))
+    columns = {
+        "gpu_index": gpu,
+        "gpu_label": np.array([f"g{g:02d}" for g in gpu], dtype=object),
+        "node_label": np.array([f"n{g // node_width}" for g in gpu],
+                               dtype=object),
+        "run": varying,
+        "performance_ms": values,
+    }
+    return MeasurementDataset(columns)
+
+
+class TestPerGpuMedian:
+    @SETTINGS
+    @given(ds=datasets(), key=st.sampled_from(["gpu_index", "gpu_label"]))
+    def test_matches_oracle(self, ds, key):
+        got = outcome(ds.per_gpu_median, "performance_ms", key)
+        want = outcome(oracle.per_gpu_median, ds, "performance_ms", key)
+        assert_same_dataset(got, want)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0, -0.0], [-0.0, -0.0, 1.0],
+        [1e308, 1e308], [np.inf, -np.inf], [np.nan, 1.0], [1.0, np.nan, 2.0],
+        np.array([-0.0, -0.0], dtype=np.float32),
+        np.array([1.1, 2.2], dtype=np.float32),
+        np.array([2**62, 2**62 + 2], dtype=np.int64),
+        np.array([2**53 + 1, 2**53 + 2], dtype=np.int64),
+        np.array([True, False], dtype=bool),
+    ], ids=repr)
+    def test_pinned_groups(self, values):
+        # Cases where a middle-element median that does not mimic
+        # np.median's mean (seed, widening, NaN) gets the bits wrong.
+        values = np.asarray(values)
+        ds = MeasurementDataset({
+            "gpu_index": np.zeros(values.shape[0], dtype=np.int64),
+            "performance_ms": values,
+        })
+        want = outcome(oracle.per_gpu_median, ds, "performance_ms")
+        assert_same_dataset(ds.per_gpu_median("performance_ms"), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+    def test_empty_dataset(self, dtype):
+        ds = MeasurementDataset({
+            "gpu_index": np.zeros(0, dtype=np.int64),
+            "performance_ms": np.zeros(0, dtype=dtype),
+        })
+        got = ds.per_gpu_median("performance_ms")
+        assert got.n_rows == 0
+        assert_same_dataset(got, oracle.per_gpu_median(ds, "performance_ms"))
+
+    def test_nan_keys_form_one_group(self):
+        ds = MeasurementDataset({
+            "gpu_index": np.array([np.nan, 1.0, np.nan, -0.0, 0.0]),
+            "performance_ms": np.array([4.0, 1.0, 2.0, 3.0, 5.0]),
+        })
+        got = ds.per_gpu_median("performance_ms")
+        assert got.n_rows == 3
+        assert_same_dataset(got, oracle.per_gpu_median(ds, "performance_ms"))
+
+
+class TestNodeRollups:
+    @SETTINGS
+    @given(ds=datasets(value_kinds=("float64", "int64")),
+           n_gpus=st.integers(1, 4))
+    def test_slow_assignment_matches_oracle(self, ds, n_gpus):
+        got = outcome(scheduler.slow_assignment_probability, ds, n_gpus)
+        want = outcome(oracle.slow_assignment_probability, ds, n_gpus)
+        assert repr(got) == repr(want)
+
+    @SETTINGS
+    @given(ds=datasets(value_kinds=("float64", "float32", "int64")))
+    def test_node_scores_match_oracle(self, ds):
+        got = outcome(scheduler.node_variability_scores, ds)
+        want = outcome(oracle.node_variability_scores, ds)
+        assert repr(got) == repr(want)
+
+
+class TestRepeatability:
+    @SETTINGS
+    @given(ds=datasets(value_kinds=("float64", "float32", "int64")),
+           min_runs=st.integers(2, 3))
+    def test_matches_oracle(self, ds, min_runs):
+        got = outcome(repeatability.per_gpu_repeatability, ds,
+                      min_runs=min_runs)
+        want = outcome(oracle.per_gpu_repeatability, ds, min_runs=min_runs)
+        if isinstance(want, MeasurementDataset):
+            assert_same_dataset(got, want)
+        else:
+            assert got == want
+
+
+_TEXT = st.text(
+    alphabet=st.sampled_from(list('ab ,"\n\r\'') + ["é"]), max_size=6
+)
+
+
+@st.composite
+def csv_datasets(draw):
+    n = draw(st.integers(0, 12))
+
+    def column(elements, dtype):
+        return np.asarray(
+            draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype
+        )
+
+    return MeasurementDataset({
+        "label": column(_TEXT, object),
+        "f64": column(_FLOATS | st.just(np.nan), np.float64),
+        "f32": column(_FLOAT32S, np.float32),
+        "i64": column(_INTS, np.int64),
+        "flag": column(st.booleans(), np.bool_),
+    })
+
+
+class TestCsvWriter:
+    @SETTINGS
+    @given(ds=csv_datasets(), chunk=st.integers(1, 5))
+    def test_matches_oracle(self, ds, chunk):
+        with mock.patch.object(telemetry_io, "_CSV_CHUNK_ROWS", chunk):
+            got = dataset_to_csv_text(ds)
+        assert got == oracle.dataset_to_csv_text(ds)
+
+    def test_many_chunks_match_oracle(self, sgemm_dataset):
+        ds = MeasurementDataset.concat([sgemm_dataset] * 16)
+        assert ds.n_rows > 2 * telemetry_io._CSV_CHUNK_ROWS
+        assert dataset_to_csv_text(ds) == oracle.dataset_to_csv_text(ds)
+
+    def test_float32_prints_shortest_repr(self):
+        ds = MeasurementDataset({"x": np.array([1.1], dtype=np.float32)})
+        assert dataset_to_csv_text(ds).splitlines()[1] == "1.1"

@@ -150,3 +150,54 @@ class TestProperties:
         ds = MeasurementDataset({"gpu_index": gpu, "performance_ms": vals})
         med = ds.per_gpu_median("performance_ms")
         assert med.n_rows == n_gpus
+
+
+class TestImmutability:
+    """Columns are read-only, which is what makes the medians memo sound."""
+
+    def test_column_is_read_only(self, dataset):
+        with pytest.raises(ValueError):
+            dataset.column("performance_ms")[0] = 0.0
+
+    def test_callers_array_stays_writable(self):
+        values = np.array([1.0, 2.0, 3.0])
+        MeasurementDataset({"performance_ms": values})
+        assert values.flags.writeable
+        values[0] = 5.0
+
+    def test_unpickled_columns_stay_read_only(self, dataset):
+        import pickle
+
+        dataset.per_gpu_median("performance_ms")
+        back = pickle.loads(pickle.dumps(dataset))
+        assert back.column_names == dataset.column_names
+        with pytest.raises(ValueError):
+            back.column("performance_ms")[0] = 0.0
+
+    def test_median_is_memoized(self, dataset):
+        first = dataset.per_gpu_median("performance_ms")
+        assert dataset.per_gpu_median("performance_ms") is first
+        assert dataset.per_gpu_median("performance_ms", "gpu_label") is not first
+
+    @pytest.mark.parametrize("derive", [
+        lambda ds: ds.with_column("performance_ms", ds["performance_ms"] * 2),
+        lambda ds: ds.filter(ds["gpu_index"] != 1),
+        lambda ds: MeasurementDataset.concat([ds, ds.with_column(
+            "performance_ms", ds["performance_ms"] + 100)]),
+        lambda ds: ds.with_column(
+            "performance_ms", ds["performance_ms"][::-1]).sort_by("run"),
+    ], ids=["with_column", "filter", "concat", "sort_by"])
+    def test_derived_datasets_get_their_own_medians(self, dataset, derive):
+        from .analysis_oracle import per_gpu_median
+
+        before = dataset.per_gpu_median("performance_ms")
+        derived = derive(dataset)
+        got = derived.per_gpu_median("performance_ms")
+        want = per_gpu_median(derived, "performance_ms")
+        assert got is not before
+        np.testing.assert_array_equal(
+            got["performance_ms"], want["performance_ms"]
+        )
+        assert not np.array_equal(
+            got["performance_ms"], before["performance_ms"]
+        )

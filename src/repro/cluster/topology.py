@@ -139,6 +139,28 @@ class Topology:
             for node, slot in zip(self.node_of_gpu, self.slot_of_gpu)
         )
 
+    @cached_property
+    def gpu_label_array(self) -> np.ndarray:
+        """:attr:`gpu_labels` as an object array, for gathers by GPU index."""
+        return np.asarray(self.gpu_labels, dtype=object)
+
+    @cached_property
+    def node_label_of_gpu(self) -> np.ndarray:
+        """Node label of each GPU (object array)."""
+        return np.asarray(self.node_labels, dtype=object)[self.node_of_gpu]
+
+    @cached_property
+    def cabinet_label_of_gpu(self) -> np.ndarray:
+        """Cabinet label of each GPU (object array)."""
+        return np.asarray(self.cabinet_labels, dtype=object)[self.cabinet_of_gpu]
+
+    @cached_property
+    def row_label_of_gpu(self) -> np.ndarray | None:
+        """Row label of each GPU (object array), or None without a grid."""
+        if self.row_labels is None:
+            return None
+        return np.asarray(self.row_labels, dtype=object)[self.row_of_gpu]
+
     def location_group_of_gpu(self) -> np.ndarray:
         """Integer location-group per GPU, for spatial defect correlation.
 

@@ -188,11 +188,16 @@ class _Outcome:
 
 
 async def _fire(
-    host: str, port: int, request, timeout_s: float
+    host: str, port: int, request, timeout_s: float, due: float | None = None
 ) -> _Outcome:
-    """Send one request and fold the reply into an :class:`_Outcome`."""
+    """Send one request and fold the reply into an :class:`_Outcome`.
+
+    Latency runs from ``due``, the ``time.perf_counter()`` instant the
+    request was scheduled to go out, when given (open loop), else from the
+    send (closed loop).
+    """
     body = request.to_json().encode("utf-8")
-    started = time.perf_counter()
+    started = time.perf_counter() if due is None else due
     try:
         reply: HttpReply = await http_request(
             host, port, "POST", f"/v1/{request.kind}", body, timeout_s
@@ -238,16 +243,24 @@ async def _drive_closed(
 async def _drive_open(
     host: str, port: int, plan: list, config: LoadGenConfig
 ) -> list[_Outcome]:
-    """Open loop: fire at seeded exponential inter-arrivals, don't wait."""
+    """Open loop: fire at seeded exponential inter-arrivals, don't wait.
+
+    Each request is timed from its due time, ``start + offset``, not from
+    when the generator got round to sending it: a stalled generator (a
+    blocked event loop, a late timer) delays the send, and that wait is
+    part of what a user arriving on schedule would see.  Timing from the
+    send would hide it (coordinated omission).
+    """
     rng = RngFactory(config.seed).generator("loadgen-arrivals")
     offsets = np.cumsum(rng.exponential(1.0 / config.rate_rps, len(plan)))
     start = time.perf_counter()
 
     async def timed(request, offset: float) -> _Outcome:
-        delay = offset - (time.perf_counter() - start)
+        due = start + offset
+        delay = due - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
-        return await _fire(host, port, request, config.timeout_s)
+        return await _fire(host, port, request, config.timeout_s, due)
 
     return list(
         await asyncio.gather(

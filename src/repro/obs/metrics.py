@@ -200,35 +200,90 @@ class SlidingWindow:
         self._pos[indices] = (pos + 1) % self.capacity
         self._count[indices] = np.minimum(self._count[indices] + 1, self.capacity)
 
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean masks ``(clean, nan_rows)`` over the observed series.
+
+        Unfilled slots hold NaN, so a series holds a NaN *observation*
+        exactly when its row has more NaNs than unfilled slots.  ``nan_rows`` are those series; ``clean`` are the other
+        observed ones.
+        """
+        observed = self._count > 0
+        nan_rows = observed & (
+            np.isnan(self._buffer).sum(axis=1) > self.capacity - self._count
+        )
+        return observed & ~nan_rows, nan_rows
+
+    def _filled_blocks(
+        self, clean: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(rows, buffer[rows, :count])`` per fill count of the clean series.
+
+        A series that has not wrapped yet wrote slots ``[0, count)`` and a
+        full one its whole row, so each block holds exactly its series'
+        observations, in slot order, with no NaN.
+        """
+        for width in np.unique(self._count[clean]):
+            rows = np.flatnonzero(clean & (self._count == width))
+            yield rows, self._buffer[rows, :width]
+
     def median(self) -> np.ndarray:
-        """Per-series median over the buffered window (NaN if empty)."""
+        """Per-series median over the buffered window (NaN if empty).
+
+        Bit for bit ``np.nanmedian``, whose short-row path sorts, adds the
+        low and high middle values (the middle value to itself for odd
+        counts) and halves the sum.  Series holding a NaN observation
+        still go through ``np.nanmedian``.
+        """
         out = np.full(self.n_series, np.nan)
-        rows = np.flatnonzero(self._count > 0)
-        if rows.size:
-            out[rows] = np.nanmedian(self._buffer[rows], axis=1)
+        clean, nan_rows = self._split()
+        for rows, block in self._filled_blocks(clean):
+            width = block.shape[1]
+            middle = np.sort(block, axis=1)[:, [(width - 1) // 2, width // 2]]
+            out[rows] = middle.sum(axis=1) / 2.0
+        if nan_rows.any():
+            out[nan_rows] = np.nanmedian(self._buffer[nan_rows], axis=1)
         return out
 
     def mean(self) -> np.ndarray:
-        """Per-series mean over the buffered window (NaN if empty)."""
+        """Per-series mean over the buffered window (NaN if empty).
+
+        Bit for bit ``np.nanmean``: each clean row is summed whole with its
+        unfilled slots as +0.0, so numpy's pairwise summation groups the
+        terms as it does there at any capacity, then divided by the fill
+        count.  Series holding a NaN observation go through ``np.nanmean``.
+        """
         out = np.full(self.n_series, np.nan)
-        rows = np.flatnonzero(self._count > 0)
-        if rows.size:
-            out[rows] = np.nanmean(self._buffer[rows], axis=1)
+        clean, nan_rows = self._split()
+        block = self._buffer[clean]
+        out[clean] = (
+            np.where(np.isnan(block), 0.0, block).sum(axis=1)
+            / self._count[clean]
+        )
+        if nan_rows.any():
+            out[nan_rows] = np.nanmean(self._buffer[nan_rows], axis=1)
         return out
 
     def series_stats(self) -> dict[str, np.ndarray]:
-        """Per-series window statistics: mean/p5/p50/p95/iqr arrays."""
+        """Per-series window statistics: mean/p5/p50/p95/iqr arrays.
+
+        Percentiles run on each fill count's block as ``np.percentile``
+        does on the NaN-free row ``np.nanpercentile`` would extract.
+        """
         n = self.n_series
-        out = {
-            key: np.full(n, np.nan) for key in ("mean", "p5", "p50", "p95", "iqr")
-        }
-        rows = np.flatnonzero(self._count > 0)
-        if rows.size:
-            block = self._buffer[rows]
-            out["mean"][rows] = np.nanmean(block, axis=1)
-            p5, q1, p50, q3, p95 = np.nanpercentile(
-                block, [5, 25, 50, 75, 95], axis=1
+        out = {"mean": self.mean()}
+        for key in ("p5", "p50", "p95", "iqr"):
+            out[key] = np.full(n, np.nan)
+        q = (5, 25, 50, 75, 95)
+        clean, nan_rows = self._split()
+        parts = [
+            (rows, np.percentile(block, q, axis=1))
+            for rows, block in self._filled_blocks(clean)
+        ]
+        if nan_rows.any():
+            parts.append(
+                (nan_rows, np.nanpercentile(self._buffer[nan_rows], q, axis=1))
             )
+        for rows, (p5, q1, p50, q3, p95) in parts:
             out["p5"][rows] = p5
             out["p50"][rows] = p50
             out["p95"][rows] = p95
@@ -438,6 +493,10 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 
 
+#: Per-GPU streams the monitor derives from each run, in gauge order.
+_FLEET_STREAMS = ("frequency_mhz", "power_w", "temperature_c", "perf_deviation")
+
+
 class FleetMonitor:
     """Collects fleet telemetry for one observed execution.
 
@@ -446,7 +505,8 @@ class FleetMonitor:
     one short-lived monitor per shard and fold the payloads into the
     campaign monitor in canonical plan order, after which
     :meth:`finalize` derives the fleet-level registry (gauges, deviation
-    histograms, sliding-window series) from the merged sample stream.
+    histograms) from the merged sample stream, and :attr:`window_series`
+    derives the sliding-window series from it when first read.
 
     Not thread-safe by design — activation is per-thread and each
     concurrently-executing shard gets its own instance.
@@ -456,11 +516,9 @@ class FleetMonitor:
         self.config = config if config is not None else MonitorConfig()
         self.registry = MetricsRegistry()
         self.samples: list[RunSample] = []
-        #: Per-metric list of one pooled-window statistics dict per
-        #: completed run (populated by :meth:`finalize`).
-        self.window_series: dict[str, list[dict[str, float]]] = {}
         self.gpu_labels: tuple[str, ...] | None = None
         self._finalized = False
+        self._window_series: dict[str, list[dict[str, float]]] | None = None
 
     # -- hook-facing API (called from instrumented simulator code) ----------
 
@@ -615,36 +673,16 @@ class FleetMonitor:
 
     # -- finalize ------------------------------------------------------------
 
-    def finalize(self, gpu_labels: tuple[str, ...]) -> None:
-        """Derive the fleet-level registry from the merged sample stream.
+    def _fleet_values(
+        self, n: int
+    ) -> Iterator[tuple[FleetRun, dict[str, np.ndarray]]]:
+        """Each complete run with its per-GPU streams, checked against ``n``.
 
-        Called once by the campaign executor after the canonical-order
-        merge (idempotent).  Populates per-GPU gauges (last observed
-        value and throttle residency), fleet histograms (including perf
-        deviation from each run's fleet median), and the per-window
-        sliding aggregates in :attr:`window_series`.
+        The streams, keyed as :data:`_FLEET_STREAMS`, are the reported
+        frequency, power and temperature plus the perf deviation from the
+        run's fleet median.
         """
-        if self._finalized:
-            return
-        self._finalized = True
-        self.gpu_labels = tuple(gpu_labels)
-        n = len(self.gpu_labels)
-        window = self.config.window_runs
-
-        last = {
-            "frequency_mhz": np.full(n, np.nan),
-            "power_w": np.full(n, np.nan),
-            "temperature_c": np.full(n, np.nan),
-            "perf_deviation": np.full(n, np.nan),
-        }
-        windows = {name: SlidingWindow(n, window) for name in last}
-        self.window_series = {name: [] for name in last}
-        observed = np.zeros(n, dtype=np.int64)
-        throttled = np.zeros(n, dtype=np.int64)
-        n_runs = 0
-
         for run in self.iter_runs():
-            n_runs += 1
             idx = run.gpu_indices
             if idx.shape[0] and int(idx.max()) >= n:
                 raise AnalysisError(
@@ -656,20 +694,39 @@ class FleetMonitor:
                 raise AnalysisError(
                     "cannot normalize perf deviation: non-positive run median"
                 )
-            values = {
+            yield run, {
                 "frequency_mhz": run.frequency_mhz,
                 "power_w": run.power_w,
                 "temperature_c": run.temperature_c,
                 "perf_deviation": run.performance_ms / med,
             }
+
+    def finalize(self, gpu_labels: tuple[str, ...]) -> None:
+        """Derive the fleet-level registry from the merged sample stream.
+
+        Called once by the campaign executor after the canonical-order
+        merge (idempotent).  Populates per-GPU gauges (last observed
+        value and throttle residency) and fleet histograms (including perf
+        deviation from each run's fleet median); :attr:`window_series`
+        is derived from the same stream when first read.
+        """
+        if self._finalized:
+            return
+        self._finalized = True
+        self.gpu_labels = tuple(gpu_labels)
+        n = len(self.gpu_labels)
+
+        last = {name: np.full(n, np.nan) for name in _FLEET_STREAMS}
+        observed = np.zeros(n, dtype=np.int64)
+        throttled = np.zeros(n, dtype=np.int64)
+        n_runs = 0
+
+        for run, values in self._fleet_values(n):
+            n_runs += 1
+            idx = run.gpu_indices
             for name, arr in values.items():
                 last[name][idx] = arr
                 self.registry.observe(f"fleet_{name}", arr)
-                windows[name].push(arr, idx)
-                stats = windows[name].pooled_stats()
-                stats["day"] = float(run.day)
-                stats["run_index"] = float(run.run_index)
-                self.window_series[name].append(stats)
             observed[idx] += 1
             throttled[idx] += (run.power_capped | run.thermally_capped).astype(
                 np.int64
@@ -697,6 +754,38 @@ class FleetMonitor:
             help="fraction of observed runs the GPU settled capped "
                  "(power or thermal)",
         )
+
+    @property
+    def window_series(self) -> dict[str, list[dict[str, float]]]:
+        """Per-metric list of one pooled-window statistics dict per run.
+
+        ``{}`` before :meth:`finalize`.  After it, the first read replays
+        :meth:`iter_runs` through one :class:`SlidingWindow` of
+        ``window_runs`` per metric, appending each run's
+        :meth:`~SlidingWindow.pooled_stats` plus its ``day`` and
+        ``run_index``; later reads return the same cached dict.  No
+        campaign output reads it, so a campaign does not pay for it.
+        """
+        if not self._finalized:
+            return {}
+        if self._window_series is None:
+            n = len(self.gpu_labels)
+            windows = {
+                name: SlidingWindow(n, self.config.window_runs)
+                for name in _FLEET_STREAMS
+            }
+            series: dict[str, list[dict[str, float]]] = {
+                name: [] for name in _FLEET_STREAMS
+            }
+            for run, values in self._fleet_values(n):
+                for name, arr in values.items():
+                    windows[name].push(arr, run.gpu_indices)
+                    stats = windows[name].pooled_stats()
+                    stats["day"] = float(run.day)
+                    stats["run_index"] = float(run.run_index)
+                    series[name].append(stats)
+            self._window_series = series
+        return self._window_series
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

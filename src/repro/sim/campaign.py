@@ -176,7 +176,6 @@ def _to_dataset(
     topo = cluster.topology
     idx = result.gpu_indices
     n = idx.shape[0]
-    node_idx = topo.node_of_gpu[idx]
     columns: dict[str, np.ndarray] = {
         "cluster": np.full(n, cluster.name, dtype=object),
         "workload": np.full(n, workload.name, dtype=object),
@@ -184,16 +183,9 @@ def _to_dataset(
         "weekday": np.full(n, FacilityModel.weekday_name(day), dtype=object),
         "run": np.full(n, run_index, dtype=np.int64),
         "gpu_index": idx.astype(np.int64),
-        "gpu_label": np.asarray(
-            [topo.gpu_labels[i] for i in idx], dtype=object
-        ),
-        "node_label": np.asarray(
-            [topo.node_labels[i] for i in node_idx], dtype=object
-        ),
-        "cabinet": np.asarray(
-            [topo.cabinet_labels[c] for c in topo.cabinet_of_gpu[idx]],
-            dtype=object,
-        ),
+        "gpu_label": topo.gpu_label_array[idx],
+        "node_label": topo.node_label_of_gpu[idx],
+        "cabinet": topo.cabinet_label_of_gpu[idx],
         METRIC_PERFORMANCE: result.performance_ms,
         METRIC_FREQUENCY: result.frequency_mhz,
         METRIC_POWER: result.power_w,
@@ -206,9 +198,6 @@ def _to_dataset(
         "defect_kind": cluster.defects.kind[idx].astype(np.int64),
     }
     if topo.has_grid:
-        rows = topo.row_of_gpu[idx]
-        columns["row"] = np.asarray(
-            [topo.row_labels[r] for r in rows], dtype=object
-        )
+        columns["row"] = topo.row_label_of_gpu[idx]
         columns["column"] = (topo.column_of_gpu[idx] + 1).astype(np.int64)
     return MeasurementDataset(columns)

@@ -5,6 +5,8 @@ runner (``lambda request: b'{"ok":1}'``) so the suite measures the
 service layer, not campaign physics.
 """
 
+import time
+
 import pytest
 
 from repro import api
@@ -13,9 +15,12 @@ from repro.loadgen import (
     LATENCY_REPORT_SCHEMA_VERSION,
     LoadGenConfig,
     plan_requests,
+    run_loadgen,
     run_selfhosted,
     validate_latency_report,
 )
+from repro.loadgen import core as loadgen_core
+from repro.loadgen.client import HttpReply
 
 
 def _stub_runner(request):
@@ -101,6 +106,46 @@ class TestOpenLoop:
         validate_latency_report(report)
         assert report["config"]["mode"] == "open"
         assert report["ok_requests"] == 10
+
+
+class TestStalledGenerator:
+    """A generator stall is counted in open-loop latency, not in closed."""
+
+    STALL_S = 0.3
+
+    @pytest.fixture
+    def stalling_transport(self, monkeypatch):
+        # The first request blocks the event loop for STALL_S, as a stalled
+        # generator would; every reply is otherwise instant.
+        calls = []
+
+        async def fake_http_request(host, port, method, path, body, timeout_s):
+            if not calls:
+                time.sleep(self.STALL_S)
+            calls.append(path)
+            return HttpReply(200, {"x-repro-cache": "miss"}, b"{}")
+
+        monkeypatch.setattr(loadgen_core, "http_request", fake_http_request)
+        return calls
+
+    def test_open_loop_times_requests_from_their_due_time(
+        self, stalling_transport
+    ):
+        # At 1000/s all six requests fall due within a few milliseconds, so
+        # the five behind the stalled one each wait most of it.
+        config = LoadGenConfig(mode="open", n_requests=6, rate_rps=1000.0)
+        report = run_loadgen(config, "127.0.0.1", 9)
+        validate_latency_report(report)
+        assert len(stalling_transport) == 6
+        assert report["latency_ms"]["p50"] >= 0.8 * self.STALL_S * 1000.0
+
+    def test_closed_loop_times_requests_from_their_send(
+        self, stalling_transport
+    ):
+        config = LoadGenConfig(mode="closed", n_requests=6, concurrency=1)
+        report = run_loadgen(config, "127.0.0.1", 9)
+        assert report["latency_ms"]["max"] >= self.STALL_S * 1000.0
+        assert report["latency_ms"]["p50"] < 0.5 * self.STALL_S * 1000.0
 
 
 class TestSaturationSweep:

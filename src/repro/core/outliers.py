@@ -69,21 +69,22 @@ def flag_outlier_values(
         )
     stats = BoxStats.from_values(values)
     mask = stats.outlier_mask(values)
+    flagged = labels[mask]
     if node_labels is not None:
         nodes = np.asarray(node_labels, dtype=object).ravel()
         if nodes.shape[0] != labels.shape[0]:
             raise AnalysisError("node_labels must match gpu_labels in length")
+        flagged_nodes = set(nodes[mask])
     else:
-        nodes = np.asarray(
-            [lbl.rsplit("-", 1)[0] for lbl in labels], dtype=object
-        )
+        # Only the flagged GPUs' nodes are reported, so only they are parsed.
+        flagged_nodes = {lbl.rsplit("-", 1)[0] for lbl in flagged}
     high = labels[mask & (values > stats.fence_hi)]
     low = labels[mask & (values < stats.fence_lo)]
     return OutlierReport(
         metric=metric,
         stats=stats,
-        gpu_labels=tuple(sorted(labels[mask])),
-        node_labels=tuple(sorted(set(nodes[mask]))),
+        gpu_labels=tuple(sorted(flagged)),
+        node_labels=tuple(sorted(flagged_nodes)),
         high_side=tuple(sorted(high)),
         low_side=tuple(sorted(low)),
     )

@@ -229,10 +229,6 @@ class HealthTracker:
         n = len(self.gpu_labels)
         require(n >= 1, "HealthTracker needs at least one GPU label")
         self._label_array = np.asarray(self.gpu_labels, dtype=object)
-        self._node_label_array = np.asarray(
-            [label.rsplit("-", 1)[0] for label in self.gpu_labels],
-            dtype=object,
-        )
         self.policy = policy if policy is not None else HealthPolicy()
         w = self.policy.window_runs
         self._dev = SlidingWindow(n, w)
@@ -338,10 +334,7 @@ class HealthTracker:
         # Chronic slow: fleet Tukey fence over window-median deviations —
         # the streaming form of flag_outlier_gpus, window by window.
         report = flag_outlier_values(
-            dev_med[valid],
-            self._label_array[valid],
-            node_labels=self._node_label_array[valid],
-            metric="perf_deviation",
+            dev_med[valid], self._label_array[valid], metric="perf_deviation"
         )
         self.outlier_accumulator.add(report)
         chronic = valid & (dev_med > report.stats.fence_hi)

@@ -200,94 +200,70 @@ class SlidingWindow:
         self._pos[indices] = (pos + 1) % self.capacity
         self._count[indices] = np.minimum(self._count[indices] + 1, self.capacity)
 
-    def _split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean masks ``(clean, nan_rows)`` over the observed series.
+    def _observed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, block, valid)`` over the observed series.
 
-        Unfilled slots hold NaN, so a series holds a NaN *observation*
-        exactly when its row has more NaNs than unfilled slots.  ``nan_rows`` are those series; ``clean`` are the other
-        observed ones.
+        ``block`` is their buffer rows and ``valid`` the non-NaN count of
+        each.  Unfilled slots hold NaN, so a series with no NaN observation
+        has ``valid == count``; a NaN observation is skipped as the
+        nan-functions skip it.
         """
-        observed = self._count > 0
-        nan_rows = observed & (
-            np.isnan(self._buffer).sum(axis=1) > self.capacity - self._count
-        )
-        return observed & ~nan_rows, nan_rows
-
-    def _filled_blocks(
-        self, clean: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(rows, buffer[rows, :count])`` per fill count of the clean series.
-
-        A series that has not wrapped yet wrote slots ``[0, count)`` and a
-        full one its whole row, so each block holds exactly its series'
-        observations, in slot order, with no NaN.
-        """
-        for width in np.unique(self._count[clean]):
-            rows = np.flatnonzero(clean & (self._count == width))
-            yield rows, self._buffer[rows, :width]
+        rows = np.flatnonzero(self._count > 0)
+        block = self._buffer[rows]
+        return rows, block, (~np.isnan(block)).sum(axis=1)
 
     def median(self) -> np.ndarray:
         """Per-series median over the buffered window (NaN if empty).
 
-        Bit for bit ``np.nanmedian``, whose short-row path sorts, adds the
-        low and high middle values (the middle value to itself for odd
-        counts) and halves the sum.  Series holding a NaN observation
-        still go through ``np.nanmedian``.
+        Bit for bit ``np.nanmedian``, whose short-row path sorts (NaN
+        last), adds the low and high middle values of the ``valid``
+        non-NaN ones (the middle value to itself for odd counts) and
+        halves the sum.
         """
         out = np.full(self.n_series, np.nan)
-        clean, nan_rows = self._split()
-        for rows, block in self._filled_blocks(clean):
-            width = block.shape[1]
-            middle = np.sort(block, axis=1)[:, [(width - 1) // 2, width // 2]]
-            out[rows] = middle.sum(axis=1) / 2.0
-        if nan_rows.any():
-            out[nan_rows] = np.nanmedian(self._buffer[nan_rows], axis=1)
+        rows, block, valid = self._observed()
+        middle = np.stack([(valid - 1) // 2, valid // 2], axis=1)
+        pair = np.take_along_axis(np.sort(block, axis=1), middle, axis=1)
+        out[rows] = pair.sum(axis=1) / 2.0
         return out
 
     def mean(self) -> np.ndarray:
         """Per-series mean over the buffered window (NaN if empty).
 
-        Bit for bit ``np.nanmean``: each clean row is summed whole with its
-        unfilled slots as +0.0, so numpy's pairwise summation groups the
-        terms as it does there at any capacity, then divided by the fill
-        count.  Series holding a NaN observation go through ``np.nanmean``.
+        Bit for bit ``np.nanmean``: each row is summed whole with its NaN
+        slots as +0.0, so numpy's pairwise summation groups the terms as
+        it does there at any capacity, then divided by the non-NaN count.
         """
         out = np.full(self.n_series, np.nan)
-        clean, nan_rows = self._split()
-        block = self._buffer[clean]
-        out[clean] = (
-            np.where(np.isnan(block), 0.0, block).sum(axis=1)
-            / self._count[clean]
-        )
-        if nan_rows.any():
-            out[nan_rows] = np.nanmean(self._buffer[nan_rows], axis=1)
+        rows, block, valid = self._observed()
+        out[rows] = np.where(np.isnan(block), 0.0, block).sum(axis=1) / valid
         return out
 
     def series_stats(self) -> dict[str, np.ndarray]:
         """Per-series window statistics: mean/p5/p50/p95/iqr arrays.
 
-        Percentiles run on each fill count's block as ``np.percentile``
-        does on the NaN-free row ``np.nanpercentile`` would extract.
+        Percentiles run ``np.percentile`` once per non-NaN count ``k`` on
+        the NaN-free rows ``np.nanpercentile`` extracts: the first ``k``
+        slots, with any NaN among them replaced, in order, by the non-NaN
+        values after them.
         """
         n = self.n_series
         out = {"mean": self.mean()}
         for key in ("p5", "p50", "p95", "iqr"):
             out[key] = np.full(n, np.nan)
-        q = (5, 25, 50, 75, 95)
-        clean, nan_rows = self._split()
-        parts = [
-            (rows, np.percentile(block, q, axis=1))
-            for rows, block in self._filled_blocks(clean)
-        ]
-        if nan_rows.any():
-            parts.append(
-                (nan_rows, np.nanpercentile(self._buffer[nan_rows], q, axis=1))
+        rows, block, valid = self._observed()
+        for k in np.unique(valid[valid > 0]):
+            group = valid == k
+            head, tail = block[group, :k], block[group, k:]
+            head[np.isnan(head)] = tail[~np.isnan(tail)]
+            p5, q1, p50, q3, p95 = np.percentile(
+                head, (5, 25, 50, 75, 95), axis=1
             )
-        for rows, (p5, q1, p50, q3, p95) in parts:
-            out["p5"][rows] = p5
-            out["p50"][rows] = p50
-            out["p95"][rows] = p95
-            out["iqr"][rows] = q3 - q1
+            at = rows[group]
+            out["p5"][at] = p5
+            out["p50"][at] = p50
+            out["p95"][at] = p95
+            out["iqr"][at] = q3 - q1
         return out
 
     def pooled_stats(self) -> dict[str, float]:
@@ -705,24 +681,27 @@ class FleetMonitor:
         """Derive the fleet-level registry from the merged sample stream.
 
         Called once by the campaign executor after the canonical-order
-        merge (idempotent).  Populates per-GPU gauges (last observed
-        value and throttle residency) and fleet histograms (including perf
-        deviation from each run's fleet median); :attr:`window_series`
-        is derived from the same stream when first read.
+        merge (idempotent; a call that raises changes nothing, so it can be
+        retried).  Populates per-GPU gauges (last observed value and
+        throttle residency) and fleet histograms (including perf deviation
+        from each run's fleet median); :attr:`window_series` is derived
+        from the same stream when first read.
         """
         if self._finalized:
             return
+        labels = tuple(gpu_labels)
+        n = len(labels)
+        # Validate the whole stream before the registry changes, so a
+        # finalize that raises leaves the monitor unfinalized and retryable.
+        runs = list(self._fleet_values(n))
         self._finalized = True
-        self.gpu_labels = tuple(gpu_labels)
-        n = len(self.gpu_labels)
+        self.gpu_labels = labels
 
         last = {name: np.full(n, np.nan) for name in _FLEET_STREAMS}
         observed = np.zeros(n, dtype=np.int64)
         throttled = np.zeros(n, dtype=np.int64)
-        n_runs = 0
 
-        for run, values in self._fleet_values(n):
-            n_runs += 1
+        for run, values in runs:
             idx = run.gpu_indices
             for name, arr in values.items():
                 last[name][idx] = arr
@@ -733,7 +712,8 @@ class FleetMonitor:
             )
 
         self.registry.inc(
-            "monitor_runs_total", n_runs, help="complete runs in the stream"
+            "monitor_runs_total", len(runs),
+            help="complete runs in the stream",
         )
         gauge_help = {
             "frequency_mhz": "last reported SM frequency per GPU",

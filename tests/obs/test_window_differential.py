@@ -1,9 +1,8 @@
-"""Fill-count window statistics vs the nan-function oracles, byte for byte.
+"""Window statistics vs the nan-function oracles, byte for byte.
 
 :class:`~repro.obs.metrics.SlidingWindow` computes ``median``, ``mean`` and
-``series_stats`` on per-fill-count blocks with plain numpy reductions and
-keeps the nan-functions only for series holding a NaN observation.  Every
-statistic must equal :mod:`tests.obs.window_oracle`'s nan-function result
+``series_stats`` with plain numpy reductions over each series' non-NaN
+count, and calls no nan-function.  Every statistic must equal :mod:`tests.obs.window_oracle`'s nan-function result
 in raw bytes, on arbitrary push sequences: capacities 1 to 12 (the pairwise
 summation of ``np.sum`` changes grouping at 8 terms), pushes before and
 after wrap-around, partial coverage through ``indices=``, NaN pushed into
@@ -97,9 +96,10 @@ class TestWindowStatistics:
     )
     def test_ties_match_oracle(self, capacity, pushes, data):
         # Few distinct values, so most windows hold ties (signed zeros are
-        # ties that differ in bits).
+        # ties that differ in bits); NaN observations move the ties into
+        # the slots np.nanpercentile compacts.
         window = SlidingWindow(4, capacity)
-        tie_values = st.sampled_from([0.0, -0.0, 1.0, 1.0, 3.0])
+        tie_values = st.sampled_from([0.0, -0.0, 1.0, 1.0, 3.0, np.nan])
         for _ in range(pushes):
             pushed = data.draw(st.lists(tie_values, min_size=4, max_size=4))
             window.push(np.asarray(pushed))
@@ -125,6 +125,8 @@ class TestWindowStatistics:
         [[-0.0]], [[-0.0, -0.0, -0.0]], [[1e308, 1e308, 1.0]],
         [[1e308, 1e308]], [[np.inf, -np.inf]], [[np.inf, np.inf, 1.0]],
         [[5e-324, 5e-324, 5e-324]], [[np.nan, 1.0, 2.0]], [[np.nan]],
+        [[4.0, np.nan, np.inf]], [[-0.0, np.nan, 0.0, 0.0, np.nan, -0.0]],
+        [[-0.0, np.nan, -0.0, 0.0]], [[np.nan, -0.0, -0.0, 0.0]],
         [[-0.0, np.nan], [1e308, 1e308]],
         [[1.0] * 8, [0.1] * 8], [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]],
         [[51.182, 0.095, 0.001, 9.486, 0.003]],
@@ -134,7 +136,10 @@ class TestWindowStatistics:
         # nanmedian / nanmean bits: the odd median doubles the middle value
         # (so 1e308 overflows), sums seed +0.0, and a row of 8+ slots sums
         # pairwise, so five values summed alone differ from the same five
-        # padded with unfilled slots to capacity 9.
+        # padded with unfilled slots to capacity 9.  NaN observations are
+        # skipped, also beside +inf (the masked median sorts them as +inf);
+        # among signed zeros the percentiles depend on the order in which
+        # np.nanpercentile compacts the row, not only on its values.
         rows = np.asarray(rows)
         width = rows.shape[1]
         for capacity in sorted({1, 2, 3, width, width + 1, 9, 12}):

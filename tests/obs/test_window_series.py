@@ -5,7 +5,8 @@ replaying the merged run stream.  It must equal the loop ``finalize`` used
 to run eagerly (:func:`tests.obs.window_oracle.window_series`) exactly:
 metric keys, one dict per run with the same keys, and float bits,
 ``day`` / ``run_index`` included, on random streams with multi-shard
-runs, partial coverage and windows of 1 to 5 runs.
+runs, partial coverage and windows of 1 to 5 runs.  A ``finalize`` that
+raises must leave the monitor as it was, so a retry succeeds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.obs.metrics import FleetMonitor, MonitorConfig, SlidingWindow
+from repro.errors import AnalysisError
+from repro.obs.metrics import (
+    FleetMonitor,
+    MonitorConfig,
+    SlidingWindow,
+    render_prometheus,
+)
 
 from . import window_oracle as oracle
 
@@ -96,6 +103,20 @@ def streams(draw):
     return draw(st.integers(1, 5)), labels, shards
 
 
+def _three_gpu_runs(n_runs: int) -> list[dict]:
+    return [
+        dict(
+            day=0, run_index=r, gpu_indices=np.arange(3),
+            performance_ms=np.array([1.0, 2.0, 3.0]) + r,
+            frequency_mhz=np.ones(3), power_w=np.ones(3),
+            temperature_c=np.ones(3),
+            power_capped=np.array([r % 2 == 0, False, True]),
+            thermally_capped=np.zeros(3, dtype=bool),
+        )
+        for r in range(n_runs)
+    ]
+
+
 def _monitor(window: int, shards: list[dict]) -> FleetMonitor:
     monitor = FleetMonitor(MonitorConfig(window_runs=window))
     for shard in shards:
@@ -143,17 +164,7 @@ class TestLazyWindowSeries:
         assert len(monitor.window_series["perf_deviation"]) == 1
 
     def test_computed_once_on_first_read(self):
-        monitor = _monitor(3, [
-            dict(
-                day=0, run_index=r, gpu_indices=np.arange(3),
-                performance_ms=np.array([1.0, 2.0, 3.0]) + r,
-                frequency_mhz=np.ones(3), power_w=np.ones(3),
-                temperature_c=np.ones(3),
-                power_capped=np.zeros(3, dtype=bool),
-                thermally_capped=np.zeros(3, dtype=bool),
-            )
-            for r in range(4)
-        ])
+        monitor = _monitor(3, _three_gpu_runs(4))
         with mock.patch.object(
             SlidingWindow, "pooled_stats", autospec=True,
             side_effect=SlidingWindow.pooled_stats,
@@ -164,3 +175,17 @@ class TestLazyWindowSeries:
             assert pooled.call_count == 4 * 4  # 4 runs x 4 metrics
             assert monitor.window_series is first
             assert pooled.call_count == 4 * 4
+
+    def test_failed_finalize_changes_nothing_and_can_be_retried(self):
+        labels = ("g0", "g1", "g2")
+        monitor = _monitor(2, _three_gpu_runs(3))
+        with pytest.raises(AnalysisError, match="references GPU 2"):
+            monitor.finalize(labels[:2])
+        assert monitor.gpu_labels is None
+        assert monitor.window_series == {}
+        monitor.finalize(labels)
+        fresh = _monitor(2, _three_gpu_runs(3))
+        fresh.finalize(labels)
+        assert monitor.gpu_labels == labels
+        assert render_prometheus(monitor) == render_prometheus(fresh)
+        assert_same_series(monitor.window_series, fresh.window_series)

@@ -11,8 +11,8 @@ kept verbatim from the original implementations:
   fresh :class:`~repro.obs.metrics.SlidingWindow` per metric, pushed run by
   run, with one ``pooled_stats`` dict per run.
 
-The production fill-count blocks and the lazy series must reproduce them
-bit for bit.
+The production statistics and the lazy series must reproduce them bit for
+bit.
 """
 
 from __future__ import annotations

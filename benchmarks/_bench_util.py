@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+import time
 from typing import Any
 
 import numpy as np
 
 from repro.core import BoxStats, metric_boxstats
 from repro.core.report import ascii_box_row, format_boxstats_table
+from repro.obs.observer import active_observer
 from repro.sim import run_campaign as _run_campaign
 from repro.sim.parallel import default_worker_count
 from repro.telemetry.dataset import MeasurementDataset
@@ -87,3 +89,36 @@ def grouped_box_art(
 def boxvar(values: np.ndarray) -> float:
     """The paper's variation statistic of a raw sample."""
     return BoxStats.from_values(values).variation
+
+
+def count_observer_reads(modules, run) -> int:
+    """Call ``run()`` counting every hook read of the active observer.
+
+    Every hook site reads :func:`repro.obs.observer.active_observer` once,
+    so wrapping each instrumented module's reference to it counts the
+    disabled-path hook executions of a real workload.
+    """
+    calls = 0
+
+    def counting_active_observer():
+        nonlocal calls
+        calls += 1
+        return active_observer()
+
+    for module in modules:
+        assert module.active_observer is active_observer, module.__name__
+        module.active_observer = counting_active_observer
+    try:
+        run()
+    finally:
+        for module in modules:
+            module.active_observer = active_observer
+    return calls
+
+
+def observer_read_cost(sink: str, n: int = 200_000) -> float:
+    """Seconds per disabled hook read: ``active_observer().<sink>``."""
+    started = time.perf_counter()
+    for _ in range(n):
+        getattr(active_observer(), sink)
+    return (time.perf_counter() - started) / n

@@ -45,7 +45,7 @@ import time
 import numpy as np
 from _bench_util import emit, pct
 from repro import api
-from repro.obs.tracer import Tracer, activate
+from repro.obs import Tracer, activate
 from repro.sched import (
     VariabilityAwarePolicy,
     build_scheduling_report,

@@ -6,11 +6,11 @@ the tracer's promises for its own hook sites:
 1. **Zero perturbation** — the monitored campaign's CSV text is
    byte-identical to the unmonitored one.  Asserted unconditionally.
 2. **Unmeasurable overhead when disabled** — with no monitor active, each
-   hook site is one ``active_monitor()`` call (a thread-local attribute
-   read) plus a ``None`` branch.  A wall-clock A/B cannot resolve that
+   hook site is one ``active_observer()`` read (a thread-local attribute
+   read) plus a ``None`` branch on its ``monitor``.  A wall-clock A/B cannot resolve that
    against scheduler noise, so this benchmark measures it directly:
    count the hook executions in a real unmonitored campaign (by wrapping
-   each instrumented module's ``active_monitor`` reference), microbench
+   each instrumented module's ``active_observer`` reference), microbench
    the per-call cost, and assert the product stays under
    ``MAX_DISABLED_OVERHEAD`` of the campaign wall clock.
 3. **Bounded cost when enabled** — monitoring is explicit opt-in, so the
@@ -30,10 +30,10 @@ import os
 import pathlib
 import time
 
-from _bench_util import emit
+from _bench_util import count_observer_reads, emit, observer_read_cost
 from repro.cluster import longhorn
 from repro.gpu import dvfs as dvfs_mod
-from repro.obs.metrics import FleetMonitor, active_monitor
+from repro.obs.metrics import FleetMonitor
 from repro.sim import CampaignConfig, run_campaign
 from repro.sim import engine as engine_mod
 from repro.sim import run as run_mod
@@ -60,7 +60,7 @@ OUTPUT_PATH = pathlib.Path("BENCH_monitor.json")
 
 CONFIG = CampaignConfig(days=10, runs_per_day=2)
 
-#: Every module that calls ``active_monitor()`` at a hook site.
+#: Every module whose hook sites read ``active_observer()`` for the monitor.
 HOOK_MODULES = (run_mod, engine_mod, dvfs_mod)
 
 
@@ -72,33 +72,6 @@ def _timed_campaign(monitor=None):
         cluster, sgemm(), CONFIG, workers=1, monitor=monitor,
     )
     return dataset, time.perf_counter() - started
-
-
-def _count_hook_executions():
-    """Run one unmonitored campaign counting every active_monitor() call."""
-    calls = 0
-
-    def counting_active_monitor():
-        nonlocal calls
-        calls += 1
-        return active_monitor()
-
-    for module in HOOK_MODULES:
-        assert module.active_monitor is active_monitor, module.__name__
-        module.active_monitor = counting_active_monitor
-    try:
-        _timed_campaign()
-    finally:
-        for module in HOOK_MODULES:
-            module.active_monitor = active_monitor
-    return calls
-
-
-def _per_call_cost(n=200_000):
-    started = time.perf_counter()
-    for _ in range(n):
-        active_monitor()
-    return (time.perf_counter() - started) / n
 
 
 def test_monitoring_overhead():
@@ -122,9 +95,9 @@ def test_monitoring_overhead():
     assert monitor.registry.counter("solver_solves_total") > 0
 
     # Guarantee 2: the disabled path, measured directly.
-    hook_calls = _count_hook_executions()
+    hook_calls = count_observer_reads(HOOK_MODULES, _timed_campaign)
     assert hook_calls > 0, "no hook sites executed — instrumentation gone?"
-    hook_cost_s = hook_calls * _per_call_cost()
+    hook_cost_s = hook_calls * observer_read_cost("monitor")
     disabled_overhead = hook_cost_s / baseline_s
 
     monitored_overhead = monitored_s / baseline_s - 1.0

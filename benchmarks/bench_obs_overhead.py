@@ -5,11 +5,11 @@ The observability layer (docs/OBSERVABILITY.md) promises:
 1. **Zero perturbation** — the traced campaign's CSV text is
    byte-identical to the untraced one.  Asserted unconditionally.
 2. **Unmeasurable overhead when disabled** — with no tracer active, each
-   hook site is one ``active_tracer()`` call (a thread-local attribute
-   read) plus a ``None`` branch.  A wall-clock A/B cannot resolve that
+   hook site is one ``active_observer()`` read (a thread-local attribute
+   read) plus a ``None`` branch on its ``tracer``.  A wall-clock A/B cannot resolve that
    against scheduler noise, so this benchmark measures it directly:
    count the hook executions in a real untraced campaign (by wrapping
-   each instrumented module's ``active_tracer`` reference), microbench
+   each instrumented module's ``active_observer`` reference), microbench
    the per-call cost, and assert the product stays under
    ``MAX_DISABLED_OVERHEAD`` of the campaign wall clock.
 3. **Bounded cost when enabled** — tracing is explicit opt-in, so the
@@ -29,12 +29,11 @@ import os
 import pathlib
 import time
 
-from _bench_util import emit
+from _bench_util import count_observer_reads, emit, observer_read_cost
 from repro.cluster import cluster as cluster_mod
 from repro.cluster import longhorn
 from repro.gpu import dvfs as dvfs_mod
 from repro.obs import Manifest, Tracer
-from repro.obs.tracer import active_tracer
 from repro.sim import CampaignConfig, run_campaign
 from repro.sim import engine as engine_mod
 from repro.sim import run as run_mod
@@ -57,7 +56,7 @@ OUTPUT_PATH = pathlib.Path("BENCH_obs.json")
 
 CONFIG = CampaignConfig(days=10, runs_per_day=2)
 
-#: Every module that calls ``active_tracer()`` at a hook site.
+#: Every module whose hook sites read ``active_observer()`` for the tracer.
 HOOK_MODULES = (run_mod, engine_mod, dvfs_mod, cluster_mod)
 
 
@@ -70,33 +69,6 @@ def _timed_campaign(tracer=None, manifest=None):
         tracer=tracer, manifest=manifest,
     )
     return dataset, time.perf_counter() - started
-
-
-def _count_hook_executions():
-    """Run one untraced campaign counting every active_tracer() call."""
-    calls = 0
-
-    def counting_active_tracer():
-        nonlocal calls
-        calls += 1
-        return active_tracer()
-
-    for module in HOOK_MODULES:
-        assert module.active_tracer is active_tracer, module.__name__
-        module.active_tracer = counting_active_tracer
-    try:
-        _timed_campaign()
-    finally:
-        for module in HOOK_MODULES:
-            module.active_tracer = active_tracer
-    return calls
-
-
-def _per_call_cost(n=200_000):
-    started = time.perf_counter()
-    for _ in range(n):
-        active_tracer()
-    return (time.perf_counter() - started) / n
 
 
 def test_observability_overhead():
@@ -122,9 +94,9 @@ def test_observability_overhead():
     assert counters["campaign.rows"] == traced_ds.n_rows
 
     # Guarantee 2: the disabled path, measured directly.
-    hook_calls = _count_hook_executions()
+    hook_calls = count_observer_reads(HOOK_MODULES, _timed_campaign)
     assert hook_calls > 0, "no hook sites executed — instrumentation gone?"
-    hook_cost_s = hook_calls * _per_call_cost()
+    hook_cost_s = hook_calls * observer_read_cost("tracer")
     disabled_overhead = hook_cost_s / baseline_s
 
     traced_overhead = traced_s / baseline_s - 1.0

@@ -8,11 +8,11 @@ same promises as the tracer and monitor, measured the same way as
    byte-identical to the unrecorded one, and the recorded event stream
    is byte-identical across repeats.  Asserted unconditionally.
 2. **Unmeasurable overhead when disabled** — with no recorder active,
-   each hook site is one ``active_recorder()`` call (a thread-local
-   attribute read) plus a ``None`` branch.  A wall-clock A/B cannot
+   each hook site is one ``active_observer()`` read (a thread-local
+   attribute read) plus a ``None`` branch on its ``recorder``.  A wall-clock A/B cannot
    resolve that against scheduler noise, so this benchmark measures it
    directly: count the hook executions in a real unrecorded campaign
-   (by wrapping each instrumented module's ``active_recorder``
+   (by wrapping each instrumented module's ``active_observer``
    reference), microbench the per-call cost, and assert the product
    stays under ``MAX_DISABLED_OVERHEAD`` of the campaign wall clock.
 3. **Bounded cost when enabled** — recording is explicit opt-in, so the
@@ -31,10 +31,10 @@ import os
 import pathlib
 import time
 
-from _bench_util import emit
+from _bench_util import count_observer_reads, emit, observer_read_cost
 from repro.cluster import longhorn
 from repro.obs import health as health_mod
-from repro.obs.timeline import TimelineRecorder, active_recorder
+from repro.obs.timeline import TimelineRecorder
 from repro.sched import engine as sched_engine_mod
 from repro.sim import CampaignConfig, run_campaign
 from repro.sim import run as run_mod
@@ -57,7 +57,7 @@ OUTPUT_PATH = pathlib.Path("BENCH_timeline.json")
 
 CONFIG = CampaignConfig(days=10, runs_per_day=2)
 
-#: Every module that calls ``active_recorder()`` at a hook site.
+#: Every module whose hook sites read ``active_observer()`` for the recorder.
 HOOK_MODULES = (run_mod, health_mod, sched_engine_mod)
 
 
@@ -69,33 +69,6 @@ def _timed_campaign(timeline=None):
         cluster, sgemm(), CONFIG, workers=1, timeline=timeline,
     )
     return dataset, time.perf_counter() - started
-
-
-def _count_hook_executions():
-    """Run one unrecorded campaign counting every active_recorder() call."""
-    calls = 0
-
-    def counting_active_recorder():
-        nonlocal calls
-        calls += 1
-        return active_recorder()
-
-    for module in HOOK_MODULES:
-        assert module.active_recorder is active_recorder, module.__name__
-        module.active_recorder = counting_active_recorder
-    try:
-        _timed_campaign()
-    finally:
-        for module in HOOK_MODULES:
-            module.active_recorder = active_recorder
-    return calls
-
-
-def _per_call_cost(n=200_000):
-    started = time.perf_counter()
-    for _ in range(n):
-        active_recorder()
-    return (time.perf_counter() - started) / n
 
 
 def test_timeline_overhead():
@@ -120,9 +93,9 @@ def test_timeline_overhead():
     assert timeline.events()[-1].kind == "campaign_end"
 
     # Guarantee 2: the disabled path, measured directly.
-    hook_calls = _count_hook_executions()
+    hook_calls = count_observer_reads(HOOK_MODULES, _timed_campaign)
     assert hook_calls > 0, "no hook sites executed — instrumentation gone?"
-    hook_cost_s = hook_calls * _per_call_cost()
+    hook_cost_s = hook_calls * observer_read_cost("recorder")
     disabled_overhead = hook_cost_s / baseline_s
 
     recorded_overhead = recorded_s / baseline_s - 1.0

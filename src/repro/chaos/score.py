@@ -33,12 +33,8 @@ import numpy as np
 
 from ..config import require
 from ..obs.manifest import validate_manifest
-from ..obs.timeline import (
-    TimelineRecorder,
-    activate_recorder,
-    canonical_digest,
-    canonical_json,
-)
+from ..obs.observer import activate_recorder
+from ..obs.timeline import TimelineRecorder, canonical_digest, canonical_json
 from .plan import ChaosPlan, compile_plan
 from .scenarios import Scenario, scenario_to_dict
 

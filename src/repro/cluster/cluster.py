@@ -22,7 +22,7 @@ from ..gpu.defects import DefectAssignment, DefectConfig, DefectType, assign_def
 from ..gpu.device import GPUFleet
 from ..gpu.silicon import SiliconConfig, sample_population
 from ..gpu.specs import GPUSpec
-from ..obs.tracer import active_tracer
+from ..obs.observer import active_observer
 from ..rng import RngFactory
 from .cooling import AirCooling, MineralOilCooling, WaterCooling
 from .facility import FacilityModel
@@ -259,7 +259,7 @@ class Cluster:
         """
         with self._fleet_cache_lock:
             fleet = self._fleet_day_cache.get(day_index)
-        tracer = active_tracer()
+        tracer = active_observer().tracer
         if fleet is not None:
             if tracer is not None:
                 tracer.add("cache.fleet_day.hit")
@@ -333,7 +333,7 @@ class Cluster:
         key = (day_index, gpu_indices.dtype.str, gpu_indices.shape[0], digest)
         with self._fleet_cache_lock:
             fleet = self._fleet_slice_cache.get(key)
-        tracer = active_tracer()
+        tracer = active_observer().tracer
         if fleet is not None:
             if tracer is not None:
                 tracer.add("cache.fleet_slice.hit")

@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import require
-from ..obs.metrics import active_monitor
-from ..obs.tracer import active_tracer
+from ..obs.observer import active_observer
 from .power import PowerModel
 from .specs import GPUSpec, VENDOR_AMD
 from .thermal import ThermalModel
@@ -685,7 +684,8 @@ class DvfsController:
         self.stats.solves += self.n
         self.stats.batches += 1
         self.stats.dense_cells += self.n * k
-        tracer = active_tracer()
+        obs = active_observer()
+        tracer = obs.tracer
         if tracer is not None:
             # Counter deltas come from SolverStats at the end of the solve:
             # one batch of adds per solve keeps the hot _settle loop clean.
@@ -770,7 +770,7 @@ class DvfsController:
                 duration_s=time.perf_counter() - span_t0,
                 n=self.n,
             )
-        monitor = active_monitor()
+        monitor = obs.monitor
         if monitor is not None:
             # Throttle outcome of the settled operating point: which GPUs
             # ended the solve capped.  Counts of already-computed booleans

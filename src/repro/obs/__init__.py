@@ -4,12 +4,15 @@ The paper's contribution is 18,800+ hours of telemetry *about* telemetry;
 this subpackage gives the simulator the same treatment: where does a
 campaign's wall clock go, how does solver work distribute across shards,
 and can a finished run be audited for reproducibility without re-running
-it?  Five pieces:
+it?  Eight modules:
 
+* :mod:`repro.obs.observer` — the one per-thread activation slot every
+  hook reads: an :class:`~repro.obs.observer.Observer` holding the
+  optional tracer, monitor and recorder, with the shard-local sinks and
+  the one picklable per-shard payload the sharded executors merge in
+  canonical plan order;
 * :mod:`repro.obs.tracer` — a hierarchical span tracer
-  (campaign → day → shard → run → solve) plus low-overhead counters,
-  activated per-thread so the sharded executors can collect per-shard
-  observations and merge them deterministically;
+  (campaign → day → shard → run → solve) plus low-overhead counters;
 * :mod:`repro.obs.export` — JSONL event sink and Chrome-trace/Perfetto
   export, so campaign timelines are viewable in a browser;
 * :mod:`repro.obs.manifest` — machine-readable campaign manifests (config
@@ -17,7 +20,7 @@ it?  Five pieces:
   enabling reproducibility audits without re-execution;
 * :mod:`repro.obs.metrics` — the DCGM-shaped fleet half: a typed metric
   registry (per-GPU gauges, fleet histograms, counters), ring-buffer
-  sliding windows, Prometheus-style text exposition, and the thread-local
+  sliding windows, Prometheus-style text exposition, and the
   :class:`~repro.obs.metrics.FleetMonitor` the campaign executors merge
   in canonical plan order;
 * :mod:`repro.obs.health` — online anomaly detection over the monitor's
@@ -35,15 +38,14 @@ it?  Five pieces:
 Hard guarantees (pinned by ``tests/obs/``): with tracing enabled, campaign
 outputs are **bit-identical** to untraced runs — the tracer never draws
 randomness and never touches a float that feeds a measurement; with
-tracing disabled, the hooks reduce to a thread-local ``None`` check.
+tracing disabled, the hooks reduce to one thread-local read and a
+``None`` check.
 """
 
 from .tracer import (
     NONDETERMINISTIC_COUNTER_PREFIXES,
     SpanRecord,
     Tracer,
-    activate,
-    active_tracer,
 )
 from .export import write_chrome_trace, write_events_jsonl
 from .manifest import (
@@ -63,8 +65,6 @@ from .metrics import (
     MonitorConfig,
     RunSample,
     SlidingWindow,
-    activate_monitor,
-    active_monitor,
     render_prometheus,
 )
 from .timeline import (
@@ -73,13 +73,18 @@ from .timeline import (
     TimelineError,
     TimelineEvent,
     TimelineRecorder,
-    activate_recorder,
-    active_recorder,
     canonical_digest,
     read_timeline,
     timeline_lines,
     validate_timeline_event,
     write_timeline,
+)
+from .observer import (
+    Observer,
+    activate,
+    activate_recorder,
+    active_monitor,
+    active_observer,
 )
 
 #: Names served lazily from :mod:`repro.obs.health` (PEP 562).  Health
@@ -87,7 +92,7 @@ from .timeline import (
 #: sim/telemetry into :mod:`repro.gpu.dvfs`, which imports *this* package
 #: for its hook primitives — so importing it eagerly here would deadlock
 #: the import graph whenever ``repro.gpu`` loads first.  The hook-side
-#: modules (tracer, metrics) stay eager and dependency-light.
+#: modules (observer and its three sinks) stay eager and dependency-light.
 _HEALTH_EXPORTS = (
     "GRADES",
     "HEALTH_REPORT_SCHEMA",
@@ -140,13 +145,9 @@ __all__ = [
     "MonitorConfig",
     "RunSample",
     "SlidingWindow",
-    "activate_monitor",
-    "active_monitor",
     "render_prometheus",
     "SpanRecord",
     "Tracer",
-    "activate",
-    "active_tracer",
     "NONDETERMINISTIC_COUNTER_PREFIXES",
     "write_chrome_trace",
     "write_events_jsonl",
@@ -155,13 +156,16 @@ __all__ = [
     "TimelineError",
     "TimelineEvent",
     "TimelineRecorder",
-    "activate_recorder",
-    "active_recorder",
     "canonical_digest",
     "read_timeline",
     "timeline_lines",
     "validate_timeline_event",
     "write_timeline",
+    "Observer",
+    "activate",
+    "activate_recorder",
+    "active_monitor",
+    "active_observer",
     "CampaignManifest",
     "Manifest",
     "MANIFEST_SCHEMA",

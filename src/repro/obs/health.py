@@ -50,7 +50,7 @@ from ..core.boxstats import tukey_fences
 from ..core.outliers import OutlierAccumulator, flag_outlier_values
 from .manifest import validate_manifest
 from .metrics import FleetMonitor, SlidingWindow
-from .timeline import active_recorder
+from .observer import active_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..cluster.topology import Topology
@@ -419,7 +419,7 @@ class HealthTracker:
                     )
                 )
         self.events.extend(emitted)
-        recorder = active_recorder()
+        recorder = active_observer().recorder
         if recorder is not None:
             for event in emitted:
                 recorder.record(

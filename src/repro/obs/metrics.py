@@ -13,9 +13,9 @@ The design constraints are the tracer's, verbatim:
 * **Zero perturbation.**  Hooks only *read* already-computed arrays; no
   RNG draws, no float that feeds a measurement.  Golden campaign fixtures
   pass byte-for-byte with monitoring on.
-* **Unmeasurable overhead when disabled.**  Hook sites call
-  :func:`active_monitor` (a thread-local attribute read) and branch on
-  ``None``.
+* **Unmeasurable overhead when disabled.**  Hook sites read
+  :func:`~repro.obs.observer.active_observer` once and branch on its
+  ``monitor`` being ``None``.
 * **Deterministic merging.**  The campaign executors give every shard its
   own :class:`FleetMonitor` and fold the payloads back in canonical plan
   order, so the merged sample stream, counter totals, and every derived
@@ -29,8 +29,6 @@ over the *merged* stream: a shard only sees its slice of a run, and a
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -47,8 +45,6 @@ __all__ = [
     "MonitorConfig",
     "RunSample",
     "SlidingWindow",
-    "activate_monitor",
-    "active_monitor",
     "render_prometheus",
 ]
 
@@ -477,9 +473,9 @@ class FleetMonitor:
     """Collects fleet telemetry for one observed execution.
 
     Mirrors :class:`~repro.obs.tracer.Tracer`'s lifecycle: passive until
-    code runs under :func:`activate_monitor`; campaign executors create
-    one short-lived monitor per shard and fold the payloads into the
-    campaign monitor in canonical plan order, after which
+    code runs under :func:`~repro.obs.observer.activate`; campaign
+    executors create one short-lived monitor per shard and fold the
+    payloads into the campaign monitor in canonical plan order, after which
     :meth:`finalize` derives the fleet-level registry (gauges, deviation
     histograms) from the merged sample stream, and :attr:`window_series`
     derives the sliding-window series from it when first read.
@@ -838,36 +834,3 @@ def render_prometheus(
             lines.append(f"{full}_sum {_fmt(hist['sum'])}")
             lines.append(f"{full}_count {hist['count']}")
     return "".join(f"{line}\n" for line in lines) or "\n"
-
-
-# ---------------------------------------------------------------------------
-# per-thread activation
-# ---------------------------------------------------------------------------
-
-_STATE = threading.local()
-
-
-def active_monitor() -> FleetMonitor | None:
-    """The monitor active on *this* thread, or ``None`` (monitoring off).
-
-    The single hook primitive, exactly like
-    :func:`~repro.obs.tracer.active_tracer`: instrumented code does
-    ``m = active_monitor()`` and branches on ``None``.  Thread-locality
-    lets the thread-backend executor run shards concurrently, each under
-    its own monitor.
-    """
-    return getattr(_STATE, "monitor", None)
-
-
-@contextmanager
-def activate_monitor(monitor: FleetMonitor) -> Iterator[FleetMonitor]:
-    """Make ``monitor`` the active monitor on this thread for the block.
-
-    Nestable: the previous monitor (if any) is restored on exit.
-    """
-    previous = getattr(_STATE, "monitor", None)
-    _STATE.monitor = monitor
-    try:
-        yield monitor
-    finally:
-        _STATE.monitor = previous

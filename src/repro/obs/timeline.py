@@ -18,18 +18,16 @@ order, so a recorded timeline is byte-identical at any worker count and
 across repeated invocations with the same seed — the same guarantee the
 tracer and monitor already provide for spans and metrics.
 
-Hook protocol mirrors the tracer: hot paths call :func:`active_recorder`
-(a thread-local lookup returning ``None`` when recording is off) and only
-pay for event construction when a recorder is activated via
-:func:`activate_recorder`.
+Hook protocol is the tracer's: hot paths read
+:func:`~repro.obs.observer.active_observer` once and only pay for event
+construction when its ``recorder`` is set (via
+:func:`~repro.obs.observer.activate`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -39,8 +37,6 @@ __all__ = [
     "TimelineError",
     "TimelineEvent",
     "TimelineRecorder",
-    "active_recorder",
-    "activate_recorder",
     "canonical_digest",
     "measurement_digest",
     "timeline_lines",
@@ -183,31 +179,6 @@ class TimelineRecorder:
     def digest(self) -> str:
         """Digest over the canonical serialized timeline."""
         return canonical_digest("\n".join(timeline_lines(self)))
-
-
-# -- thread-local activation (same pattern as tracer/metrics) ------------------
-
-_STATE = threading.local()
-
-
-def active_recorder() -> TimelineRecorder | None:
-    """The recorder activated on this thread, or ``None``.
-
-    Hot paths call this once per event site; when recording is off it is a
-    single attribute lookup.
-    """
-    return getattr(_STATE, "recorder", None)
-
-
-@contextmanager
-def activate_recorder(recorder: TimelineRecorder | None) -> Iterator[None]:
-    """Make ``recorder`` the active recorder for this thread (nestable)."""
-    previous = getattr(_STATE, "recorder", None)
-    _STATE.recorder = recorder
-    try:
-        yield
-    finally:
-        _STATE.recorder = previous
 
 
 # -- serialization -------------------------------------------------------------

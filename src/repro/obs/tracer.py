@@ -7,9 +7,10 @@ Design constraints (they shape everything here):
   touches a float that feeds a measurement, and instrumented code paths
   are structurally identical with tracing on or off — which is why golden
   campaign fixtures pass byte-for-byte under ``--trace``.
-* **Unmeasurable overhead when disabled.**  Hook sites call
-  :func:`active_tracer` (a thread-local attribute read) and branch on
-  ``None``; no object is allocated, no string is formatted.
+* **Unmeasurable overhead when disabled.**  Hook sites read
+  :func:`~repro.obs.observer.active_observer` once and branch on its
+  ``tracer`` being ``None``; no object is allocated, no string is
+  formatted.
 * **Deterministic merging.**  The sharded campaign executors
   (:mod:`repro.sim.parallel`) give every shard its *own* tracer — in the
   worker that executes it — and merge the per-shard payloads into the
@@ -29,7 +30,6 @@ legitimately depend on how shards were scheduled across workers;
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,8 +39,6 @@ __all__ = [
     "NONDETERMINISTIC_COUNTER_PREFIXES",
     "SpanRecord",
     "Tracer",
-    "activate",
-    "active_tracer",
 ]
 
 #: Counter namespaces whose totals legitimately vary with worker layout
@@ -89,7 +87,8 @@ class SpanRecord:
 class Tracer:
     """Collects spans and counters for one observed execution.
 
-    A tracer is *passive* until code runs under :func:`activate`; the
+    A tracer is *passive* until code runs under
+    :func:`~repro.obs.observer.activate`; the
     instrumentation hooks throughout the simulator then report into it.
     Campaign executors additionally create one short-lived tracer per
     shard (each on its own ``track``) and fold the results back with
@@ -208,36 +207,3 @@ class Tracer:
             f"Tracer(track={self.track!r}, {len(self.spans)} spans, "
             f"{len(self.counters)} counters)"
         )
-
-
-# ---------------------------------------------------------------------------
-# per-thread activation
-# ---------------------------------------------------------------------------
-
-_STATE = threading.local()
-
-
-def active_tracer() -> Tracer | None:
-    """The tracer active on *this* thread, or ``None`` (tracing disabled).
-
-    This is the single hook primitive: instrumented code does
-    ``t = active_tracer()`` and branches on ``None``.  Thread-locality is
-    load-bearing — the thread-backend campaign executor runs shards
-    concurrently, each under its own tracer, without cross-talk.
-    """
-    return getattr(_STATE, "tracer", None)
-
-
-@contextmanager
-def activate(tracer: Tracer) -> Iterator[Tracer]:
-    """Make ``tracer`` the active tracer on this thread for the block.
-
-    Nestable: the previous tracer (if any) is restored on exit, so a
-    shard tracer can be activated inside a campaign-level activation.
-    """
-    previous = getattr(_STATE, "tracer", None)
-    _STATE.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _STATE.tracer = previous

@@ -51,8 +51,7 @@ import numpy as np
 from ..cluster.allocator import FreeListAllocator, GangAllocation
 from ..cluster.cluster import Cluster
 from ..errors import SimulationError
-from ..obs.timeline import active_recorder
-from ..obs.tracer import active_tracer
+from ..obs.observer import active_observer
 from ..sim.job import (
     JobDraw,
     JobPricingRequest,
@@ -219,7 +218,7 @@ def run_schedule(
         cluster, jobs, policy,
         policy.indexed_ranking(cluster.topology.n_nodes),
     )
-    recorder = active_recorder()
+    recorder = active_observer().recorder
     if recorder is not None:
         _record_timeline(cluster, policy, jobs, outcome, recorder)
     return outcome
@@ -359,7 +358,7 @@ def _run_loop(
     running: dict[int, GangAllocation] = {}
     records: list[JobRecord] = []
     events: list[dict[str, object]] = []
-    tracer = active_tracer()
+    tracer = active_observer().tracer
 
     static = isinstance(spec, StaticRankingSpec)
     if static:

@@ -49,7 +49,7 @@ from ..errors import (
 )
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.timeline import TimelineRecorder
-from ..obs.tracer import Tracer, activate
+from ..obs.tracer import Tracer
 from .coalesce import CoalescingBroker, ResponseCache
 from .pool import WorkerPool
 from .wire import build_response, encode_response
@@ -91,8 +91,7 @@ def default_runner(request) -> tuple[bytes, dict[str, int | float]]:
     into the service registry once per execution.
     """
     tracer = Tracer()
-    with activate(tracer):
-        result = execute_request(request)
+    result = execute_request(request, tracer=tracer)
     body = encode_response(build_response(request, result))
     counters = {
         name: value

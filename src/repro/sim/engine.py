@@ -22,8 +22,7 @@ import numpy as np
 from ..config import require
 from ..errors import SimulationError
 from ..gpu.device import GPUFleet
-from ..obs.metrics import active_monitor
-from ..obs.tracer import active_tracer
+from ..obs.observer import active_observer
 from ..workloads.base import Workload
 
 __all__ = ["EngineConfig", "EngineState", "Engine"]
@@ -281,14 +280,15 @@ class Engine:
             )
             s.pstate_index = np.minimum(new_idx, self.f_ceiling_index)
 
-        tracer = active_tracer()
+        obs = active_observer()
+        tracer = obs.tracer
         if tracer is not None:
             tracer.add("engine.steps", 1)
             if control_tick:
                 tracer.add("engine.control_ticks", 1)
             if clamp_reevals:
                 tracer.add("engine.clamp_reevaluations", clamp_reevals)
-        monitor = active_monitor()
+        monitor = obs.monitor
         if monitor is not None:
             # Instantaneous post-clamp state: what a per-step sensor scrape
             # would see.  Read-only — nothing here feeds the integration.

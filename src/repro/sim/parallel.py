@@ -61,9 +61,10 @@ from ..config import require
 from ..errors import SimulationError
 from ..gpu.dvfs import SolverStats
 from ..obs.manifest import Manifest, build_campaign_manifest
-from ..obs.metrics import FleetMonitor, activate_monitor
-from ..obs.timeline import TimelineRecorder, activate_recorder, measurement_digest
-from ..obs.tracer import Tracer, activate
+from ..obs.metrics import FleetMonitor
+from ..obs.observer import Observer, activate
+from ..obs.timeline import TimelineRecorder, measurement_digest
+from ..obs.tracer import Tracer
 from ..telemetry.sample import (
     METRIC_FREQUENCY,
     METRIC_PERFORMANCE,
@@ -307,57 +308,30 @@ def _execute_shard(
     return dataset, time.perf_counter() - started, result.solver_stats
 
 
-#: Track name for shard-local spans: lexical sort == canonical plan order.
-_SHARD_TRACK = "day-{day:03d}/run-{run:03d}/shard-{shard:02d}"
-
 def _execute_shard_observed(
     cluster: Cluster,
     workload: Workload,
     power_limit_w: float | None,
     task: ShardTask,
-    trace_enabled: bool,
-    monitor_enabled: bool = False,
-    timeline_enabled: bool = False,
-) -> tuple[MeasurementDataset, float, "SolverStats | None", "tuple | None",
-           "tuple | None", "tuple | None"]:
-    """Execute one shard, optionally under fresh shard-local observers.
+    shard: Observer,
+) -> tuple[MeasurementDataset, float, "SolverStats | None", dict]:
+    """Execute one shard under its shard-local ``shard`` observer.
 
-    Every observed shard gets its *own* tracer, monitor, and timeline
-    recorder — even on the serial path — activated thread-locally for the
-    duration of the shard, so counter totals, span structure, the metric
-    sample stream, and the event timeline are identical for any worker
-    count or backend: the executors merge the returned payloads in
-    canonical plan order afterwards.
+    Every observed shard gets its *own* sinks (built by
+    :meth:`~repro.obs.observer.Observer.for_shard`) — even on the serial
+    path — activated thread-locally for the duration of the shard, so
+    counter totals, span structure, the metric sample stream, and the
+    event timeline are identical for any worker count or backend: the
+    executors merge the returned payloads in canonical plan order
+    afterwards.  An empty observer activates nothing.
     """
-    if not trace_enabled and not monitor_enabled and not timeline_enabled:
-        dataset, duration, solver = _execute_shard(
-            cluster, workload, power_limit_w, task
-        )
-        return dataset, duration, solver, None, None, None
+    if not shard.sinks():
+        return (*_execute_shard(cluster, workload, power_limit_w, task), {})
     with ExitStack() as stack:
-        shard_tracer: Tracer | None = None
-        shard_monitor: FleetMonitor | None = None
-        shard_recorder: TimelineRecorder | None = None
-        if monitor_enabled:
-            # Shard monitors only collect; fleet-level aggregation happens
-            # once, after the canonical-order merge (FleetMonitor.finalize).
-            shard_monitor = FleetMonitor()
-            stack.enter_context(activate_monitor(shard_monitor))
-        if timeline_enabled:
-            # Shard recorders buffer events locally; the campaign recorder
-            # folds the payloads in plan order and only then assigns the
-            # monotone logical clock — no wall time, no worker identity.
-            shard_recorder = TimelineRecorder()
-            stack.enter_context(activate_recorder(shard_recorder))
-        if trace_enabled:
-            shard_tracer = Tracer(
-                track=_SHARD_TRACK.format(
-                    day=task.day, run=task.run_index, shard=task.shard_index
-                )
-            )
-            stack.enter_context(activate(shard_tracer))
+        stack.enter_context(activate(**shard.sinks()))
+        if shard.tracer is not None:
             stack.enter_context(
-                shard_tracer.span(
+                shard.tracer.span(
                     "shard",
                     category="shard",
                     day=task.day,
@@ -370,14 +344,7 @@ def _execute_shard_observed(
         dataset, duration, solver = _execute_shard(
             cluster, workload, power_limit_w, task
         )
-    return (
-        dataset,
-        duration,
-        solver,
-        shard_tracer.to_payload() if shard_tracer is not None else None,
-        shard_monitor.to_payload() if shard_monitor is not None else None,
-        shard_recorder.to_payload() if shard_recorder is not None else None,
-    )
+    return dataset, duration, solver, shard.to_payload()
 
 
 def _shard_error(task: ShardTask, exc: BaseException) -> SimulationError:
@@ -396,37 +363,25 @@ def _shard_error(task: ShardTask, exc: BaseException) -> SimulationError:
 #
 # The cluster and workload are shipped once per worker through the pool
 # initializer (cheap: a Longhorn cluster pickles to ~70 kB); tasks then
-# carry only their shard coordinates and GPU indices.
+# carry only their shard coordinates, GPU indices and fresh shard-local
+# observer.
 
 _WORKER_CONTEXT: dict[str, tuple] = {}
 
 
 def _init_worker(
-    cluster: Cluster,
-    workload: Workload,
-    power_limit_w: float | None,
-    trace_enabled: bool,
-    monitor_enabled: bool,
-    timeline_enabled: bool,
+    cluster: Cluster, workload: Workload, power_limit_w: float | None
 ) -> None:
-    _WORKER_CONTEXT["campaign"] = (
-        cluster, workload, power_limit_w, trace_enabled, monitor_enabled,
-        timeline_enabled,
-    )
+    _WORKER_CONTEXT["campaign"] = (cluster, workload, power_limit_w)
 
 
 def _run_task_in_worker(
-    index: int, task: ShardTask
-) -> tuple[int, MeasurementDataset, float, "SolverStats | None",
-           "tuple | None", "tuple | None", "tuple | None"]:
-    (cluster, workload, power_limit_w, trace_enabled, monitor_enabled,
-     timeline_enabled) = _WORKER_CONTEXT["campaign"]
-    (dataset, duration, solver, payload, mpayload,
-     tpayload) = _execute_shard_observed(
-        cluster, workload, power_limit_w, task, trace_enabled,
-        monitor_enabled, timeline_enabled,
+    task: ShardTask, shard: Observer
+) -> tuple[MeasurementDataset, float, "SolverStats | None", dict]:
+    cluster, workload, power_limit_w = _WORKER_CONTEXT["campaign"]
+    return _execute_shard_observed(
+        cluster, workload, power_limit_w, task, shard
     )
-    return index, dataset, duration, solver, payload, mpayload, tpayload
 
 
 def make_executor(
@@ -472,9 +427,6 @@ def _make_executor(
     cluster: Cluster,
     workload: Workload,
     power_limit_w: float | None,
-    trace_enabled: bool,
-    monitor_enabled: bool,
-    timeline_enabled: bool,
 ) -> Executor:
     if backend == "thread":
         return ThreadPoolExecutor(max_workers=n_workers)
@@ -482,8 +434,7 @@ def _make_executor(
         "process",
         n_workers,
         initializer=_init_worker,
-        initargs=(cluster, workload, power_limit_w, trace_enabled,
-                  monitor_enabled, timeline_enabled),
+        initargs=(cluster, workload, power_limit_w),
     )
 
 
@@ -526,16 +477,18 @@ def execute_campaign(
     events, folded in plan order so the recorded timeline is byte-identical
     at any worker count (events carry no wall time at all).  No sink
     perturbs the campaign: outputs are bit-identical with or without them.
+
+    Only sinks passed here are observed across workers: a sink merely
+    activated on the calling thread (:func:`~repro.obs.observer.activate`)
+    sees the shards of a serial run but never those of a pool.
     """
     parallel = parallel if parallel is not None else ParallelConfig()
-    trace = tracer is not None
-    monitoring = monitor is not None
-    recording = timeline is not None
-    if trace:
+    observer = Observer(tracer, monitor, timeline)
+    if tracer is not None:
         campaign_start, campaign_t0 = time.time(), time.perf_counter()
         plan_start, plan_t0 = time.time(), time.perf_counter()
     tasks = plan_shards(cluster, workload, config, parallel)
-    if trace:
+    if tracer is not None:
         tracer.record_span(
             "plan",
             category="campaign",
@@ -546,7 +499,7 @@ def execute_campaign(
         )
     if progress is not None:
         progress.begin(len(tasks))
-    if recording:
+    if timeline is not None:
         # Only plan-determined fields: worker count and backend must not
         # leave a fingerprint on the byte-stable timeline.
         timeline.record(
@@ -564,32 +517,25 @@ def execute_campaign(
     backend = parallel.resolved_backend()
     n_workers = min(parallel.effective_workers, len(tasks))
     if backend == "serial" or n_workers <= 1:
-        parts, payloads, solvers, mpayloads, tpayloads = _execute_serial(
-            cluster, workload, config, tasks, progress, trace, monitoring,
-            recording,
+        parts, solvers, payloads = _execute_serial(
+            cluster, workload, config, tasks, progress, observer
         )
     else:
-        parts, payloads, solvers, mpayloads, tpayloads = _execute_pool(
+        parts, solvers, payloads = _execute_pool(
             cluster, workload, config, tasks, backend, n_workers, progress,
-            trace, monitoring, recording,
+            observer,
         )
-    if trace:
+    if tracer is not None:
         merge_start, merge_t0 = time.time(), time.perf_counter()
     dataset = MeasurementDataset.concat(parts)
-    if monitoring:
-        # Same canonical-order fold as the tracer: plan position decides
-        # merge order, so the monitor's run stream and counter totals are
-        # identical for any worker layout.
-        for mpayload in mpayloads:
-            if mpayload is not None:
-                monitor.merge_payload(mpayload)
+    # Canonical-order merge: payloads are indexed by plan position, so the
+    # fold — the monitor's run stream, the span sequence, counter totals
+    # and the timeline's event order — is identical for any worker layout.
+    for payload in payloads:
+        observer.merge_payload(payload)
+    if monitor is not None:
         monitor.finalize(cluster.topology.gpu_labels)
-    if trace:
-        # Canonical-order merge: payloads are indexed by plan position, so
-        # the fold below is identical for any worker layout.
-        for payload in payloads:
-            if payload is not None:
-                tracer.merge_payload(payload)
+    if tracer is not None:
         _synthesize_day_spans(tracer, tasks, payloads)
         tracer.record_span(
             "merge",
@@ -614,25 +560,19 @@ def execute_campaign(
             backend=backend,
             workers=n_workers,
         )
-    if recording:
-        # Same canonical-order fold: tpayloads are indexed by plan
-        # position, so the merged event order — and the logical clock
-        # assigned from it — is identical for any worker layout.
-        for tpayload in tpayloads:
-            if tpayload is not None:
-                timeline.merge_payload(tpayload)
-        end_totals = SolverStats()
-        for solver in solvers:
-            if solver is not None:
-                end_totals.merge(solver)
+    totals = SolverStats()
+    for solver in solvers:
+        if solver is not None:
+            totals.merge(solver)
+    if timeline is not None:
         timeline.record(
             "campaign",
             "campaign_end",
             cluster.name,
             rows=dataset.n_rows,
             n_shards=len(tasks),
-            solves=end_totals.solves,
-            batches=end_totals.batches,
+            solves=totals.solves,
+            batches=totals.batches,
             measurements=measurement_digest(
                 dataset.column(METRIC_PERFORMANCE),
                 dataset.column(METRIC_FREQUENCY),
@@ -641,10 +581,6 @@ def execute_campaign(
             ),
         )
     if manifest is not None:
-        totals = SolverStats()
-        for solver in solvers:
-            if solver is not None:
-                totals.merge(solver)
         manifest.add(
             build_campaign_manifest(
                 cluster, workload, config, parallel, len(tasks), dataset,
@@ -655,7 +591,7 @@ def execute_campaign(
 
 
 def _synthesize_day_spans(
-    tracer: Tracer, tasks: list[ShardTask], payloads: list["tuple | None"]
+    tracer: Tracer, tasks: list[ShardTask], payloads: list[dict]
 ) -> None:
     """Record one span per campaign day covering its shard spans.
 
@@ -666,9 +602,7 @@ def _synthesize_day_spans(
     """
     bounds: dict[int, list] = {}
     for task, payload in zip(tasks, payloads):
-        if payload is None:
-            continue
-        spans, _ = payload
+        spans, _ = payload["tracer"]
         for record in spans:
             if record.name != "shard":
                 continue
@@ -719,34 +653,24 @@ def _execute_serial(
     config: "CampaignConfig",
     tasks: list[ShardTask],
     progress: CampaignProgress | None,
-    trace_enabled: bool,
-    monitor_enabled: bool,
-    timeline_enabled: bool,
-) -> tuple[list[MeasurementDataset], list["tuple | None"],
-           list["SolverStats | None"], list["tuple | None"],
-           list["tuple | None"]]:
+    observer: Observer,
+) -> tuple[list[MeasurementDataset], list["SolverStats | None"], list[dict]]:
     parts: list[MeasurementDataset] = []
-    payloads: list["tuple | None"] = []
     solvers: list["SolverStats | None"] = []
-    mpayloads: list["tuple | None"] = []
-    tpayloads: list["tuple | None"] = []
+    payloads: list[dict] = []
     for task in tasks:
         try:
-            dataset, duration, solver, payload, mpayload, tpayload = (
-                _execute_shard_observed(
-                    cluster, workload, config.power_limit_w, task,
-                    trace_enabled, monitor_enabled, timeline_enabled,
-                )
+            dataset, duration, solver, payload = _execute_shard_observed(
+                cluster, workload, config.power_limit_w, task,
+                observer.for_shard(task),
             )
         except SimulationError as exc:
             raise _shard_error(task, exc) from exc
         _record(progress, task, dataset, duration, solver)
         parts.append(dataset)
-        payloads.append(payload)
         solvers.append(solver)
-        mpayloads.append(mpayload)
-        tpayloads.append(tpayload)
-    return parts, payloads, solvers, mpayloads, tpayloads
+        payloads.append(payload)
+    return parts, solvers, payloads
 
 
 def _execute_pool(
@@ -757,77 +681,48 @@ def _execute_pool(
     backend: str,
     n_workers: int,
     progress: CampaignProgress | None,
-    trace_enabled: bool,
-    monitor_enabled: bool,
-    timeline_enabled: bool,
-) -> tuple[list[MeasurementDataset], list["tuple | None"],
-           list["SolverStats | None"], list["tuple | None"],
-           list["tuple | None"]]:
+    observer: Observer,
+) -> tuple[list[MeasurementDataset], list["SolverStats | None"], list[dict]]:
     parts: list[MeasurementDataset | None] = [None] * len(tasks)
-    payloads: list["tuple | None"] = [None] * len(tasks)
     solvers: list["SolverStats | None"] = [None] * len(tasks)
-    mpayloads: list["tuple | None"] = [None] * len(tasks)
-    tpayloads: list["tuple | None"] = [None] * len(tasks)
+    payloads: list[dict | None] = [None] * len(tasks)
     executor = _make_executor(
-        backend, n_workers, cluster, workload, config.power_limit_w,
-        trace_enabled, monitor_enabled, timeline_enabled,
+        backend, n_workers, cluster, workload, config.power_limit_w
     )
     submit: Callable
     if backend == "thread":
         # Threads share the cluster object directly; no initializer needed.
-        def submit(i: int, t: ShardTask):
+        def submit(t: ShardTask):
             return executor.submit(
-                _run_thread_task, cluster, workload, config.power_limit_w,
-                i, t, trace_enabled, monitor_enabled, timeline_enabled,
+                _execute_shard_observed, cluster, workload,
+                config.power_limit_w, t, observer.for_shard(t),
             )
     else:
-        def submit(i: int, t: ShardTask):
-            return executor.submit(_run_task_in_worker, i, t)
+        def submit(t: ShardTask):
+            return executor.submit(_run_task_in_worker, t, observer.for_shard(t))
 
     try:
-        futures = {submit(i, t): t for i, t in enumerate(tasks)}
+        futures = {submit(t): (i, t) for i, t in enumerate(tasks)}
         pending = set(futures)
         while pending:
             done, pending = wait(pending, return_when=FIRST_EXCEPTION)
             for future in done:
-                task = futures[future]
+                index, task = futures[future]
                 try:
-                    (index, dataset, duration, solver, payload,
-                     mpayload, tpayload) = future.result()
+                    dataset, duration, solver, payload = future.result()
                 except Exception as exc:
                     # Fail fast with shard context rather than letting the
                     # remaining futures drain (or the caller hang on a
                     # half-merged campaign).
                     raise _shard_error(task, exc) from exc
                 parts[index] = dataset
-                payloads[index] = payload
                 solvers[index] = solver
-                mpayloads[index] = mpayload
-                tpayloads[index] = tpayload
+                payloads[index] = payload
                 _record(progress, task, dataset, duration, solver)
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
     assert all(p is not None for p in parts)
-    return parts, payloads, solvers, mpayloads, tpayloads  # type: ignore[return-value]
-
-
-def _run_thread_task(
-    cluster: Cluster,
-    workload: Workload,
-    power_limit_w: float | None,
-    index: int,
-    task: ShardTask,
-    trace_enabled: bool,
-    monitor_enabled: bool,
-    timeline_enabled: bool,
-) -> tuple[int, MeasurementDataset, float, "SolverStats | None",
-           "tuple | None", "tuple | None", "tuple | None"]:
-    (dataset, duration, solver, payload, mpayload,
-     tpayload) = _execute_shard_observed(
-        cluster, workload, power_limit_w, task, trace_enabled,
-        monitor_enabled, timeline_enabled,
-    )
-    return index, dataset, duration, solver, payload, mpayload, tpayload
+    return parts, solvers, payloads  # type: ignore[return-value]
 
 
 def default_worker_count(cap: int = 4) -> int:

@@ -30,9 +30,8 @@ from ..cluster.cluster import Cluster
 from ..config import require
 from ..errors import SimulationError
 from ..gpu.dvfs import SolverStats
-from ..obs.metrics import active_monitor
-from ..obs.timeline import active_recorder, measurement_digest
-from ..obs.tracer import active_tracer
+from ..obs.observer import active_observer
+from ..obs.timeline import measurement_digest
 from ..telemetry.sample import SensorModel
 from ..workloads.base import WAIT_ACTIVITY, Workload
 
@@ -190,7 +189,8 @@ def simulate_run(
     if workload.is_multi_gpu:
         _check_node_alignment(cluster, workload, gpu_indices)
 
-    tracer = active_tracer()
+    obs = active_observer()
+    tracer = obs.tracer
     if tracer is not None:
         span_start = time.time()
         span_t0 = time.perf_counter()
@@ -298,7 +298,7 @@ def simulate_run(
         op.f_reported_mhz, spec.pstate_array()
     )
 
-    monitor = active_monitor()
+    monitor = obs.monitor
     if monitor is not None:
         # Reported values only, after everything that feeds the result is
         # computed — the monitor observes, it cannot perturb.
@@ -313,7 +313,7 @@ def simulate_run(
             power_capped=op.power_capped,
             thermally_capped=op.thermally_capped,
         )
-    recorder = active_recorder()
+    recorder = obs.recorder
     if recorder is not None:
         # Like the monitor: observe only, after everything feeding the
         # result is computed.  No wall-clock — the digest covers the raw

@@ -10,10 +10,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MonitorConfig,
     SlidingWindow,
-    activate_monitor,
-    active_monitor,
     render_prometheus,
 )
+from repro.obs.observer import activate, active_monitor
 
 from ..golden import golden_csv_text, read_golden_text
 
@@ -139,9 +138,9 @@ class TestActivation:
 
     def test_activation_scoped_and_nestable(self):
         outer, inner = FleetMonitor(), FleetMonitor()
-        with activate_monitor(outer):
+        with activate(monitor=outer):
             assert active_monitor() is outer
-            with activate_monitor(inner):
+            with activate(monitor=inner):
                 assert active_monitor() is inner
             assert active_monitor() is outer
         assert active_monitor() is None

@@ -21,14 +21,13 @@ from repro.obs.timeline import (
     TimelineError,
     TimelineEvent,
     TimelineRecorder,
-    activate_recorder,
-    active_recorder,
     canonical_digest,
     read_timeline,
     timeline_lines,
     validate_timeline_event,
     write_timeline,
 )
+from repro.obs.observer import activate_recorder, active_observer
 from repro.sim import CampaignConfig, run_campaign
 from repro.sim.parallel import ParallelConfig
 from repro.telemetry.io import dataset_to_csv_text
@@ -68,13 +67,13 @@ class TestRecorder:
 
     def test_activation_is_scoped_and_nestable(self):
         outer, inner = TimelineRecorder(), TimelineRecorder()
-        assert active_recorder() is None
+        assert active_observer().recorder is None
         with activate_recorder(outer):
-            assert active_recorder() is outer
+            assert active_observer().recorder is outer
             with activate_recorder(inner):
-                assert active_recorder() is inner
-            assert active_recorder() is outer
-        assert active_recorder() is None
+                assert active_observer().recorder is inner
+            assert active_observer().recorder is outer
+        assert active_observer().recorder is None
 
     def test_merge_payload_preserves_order(self):
         shard_a, shard_b = TimelineRecorder(), TimelineRecorder()

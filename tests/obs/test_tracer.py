@@ -12,7 +12,7 @@ from repro.obs import (
     SpanRecord,
     Tracer,
     activate,
-    active_tracer,
+    active_observer,
     write_chrome_trace,
     write_events_jsonl,
 )
@@ -85,27 +85,27 @@ class TestTracer:
 
 class TestActivation:
     def test_inactive_by_default(self):
-        assert active_tracer() is None
+        assert active_observer().tracer is None
 
     def test_activate_and_restore(self):
         t = Tracer()
         with activate(t) as active:
-            assert active is t
-            assert active_tracer() is t
-        assert active_tracer() is None
+            assert active.tracer is t
+            assert active_observer().tracer is t
+        assert active_observer().tracer is None
 
     def test_nested_activation_restores_outer(self):
         outer, inner = Tracer(), Tracer()
         with activate(outer):
             with activate(inner):
-                assert active_tracer() is inner
-            assert active_tracer() is outer
+                assert active_observer().tracer is inner
+            assert active_observer().tracer is outer
 
     def test_activation_is_thread_local(self):
         t = Tracer()
         seen: list = []
         with activate(t):
-            thread = threading.Thread(target=lambda: seen.append(active_tracer()))
+            thread = threading.Thread(target=lambda: seen.append(active_observer().tracer))
             thread.start()
             thread.join()
         assert seen == [None]

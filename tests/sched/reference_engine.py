@@ -25,7 +25,7 @@ import numpy as np
 from repro.cluster.allocator import FreeListAllocator, GangAllocation
 from repro.cluster.cluster import Cluster
 from repro.errors import SimulationError
-from repro.obs.tracer import active_tracer
+from repro.obs.observer import active_observer
 from repro.sched.engine import (
     _EVT_FINISH,
     _EVT_SUBMIT,
@@ -111,7 +111,7 @@ def run_reference(
     running: dict[int, GangAllocation] = {}
     records: list[JobRecord] = []
     events: list[dict[str, object]] = []
-    tracer = active_tracer()
+    tracer = active_observer().tracer
 
     def emit(event: dict[str, object]) -> None:
         events.append(event)

@@ -165,8 +165,7 @@ class TestEngineValidation:
 
 class TestTracerIntegration:
     def test_counters_and_span_recorded(self, cluster):
-        from repro.obs import Tracer
-        from repro.obs.tracer import activate
+        from repro.obs import Tracer, activate
 
         trace = generate_trace(TraceConfig(n_jobs=10, seed=4))
         tracer = Tracer()
@@ -178,8 +177,7 @@ class TestTracerIntegration:
         assert any(s.name == "schedule" for s in tracer.spans)
 
     def test_tracing_never_perturbs_results(self, cluster):
-        from repro.obs import Tracer
-        from repro.obs.tracer import activate
+        from repro.obs import Tracer, activate
 
         trace = generate_trace(TraceConfig(n_jobs=10, seed=4))
         bare = run_schedule(cluster, trace, FifoPolicy())

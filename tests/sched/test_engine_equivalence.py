@@ -14,7 +14,7 @@ import pytest
 
 from repro import api
 from repro.errors import SimulationError
-from repro.obs.tracer import Tracer, activate
+from repro.obs import Tracer, activate
 from repro.sched import (
     BackfillPolicy,
     EnergyCappedPolicy,

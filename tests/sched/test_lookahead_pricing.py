@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.obs.tracer import Tracer, activate
+from repro.obs import Tracer, activate
 from repro.sched import (
     BackfillPolicy,
     EnergyCappedPolicy,

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.errors import SimulationError
-from repro.obs.tracer import Tracer, activate
+from repro.obs import Tracer, activate
 from repro.sched import (
     EnergyCappedPolicy,
     PlacementPolicy,

@@ -5,7 +5,10 @@ loop via ``asyncio.run`` — no fixed ports, no cross-test state.
 """
 
 import asyncio
+import dataclasses
 import threading
+
+import pytest
 
 from repro import api
 from repro.loadgen.client import http_request
@@ -15,6 +18,7 @@ from repro.service import (
     decode_response,
     validate_response,
 )
+from repro.service.server import default_runner
 from repro.telemetry.io import dataset_to_csv_text
 
 
@@ -267,6 +271,19 @@ class TestWorkCountersAndTimeline:
         text = reply.body.decode()
         assert "repro_solver_solves 5" in text
         assert "repro_engine_batches 2" in text
+
+    @pytest.mark.parametrize("request_", [
+        api.CharacterizeRequest(cluster="longhorn", scale=0.25, days=2, seed=3),
+        api.MonitorRequest(cluster="longhorn", scale=0.25, days=2, seed=3),
+        api.ScheduleRequest(cluster="longhorn", scale=0.25, seed=3, n_jobs=20),
+    ], ids=lambda r: r.kind)
+    def test_runner_counters_independent_of_campaign_workers(self, request_):
+        # Pool shards never see a sink activated on the runner's thread,
+        # so the runner must hand its tracer to the campaign itself.
+        _, serial = default_runner(dataclasses.replace(request_, workers=None))
+        _, pooled = default_runner(dataclasses.replace(request_, workers=2))
+        assert serial["solver.solves"] > 0
+        assert pooled == serial
 
     def test_timeline_streams_admissions_with_header_ids(self, tmp_path):
         from repro.obs.timeline import read_timeline

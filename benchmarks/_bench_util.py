@@ -122,3 +122,30 @@ def observer_read_cost(sink: str, n: int = 200_000) -> float:
     for _ in range(n):
         getattr(active_observer(), sink)
     return (time.perf_counter() - started) / n
+
+
+def interleaved_pairs(run_off, run_on, pairs):
+    """Time ``pairs`` back-to-back (off, on) runs, alternating the order.
+
+    ``run_off``/``run_on`` each return ``(result, seconds)``.  Returns the
+    two lists of those tuples, one entry per pair.  Both sides of a pair
+    run within one campaign's time of each other, so a host that speeds
+    up or slows down between pairs moves both alike; alternating which
+    side goes first cancels any warm-cache advantage of going second.
+    """
+    off, on = [], []
+    for i in range(pairs):
+        sides = [(run_off, off), (run_on, on)]
+        for run, out in sides[::-1] if i % 2 else sides:
+            out.append(run())
+    return off, on
+
+
+def median_pair_ratio(off, on) -> float:
+    """Median of per-pair ``on / off`` wall-clock ratios.
+
+    A noise burst lands in one pair and skews that pair's ratio only; the
+    median over pairs discards it, where best-of-N per side compares two
+    minima taken at different moments of a host whose speed drifts.
+    """
+    return float(np.median([b[1] / a[1] for a, b in zip(off, on)]))

@@ -38,13 +38,16 @@ bit-for-bit is frozen, because every further iteration would reproduce it
 exactly).  Boost ceilings are pre-clamped analytically.
 
 The semantic definition is the dense scan: settle every (GPU, p-state)
-cell with :meth:`DvfsController.power_grid` and take the highest feasible
-level.  Because every cell depends on nothing but its own inputs, *any*
-evaluation order, subset, or masking produces bit-identical cells, so the
-fleet search returns exactly the dense scan's answer while evaluating ~2
-cells per GPU instead of k.  The dense scan lives in the test suite as the
-differential oracle (``tests/gpu/dvfs_oracle.py``); the work each solve
-performs is counted in :class:`SolverStats`.
+cell by seven iterations of the leakage/temperature fixed point and take
+the highest feasible level.  Because every cell depends on nothing but its
+own inputs, *any* evaluation order, subset, or masking produces
+bit-identical cells, so the fleet search returns exactly the dense scan's
+answer while evaluating ~2 cells per GPU instead of k.  The dense scan and
+its dense seven-iteration settle live in the test suite as the
+differential oracle (``tests/gpu/dvfs_oracle.py``).  In production,
+:meth:`DvfsController._settle_masked` is the one fixed-point kernel:
+the fleet search and :meth:`DvfsController.power_grid` both run through
+it.  The work each solve performs is counted in :class:`SolverStats`.
 """
 
 from __future__ import annotations
@@ -160,7 +163,10 @@ class SolverStats:
     columns_evaluated: int = 0
     #: Cells the dense (n, k) grid would have evaluated for the same solves.
     dense_cells: int = 0
-    #: Elementwise fixed-point iterations executed (iterations x cells).
+    #: Elementwise fixed-point iterations executed, summed over cells.
+    #: Cells that converge early stop iterating, so this is at most (and
+    #: usually well under) ``7 * columns_evaluated`` — for
+    #: :meth:`DvfsController.power_grid` as for the fleet search.
     fixed_point_iterations: int = 0
 
     @property
@@ -309,12 +315,8 @@ class DvfsController:
         self.policy = policy if policy is not None else DvfsPolicy.for_spec(spec)
         self.stats = SolverStats()
         self.ladder = ladder_tables(spec)
-        # Reusable float32 buffers keyed by dense-grid shape: callers that
-        # re-evaluate the same grid reuse the (t, p, scratch) triple
-        # instead of reallocating it.
-        self._workspaces: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
         # Grow-only (float32, bool) scratch pair for the masked fixed
-        # point — same recycling rationale as _workspaces.
+        # point: repeated solves reuse it instead of reallocating.
         self._masked_scratch: tuple[np.ndarray, np.ndarray] | None = None
         # Solve-invariant duplicated per-GPU parameters for the fleet
         # solver's flat (2n,) pair round, built once per controller.
@@ -384,99 +386,6 @@ class DvfsController:
             )
             return self.ladder.basis_lookup((cap_eff - c0) / a)
 
-    def _workspace(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        ws = self._workspaces.get(shape)
-        if ws is None:
-            ws = tuple(np.empty(shape, dtype=np.float32) for _ in range(3))
-            self._workspaces[shape] = ws
-        return ws
-
-    def _settle(
-        self,
-        f_mhz: np.ndarray,
-        activity: np.ndarray,
-        dram_utilization: np.ndarray,
-        efficiency: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Elementwise fixed-point settle at per-cell frequencies ``f_mhz``.
-
-        The cell (i, j)'s result depends only on GPU ``i``'s parameters and
-        ``f_mhz[i, j]`` — never on neighbouring cells — which is what makes
-        any subset of ladder columns (the fleet search's masked twins
-        below) bit-identical to the dense grid.
-        ``activity``/``dram_utilization``/``efficiency`` must broadcast
-        against ``f_mhz`` along axis 0.
-        """
-        p_base = self.power.settle_base_power_w(
-            f_mhz, activity, dram_utilization, efficiency
-        ).astype(np.float32)
-        # The fixed point runs in float32: the dense grid is n x k (up to
-        # ~5M cells on Summit) and the exp-heavy leakage term dominates the
-        # whole simulation; 0.01 W precision is far below sensor noise.
-        leak_scale = self.power.leakage_scale_w_f32()
-        r, tc = self.thermal.fixed_point_params_f32()
-        if p_base.ndim == 2:
-            leak_scale = leak_scale[:, None]
-            r = r[:, None]
-            tc = tc[:, None]
-        k_t = np.float32(self.spec.leakage_temp_coeff)
-        # Clamp the iterate well above the shutdown threshold: operating
-        # points that hot are rejected by the feasibility check regardless,
-        # and the clamp keeps the exponential leakage term from blowing up
-        # on (GPU, p-state) cells that would physically thermally run away.
-        t_clamp = np.float32(self.spec.t_shutdown_c + 40.0)
-
-        t, p, scratch = self._workspace(p_base.shape)
-
-        def leakage_step() -> None:
-            # p = p_base + leak_scale * exp(k_t * (t - 25)), decomposed into
-            # the same correctly-rounded elementwise ops, no temporaries.
-            np.subtract(t, np.float32(25.0), out=scratch)
-            np.multiply(scratch, k_t, out=scratch)
-            np.exp(scratch, out=scratch)
-            np.multiply(leak_scale, scratch, out=scratch)
-            np.add(p_base, scratch, out=p)
-
-        np.copyto(t, np.broadcast_to(tc, p_base.shape))
-        leakage_step()
-        for _ in range(_FIXED_POINT_ITERS):
-            np.multiply(r, p, out=scratch)
-            np.add(tc, scratch, out=scratch)
-            np.minimum(scratch, t_clamp, out=t)
-            leakage_step()
-        self.stats.columns_evaluated += int(p_base.size)
-        self.stats.fixed_point_iterations += _FIXED_POINT_ITERS * int(p_base.size)
-        return p.astype(np.float64), t.astype(np.float64)
-
-    def _settle_rows(
-        self,
-        rows: np.ndarray,
-        f_mhz: np.ndarray,
-        activity: np.ndarray,
-        dram_utilization: np.ndarray,
-        efficiency: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Masked-convergence settle of one ladder cell per selected row.
-
-        The fleet solver's twin of :meth:`_settle`: evaluates the cell at
-        frequency ``f_mhz[i]`` for each population row ``rows[i]``, and
-        drops a cell out of the iteration as soon as its float32
-        temperature iterate repeats bit-for-bit — every further pass of the
-        deterministic elementwise update would reproduce the same bits, so
-        freezing early returns exactly what :meth:`_settle`'s fixed seven
-        iterations return.  ``activity``/``dram_utilization``/``efficiency``
-        are full ``(n,)`` vectors (sliced here).  Returns float32 ``(p, t)``
-        of ``rows``'s shape; float32→float64 widening is exact, so callers
-        may compare against float64 caps without changing any outcome.
-        """
-        p_base = self.power.settle_base_power_w(
-            f_mhz, activity[rows], dram_utilization[rows],
-            efficiency[rows], indices=rows,
-        ).astype(np.float32)
-        leak_scale = self.power.leakage_scale_w_f32()[rows]
-        r, tc = self.thermal.fixed_point_params_f32(indices=rows)
-        return self._settle_masked(p_base, leak_scale, r, tc)
-
     def _settle_cols(
         self,
         rows: np.ndarray | None,
@@ -485,14 +394,17 @@ class DvfsController:
         dram_utilization: np.ndarray,
         efficiency: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Masked-convergence settle of a ``(m, c)`` ladder-column block.
+        """Masked-convergence settle of the ladder cells ``cols`` selects.
 
-        ``cols[i, j]`` selects a ladder index for population row
-        ``rows[i]`` (``rows=None`` means the whole population, in order);
-        each GPU's parameters broadcast across its row of the block, so
-        the full-population case runs without any per-row gathers.
-        Returns float32 ``(p, t)`` of ``cols``'s shape, every cell
-        bit-identical to the corresponding dense-grid entry.
+        ``cols`` holds ladder indices for population rows ``rows``
+        (``rows=None`` means the whole population, in order): one cell per
+        row when 1-D, a ``(m, c)`` block when 2-D, each GPU's parameters
+        broadcast across its row so the full-population case runs without
+        any per-row gathers.  ``activity``/``dram_utilization``/
+        ``efficiency`` are full ``(n,)`` vectors.  Returns float32
+        ``(p, t)`` of ``cols``'s shape, every cell bit-identical to the
+        dense grid's; float32→float64 widening is exact, so callers may
+        compare against float64 caps without changing any outcome.
         """
         f = self.pstates()[cols]
         if rows is None:
@@ -505,16 +417,13 @@ class DvfsController:
             eff = efficiency[rows]
             leak = self.power.leakage_scale_w_f32()[rows]
             r, tc = self.thermal.fixed_point_params_f32(indices=rows)
+        if cols.ndim == 2:
+            act, util, eff = act[:, None], util[:, None], eff[:, None]
+            leak, r, tc = (np.repeat(a, cols.shape[1]) for a in (leak, r, tc))
         p_base = self.power.settle_base_power_w(
-            f, act[:, None], util[:, None], eff[:, None], indices=rows
+            f, act, util, eff, indices=rows
         ).astype(np.float32)
-        c = int(cols.shape[1])
-        p, t = self._settle_masked(
-            p_base.ravel(),
-            np.repeat(leak, c),
-            np.repeat(r, c),
-            np.repeat(tc, c),
-        )
+        p, t = self._settle_masked(p_base.ravel(), leak, r, tc)
         return p.reshape(p_base.shape), t.reshape(p_base.shape)
 
     def _settle_masked(
@@ -526,17 +435,26 @@ class DvfsController:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Flat masked-convergence fixed point over pre-gathered cells.
 
-        The shared core under :meth:`_settle_rows` and
-        :meth:`_settle_cols`: all four inputs are float32 ``(m,)`` arrays
-        giving each cell's temperature-independent power, leakage scale,
-        and thermal parameters.  Iterations write into preallocated
-        scratch (the hot loop allocates nothing); cells whose float32
-        temperature iterate repeats bit-for-bit stop changing, and once a
-        majority have frozen the working set compacts so the stragglers
-        iterate alone.  The loop exits outright when every cell is stable.
+        The one fixed-point kernel of the solver: the pair round calls it
+        directly, and the gallop rounds, the endpoint epilogue and
+        :meth:`power_grid` through :meth:`_settle_cols`.  All four inputs
+        are float32 ``(m,)`` arrays giving each cell's
+        temperature-independent power, leakage scale, and thermal
+        parameters.  It runs the dense settle's seven-iteration update
+        (``tests/gpu/dvfs_oracle.py``) cell by cell, with the same
+        decomposed op sequence, so each cell's bits match the dense
+        grid's.  Iterations write into preallocated scratch (the hot loop
+        allocates nothing); cells whose float32 temperature iterate
+        repeats bit-for-bit stop changing, and once a majority have
+        frozen the working set compacts so the stragglers iterate alone.
+        The loop exits outright when every cell is stable.
         """
         m = int(p_base.shape[0])
         k_t = np.float32(self.spec.leakage_temp_coeff)
+        # Clamp the iterate well above the shutdown threshold: operating
+        # points that hot are rejected by the feasibility check regardless,
+        # and the clamp keeps the exponential leakage term from blowing up
+        # on cells that would physically thermally run away.
         t_clamp = np.float32(self.spec.t_shutdown_c + 40.0)
         c25 = np.float32(25.0)
         pool = self._masked_scratch
@@ -549,8 +467,8 @@ class DvfsController:
         def leakage(t_cur: np.ndarray, base: np.ndarray,
                     leak_w: np.ndarray, out: np.ndarray,
                     s: np.ndarray) -> None:
-            # Same decomposed op sequence as _settle's leakage_step:
-            # p = base + leak * exp(k_t * (t - 25)).
+            # p = base + leak * exp(k_t * (t - 25)), decomposed into
+            # correctly-rounded elementwise ops, no temporaries.
             np.subtract(t_cur, c25, out=s)
             np.multiply(s, k_t, out=s)
             np.exp(s, out=s)
@@ -625,17 +543,22 @@ class DvfsController:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fixed-point settled (power, temperature) at every (GPU, p-state).
 
-        Returns two ``(n, k)`` arrays.  Solves the leakage/temperature
-        coupling ``P = P0(f) + P_leak(T)``, ``T = Tc + R * P`` by iteration.
+        Returns two float64 ``(n, k)`` arrays.  Solves the
+        leakage/temperature coupling ``P = P0(f) + P_leak(T)``,
+        ``T = Tc + R * P`` for every ladder cell through the solver's one
+        fixed-point kernel (:meth:`_settle_masked`), so cells that converge
+        early stop iterating; every cell is bit-identical to the dense
+        seven-iteration settle of the test oracle.
         """
-        steps = self.pstates()
-        f_grid = np.broadcast_to(steps, (self.n, steps.shape[0]))
-        return self._settle(
-            f_grid,
-            _as_col(activity, self.n),
-            _as_col(dram_utilization, self.n),
-            _as_col(efficiency, self.n),
+        n, k = self.n, self.pstates().shape[0]
+        p, t = self._settle_cols(
+            None,
+            np.broadcast_to(np.arange(k), (n, k)),
+            _as_vec(activity, n),
+            _as_vec(dram_utilization, n),
+            _as_vec(efficiency, n),
         )
+        return p.astype(np.float64), t.astype(np.float64)
 
     def solve_steady(
         self,
@@ -688,7 +611,7 @@ class DvfsController:
         tracer = obs.tracer
         if tracer is not None:
             # Counter deltas come from SolverStats at the end of the solve:
-            # one batch of adds per solve keeps the hot _settle loop clean.
+            # one batch of adds per solve keeps the hot settle loop clean.
             columns_before = self.stats.columns_evaluated
             fixed_point_before = self.stats.fixed_point_iterations
             span_start = time.time()
@@ -838,12 +761,13 @@ class DvfsController:
           outward from their estimate, converged GPUs dropping out of
           every subsequent round.
         * Inside each evaluation, converged fixed-point cells freeze early
-          (:meth:`_settle_rows`); only cells never probed (pre-clamped
-          ceilings, empty feasible sets) run in one final masked batch.
+          (:meth:`_settle_masked`); only cells never probed (mostly the
+          level above rows with an empty feasible set) run in one final
+          masked batch.
 
-        Every cell is settled by the same elementwise float32 fixed point
-        :meth:`power_grid` runs, so the outputs are bit-identical to the
-        dense scan's.
+        Every cell is settled by the one elementwise float32 fixed point
+        :meth:`power_grid` also runs, so the outputs are bit-identical to
+        the dense scan's.
         """
         steps = self.pstates()
         k = steps.shape[0]
@@ -866,29 +790,35 @@ class DvfsController:
             hi_top: np.ndarray | int = np.minimum(
                 k, np.searchsorted(steps, f_cap, side="right")
             )
-            pair_ok = bool((hi_top >= 2).all())
         else:
             hi_top = k
-            pair_ok = k >= 2
 
         # Estimated first-infeasible column, clamped so the probe pair
-        # (c_hi - 1, c_hi) sits inside the pre-clamped bracket.
+        # (c_hi - 1, c_hi) sits inside the pre-clamped bracket wherever
+        # the bracket holds two rungs; rows clamped below that probe
+        # (0, 1) and mask the cells above their ceiling.
         est = self._estimate_boundary(ae, mem_w, cap, t_limit)
         c_hi = np.clip(est, 1, np.maximum(hi_top - 1, 1))
         c_lo = c_hi - 1
 
-        # Pair round: one batched settle of (estimated level, level above)
-        # for every row whose bracket can hold the pair.  The common case
-        # (no bracket pre-clamped below two rungs) evaluates the whole
-        # population as one flat block and updates every bracket with
-        # full-width selects; the rare mixed case falls back to gathered
-        # rows and scatter updates.
-        if pair_ok:
-            # Flat [all c_lo | all c_hi] layout: per-GPU parameters enter
-            # by contiguous duplication (concatenate, not fancy gathers),
-            # per-column quantities by small-table gathers, and every
-            # elementwise op runs one full-length inner loop — the same
-            # per-cell float64/float32 op sequence as the dense grid.
+        if k < 2:
+            # A one-rung ladder has no pair to probe: every bracket starts
+            # open and the gallop round settles rung 0.
+            lo = np.full(n, -1, dtype=np.int64)
+            hi = np.broadcast_to(hi_top, (n,)).astype(np.int64)
+            p_lo = np.empty(n, dtype=np.float32)
+            t_lo = np.empty(n, dtype=np.float32)
+            p_hi = np.empty(n, dtype=np.float32)
+            t_hi = np.empty(n, dtype=np.float32)
+            hi_eval = np.zeros(n, dtype=bool)
+        else:
+            # Pair round: one batched settle of (estimated level, level
+            # above) for every row, in a flat [all c_lo | all c_hi]
+            # layout: per-GPU parameters enter by contiguous duplication
+            # (concatenate, not fancy gathers), per-column quantities by
+            # small-table gathers, and every elementwise op runs one
+            # full-length inner loop — the same per-cell float64/float32
+            # op sequence as the dense grid.
             cols_flat = np.concatenate([c_lo, c_hi])
             leak2, r2, tc2, vmult2 = self._pair_invariants()
             p_base = self.power.settle_base_power_w(
@@ -903,6 +833,11 @@ class DvfsController:
             tv_lo, tv_hi = t_flat[:n], t_flat[n:]
             f_lo2 = (pv_lo <= cap) & (tv_lo <= t_limit)
             f_hi2 = (pv_hi <= cap) & (tv_hi <= t_limit)
+            if f_cap is not None:
+                # Only rows whose ceiling leaves fewer than two rungs can
+                # probe a cell above it; that cell is infeasible.
+                f_lo2 &= c_lo < hi_top
+                f_hi2 &= c_hi < hi_top
             if int(np.count_nonzero(f_lo2)) == n and not f_hi2.any():
                 # Every row bracketed the boundary at its estimate — the
                 # common case when the analytic estimate is exact.  The
@@ -932,48 +867,8 @@ class DvfsController:
             p_hi = np.where(f_lo2, pv_hi, pv_lo)
             t_hi = np.where(f_lo2, tv_hi, tv_lo)
             hi_eval = ~f_hi2
-        else:
-            lo = np.full(n, -1, dtype=np.int64)
-            hi = (
-                np.minimum(np.full(n, k, dtype=np.int64), hi_top)
-                if f_cap is not None
-                else np.full(n, k, dtype=np.int64)
-            )
-            p_lo = np.empty(n, dtype=np.float32)
-            t_lo = np.empty(n, dtype=np.float32)
-            p_hi = np.empty(n, dtype=np.float32)
-            t_hi = np.empty(n, dtype=np.float32)
-            hi_eval = np.zeros(n, dtype=bool)
-            rows2 = np.flatnonzero(hi >= 2)
-            if rows2.size:
-                p2, t2 = self._settle_cols(
-                    rows2,
-                    np.stack([c_lo[rows2], c_hi[rows2]], axis=1),
-                    act, util, eff,
-                )
-                feas2 = (p2 <= cap[rows2, None]) & (t2 <= t_limit)
-                f_lo2, f_hi2 = feas2[:, 0], feas2[:, 1]
-                sel = rows2[~f_lo2]
-                hi[sel] = c_lo[sel]
-                p_hi[sel] = p2[~f_lo2, 0]
-                t_hi[sel] = t2[~f_lo2, 0]
-                hi_eval[sel] = True
-                found = f_lo2 & ~f_hi2
-                sel = rows2[found]
-                lo[sel] = c_lo[sel]
-                p_lo[sel] = p2[found, 0]
-                t_lo[sel] = t2[found, 0]
-                hi[sel] = c_hi[sel]
-                p_hi[sel] = p2[found, 1]
-                t_hi[sel] = t2[found, 1]
-                hi_eval[sel] = True
-                sel = rows2[f_hi2]
-                lo[sel] = c_hi[sel]
-                p_lo[sel] = p2[f_hi2, 1]
-                t_lo[sel] = t2[f_hi2, 1]
         state = (lo, hi, p_lo, t_lo, p_hi, t_hi, hi_eval)
-        self._fleet_bisect(np.arange(n, dtype=np.int64), state, steps, act,
-                           util, eff, cap, t_limit, c_hi)
+        self._fleet_bisect(state, act, util, eff, cap, t_limit, c_hi)
 
         idx = np.where(lo >= 0, lo, 0)
         above = np.minimum(idx + 1, k - 1)
@@ -999,7 +894,7 @@ class DvfsController:
         if rows_l.size or rows_a.size:
             rows = np.concatenate([rows_l, rows_a])
             cols = np.concatenate([idx[rows_l], above[rows_a]])
-            p_m, t_m = self._settle_rows(rows, steps[cols], act, util, eff)
+            p_m, t_m = self._settle_cols(rows, cols, act, util, eff)
             p_level[rows_l] = p_m[: rows_l.size]
             t_level[rows_l] = t_m[: rows_l.size]
 
@@ -1018,59 +913,43 @@ class DvfsController:
 
     def _fleet_bisect(
         self,
-        rows: np.ndarray,
         state: tuple[np.ndarray, ...],
-        steps: np.ndarray,
         act: np.ndarray,
         util: np.ndarray,
         eff: np.ndarray,
         cap: np.ndarray,
         t_limit: float,
-        center: np.ndarray | None,
+        center: np.ndarray,
     ) -> None:
-        """Drive ``rows``'s brackets to ``hi - lo <= 1``, caching endpoints.
+        """Drive every row's bracket to ``hi - lo <= 1``, caching endpoints.
 
-        Plain masked bisection when ``center`` is ``None``.  With per-row
-        centers (the analytic boundary estimates, already probed by the
-        pair round) the rounds gallop outward — the offset doubles per
-        round and is capped by the bisection midpoint, so a GPU settling d
-        rungs from its estimate converges in O(log d) evaluations while
-        the worst case keeps the bisection bound.  Only active rows are
-        evaluated; the brackets and endpoint caches in ``state`` are
-        updated in place.
+        The rounds gallop outward from each row's center (the analytic
+        boundary estimate, already probed by the pair round) — the offset
+        doubles per round and is capped by the bisection midpoint, so a
+        GPU settling d rungs from its estimate converges in O(log d)
+        evaluations while the worst case keeps the bisection bound.  Only
+        open rows are evaluated; the brackets and endpoint caches in
+        ``state`` are updated in place.
         """
         lo, hi, p_lo, t_lo, p_hi, t_hi, hi_eval = state
         g = 1
         # Brackets only shrink, so a row that converges never re-enters:
         # the candidate set contracts monotonically round over round.
-        remaining = rows
-        while True:
-            if remaining.size == 0:
-                break
-            lo_a = lo[remaining]
-            hi_a = hi[remaining]
-            open_ = hi_a - lo_a > 1
-            if not open_.all():
-                remaining = remaining[open_]
-                if remaining.size == 0:
-                    break
-                lo_a = lo_a[open_]
-                hi_a = hi_a[open_]
-            active = remaining
+        active = np.flatnonzero(hi - lo > 1)
+        while active.size:
+            lo_a = lo[active]
+            hi_a = hi[active]
+            # Gallop away from each row's center: rows whose bracket
+            # bottom reached their center search upward, the rest
+            # downward.  The clamp against the bisection midpoint keeps
+            # mid strictly inside (lo, hi) and degrades to bisection once
+            # g is large.
             mid_b = (lo_a + hi_a) >> 1
-            if center is not None:
-                # Gallop away from each row's center: rows whose bracket
-                # bottom reached their center search upward, the rest
-                # downward.  The clamp against the bisection midpoint keeps
-                # mid strictly inside (lo, hi) and degrades to bisection
-                # once g is large.
-                up = lo_a >= center[active]
-                mid = np.where(up, np.minimum(lo_a + g, mid_b),
-                               np.maximum(hi_a - g, mid_b))
-                g *= 2
-            else:
-                mid = mid_b
-            p_m, t_m = self._settle_rows(active, steps[mid], act, util, eff)
+            up = lo_a >= center[active]
+            mid = np.where(up, np.minimum(lo_a + g, mid_b),
+                           np.maximum(hi_a - g, mid_b))
+            g *= 2
+            p_m, t_m = self._settle_cols(active, mid, act, util, eff)
             # mid < hi <= the pre-clamped ceiling bracket, so the boost
             # ceiling needs no re-check here; float32 operands widen
             # exactly against the float64 cap, matching the dense scan's
@@ -1085,6 +964,7 @@ class DvfsController:
             p_hi[i_rows] = p_m[~feas]
             t_hi[i_rows] = t_m[~feas]
             hi_eval[i_rows] = True
+            active = active[hi[active] - lo[active] > 1]
 
     # ------------------------------------------------------------------
     # reactive control (time-stepped engine)
@@ -1122,13 +1002,3 @@ def _as_vec(value: np.ndarray | float, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"expected scalar or shape ({n},), got {arr.shape}")
     return arr
-
-
-def _as_col(value: np.ndarray | float, n: int) -> np.ndarray:
-    """Broadcast a scalar or (n,) array to an (n, 1) column."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full((n, 1), float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"expected scalar or shape ({n},), got {arr.shape}")
-    return arr[:, None]

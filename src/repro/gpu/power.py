@@ -90,7 +90,7 @@ class PowerModel:
 
         ``leakage_scale * leakage_nominal_w`` is loop-invariant across every
         fixed-point solve the DVFS controller runs, so it is computed once
-        per model and shared (read-only) by all solver workspaces.
+        per model and shared (read-only) by every fixed-point solve.
         """
         if self._leak_f32 is None:
             leak = (

@@ -97,7 +97,16 @@ class Observer:
 
 
 _EMPTY = Observer()
-_STATE = threading.local()
+
+
+class _State(threading.local):
+    # A class-level default makes the first read on a thread that never
+    # activated anything a plain attribute read, not a caught
+    # AttributeError.
+    observer = _EMPTY
+
+
+_STATE = _State()
 #: Default of :func:`activate`'s arguments: keep the current sink.
 _KEEP: Any = object()
 
@@ -108,7 +117,7 @@ def active_observer() -> Observer:
     Thread-locality is load-bearing: the thread-backend campaign executor
     runs shards concurrently, each under its own sinks, without cross-talk.
     """
-    return getattr(_STATE, "observer", _EMPTY)
+    return _STATE.observer
 
 
 @contextmanager

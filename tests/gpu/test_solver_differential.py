@@ -18,6 +18,12 @@ and the cap shapes where a search can plausibly diverge from a scan:
 * dithering policies (AMD, or forced on an NVIDIA ladder), where the RNG
   stream's state after the solve must match as well as the outputs.
 
+A second property holds production
+:meth:`~repro.gpu.dvfs.DvfsController.power_grid` — every cell through the
+masked-convergence kernel — to the oracle's dense seven-iteration
+:func:`~tests.gpu.dvfs_oracle.dense_grid`, including hot cells where the
+``t_shutdown + 40`` temperature clamp binds.
+
 The fixed cases in ``test_dvfs_fleet_equivalence.py`` and
 ``test_solver_equivalence.py`` pin the named edge cases; this module
 searches between them.
@@ -40,6 +46,7 @@ from repro.gpu.thermal import ThermalModel
 
 from tests.gpu.dvfs_oracle import (
     assert_ops_identical,
+    dense_grid,
     overshoot_columns,
     solve_dense,
 )
@@ -212,3 +219,43 @@ def test_fleet_search_matches_dense_scan(case):
     fleet = ctl.solve_steady(act, dram, eff, rng=rng_fleet, **kwargs)
     assert_ops_identical(dense, fleet, repr(case))
     assert rng_dense.bit_generator.state == rng_fleet.bit_generator.state
+
+
+def _hot_case(spec, n):
+    """Hot, loaded GPUs: many cells settle at the temperature clamp."""
+    return _case(spec, n, r=(0.35,) * n, coolant=(50.0,) * n,
+                 dram=(1.0,) * n, efficiency=(1.3,) * n)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(cases())
+@example(_case("V100", 8, ceil_codes=(CEIL_BELOW,) * 8))
+@example(_case("V100", 6, ceil_codes=(0,) * 6))
+@example(_case("V100", 16, r=(1e-12,) * 16))
+@example(_case("V100", 16, activity=(0.0,) * 16, dram=(0.0,) * 16))
+@example(_hot_case("V100", 8))
+@example(_hot_case("MI60", 8))
+@example(_hot_case("RTX5000", 3))
+def test_power_grid_matches_dense_grid(case):
+    ctl = build(case)
+    act, dram, eff = (np.array(v) for v in
+                      (case.activity, case.dram, case.efficiency))
+    p, t = ctl.power_grid(act, dram, eff)
+    p_ref, t_ref = dense_grid(ctl, act, dram, eff)
+    for got, want in ((p, p_ref), (t, t_ref)):
+        assert got.dtype == want.dtype == np.float64, repr(case)
+        assert got.shape == want.shape == (case.n, ctl.spec.n_pstates)
+        assert np.array_equal(got, want), repr(case)
+
+
+def test_hot_cases_bind_the_temperature_clamp():
+    # The hot examples above only exercise the clamp if cells reach it.
+    for spec in ("V100", "MI60", "RTX5000"):
+        case = _hot_case(spec, 3)
+        ctl = build(case)
+        _, t = dense_grid(ctl, *(np.array(v) for v in
+                                 (case.activity, case.dram, case.efficiency)))
+        assert (t == np.float32(ctl.spec.t_shutdown_c + 40.0)).any(), spec

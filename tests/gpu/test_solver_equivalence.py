@@ -19,7 +19,7 @@ from repro.gpu.silicon import SiliconConfig, sample_population
 from repro.gpu.specs import MI60, RTX5000, V100
 from repro.gpu.thermal import ThermalModel
 
-from tests.gpu.dvfs_oracle import assert_ops_identical, solve_dense
+from tests.gpu.dvfs_oracle import assert_ops_identical, dense_grid, solve_dense
 
 
 def make_controller(n=48, spec=V100, r=0.1, coolant=25.0, seed=0,
@@ -126,7 +126,7 @@ class TestLadderMatchesDense:
 
 
 class TestColumnEvaluator:
-    """The fleet search's masked column evaluators equal the dense grid."""
+    """The fleet search's masked column evaluator equals the dense grid."""
 
     def test_columns_match_grid_bitwise(self):
         ctl = make_controller(n=24)
@@ -134,24 +134,22 @@ class TestColumnEvaluator:
         act = rng.uniform(0.2, 1.0, ctl.n)
         dram = rng.uniform(0.0, 0.8, ctl.n)
         eff = np.ones(ctl.n)
-        p_grid, t_grid = ctl.power_grid(act, dram)
+        p_grid, t_grid = dense_grid(ctl, act, dram)
         idx = rng.integers(0, V100.n_pstates, size=ctl.n)
         rows = np.arange(ctl.n)
-        p_col, t_col = ctl._settle_rows(rows, ctl.pstates()[idx], act,
-                                        dram, eff)
+        p_col, t_col = ctl._settle_cols(rows, idx, act, dram, eff)
         assert np.array_equal(p_col.astype(np.float64), p_grid[rows, idx])
         assert np.array_equal(t_col.astype(np.float64), t_grid[rows, idx])
         # A row subset in scrambled order gathers the same cells.
         sub = rng.permutation(ctl.n)[:9]
-        p_sub, t_sub = ctl._settle_rows(sub, ctl.pstates()[idx[sub]], act,
-                                        dram, eff)
+        p_sub, t_sub = ctl._settle_cols(sub, idx[sub], act, dram, eff)
         assert np.array_equal(p_sub.astype(np.float64), p_grid[sub, idx[sub]])
         assert np.array_equal(t_sub.astype(np.float64), t_grid[sub, idx[sub]])
 
     def test_two_dimensional_indices(self):
         ctl = make_controller(n=8)
         act, dram, eff = (np.full(ctl.n, v) for v in (0.7, 0.3, 1.0))
-        p_grid, t_grid = ctl.power_grid(0.7, 0.3)
+        p_grid, t_grid = dense_grid(ctl, 0.7, 0.3)
         idx = np.tile(np.array([0, 50, 186]), (ctl.n, 1))
         p_col, t_col = ctl._settle_cols(None, idx, act, dram, eff)
         assert p_col.shape == (ctl.n, 3)

@@ -1,5 +1,8 @@
 """Tests for the global power manager."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from repro.mitigation.global_power import (
     evaluate_allocation,
 )
 from repro.workloads import sgemm
+
+from tests.gpu.dvfs_oracle import dense_grid
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,29 @@ class TestAllocateEqualFrequency:
     def test_starvation_budget_rejected(self, fleet):
         with pytest.raises(AnalysisError):
             allocate_equal_frequency(fleet, sgemm(), fleet.n * 10.0)
+
+
+class TestPowerGridOracle:
+    """``allocate_equal_frequency`` is the one production caller of
+    ``power_grid``: its answer must not change when the grid comes from
+    the dense-settle oracle instead of the masked-convergence kernel."""
+
+    @pytest.mark.parametrize("per_gpu_w", [220.0, 250.0, 280.0, 400.0])
+    def test_same_allocation_on_the_dense_grid(self, fleet, per_gpu_w):
+        # The quarter Longhorn keeps cabinet c002's SICK_SLOW ceilings and
+        # throughput defects, so ceiling-bound and slowed dies both occur.
+        assert (fleet.frequency_cap_mhz() < fleet.spec.f_max_mhz).any()
+        assert (fleet.throughput_efficiency() < 1.0).any()
+        budget = fleet.n * per_gpu_w
+        production = allocate_equal_frequency(fleet, sgemm(), budget)
+        ctl = fleet.controller
+        with mock.patch.object(ctl, "power_grid",
+                               functools.partial(dense_grid, ctl)):
+            reference = allocate_equal_frequency(fleet, sgemm(), budget)
+        assert production.caps_w.dtype == reference.caps_w.dtype
+        assert production.caps_w.tobytes() == reference.caps_w.tobytes()
+        assert (production.target_frequency_mhz
+                == reference.target_frequency_mhz)
 
 
 class TestEvaluation:

@@ -8,6 +8,8 @@ must observe exactly what the serial run with every sink attached does.
 from __future__ import annotations
 
 import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -127,3 +129,36 @@ class TestNesting:
         empty = active_observer()
         assert empty.for_shard(None) is empty
         assert empty.to_payload() == {}
+
+
+class TestThreadLocality:
+    def test_fresh_pool_thread_sees_the_shared_empty_observer(self):
+        empty = active_observer()
+        assert empty.sinks() == {}
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            seen = pool.submit(active_observer).result()
+        assert seen is empty
+
+    def test_activation_is_invisible_on_other_threads(self):
+        empty = active_observer()
+        tracer = Tracer()
+        with activate(tracer, monitor=FleetMonitor()):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(active_observer).result() is empty
+            assert active_observer().tracer is tracer
+
+        # ... and the other way round: a worker's activation stays there.
+        activated, checked = threading.Event(), threading.Event()
+
+        def worker():
+            with activate(recorder=TimelineRecorder()) as current:
+                activated.set()
+                checked.wait(timeout=10)
+                return current is active_observer()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(worker)
+            assert activated.wait(timeout=10)
+            assert active_observer() is empty
+            checked.set()
+            assert future.result() is True

@@ -15,8 +15,9 @@ the tracer's promises for its own hook sites:
    ``MAX_DISABLED_OVERHEAD`` of the campaign wall clock.
 3. **Bounded cost when enabled** — monitoring is explicit opt-in, so the
    ceiling is much looser (``MAX_MONITORED_OVERHEAD``); this guards
-   against a hot-loop ``observe_run``/``finalize`` regression, not
-   against the (real, per-run) price of the aggregation itself.
+   against a regression in the per-run ``FleetMonitor.observe_run`` hook
+   or in ``finalize`` (which folds each fleet histogram once over the
+   whole run stream), not against the real price of collecting samples.
 
 Timing assertions are skipped under ``REPRO_BENCH_CHECK_ONLY=1`` (CI
 smoke on noisy shared runners); the equality assertion always runs.
@@ -54,10 +55,11 @@ CHECK_ONLY = os.environ.get("REPRO_BENCH_CHECK_ONLY") == "1"
 MAX_DISABLED_OVERHEAD = 0.02
 
 #: Lenient regression guard for the opt-in enabled path.  Enabled
-#: monitoring does real per-run aggregation (windows, percentiles,
-#: histograms), which against this deliberately tiny baseline campaign is
-#: a noticeable fraction — the guard only catches gross hot-loop
-#: regressions, not the honest price of the feature.
+#: monitoring keeps every run's samples and, at finalize, sets the gauges
+#: and folds each fleet histogram once over the stream, which against this
+#: deliberately tiny baseline campaign is a noticeable fraction — the
+#: guard only catches gross regressions (a histogram fold per run again,
+#: say), not the honest price of the feature.
 MAX_MONITORED_OVERHEAD = 0.60
 
 #: Interleaved off/on pairs.  The opt-in overhead is the median of the

@@ -21,19 +21,26 @@ __all__ = ["BoxStats", "WHISKER_FACTOR", "tukey_fences"]
 WHISKER_FACTOR = 1.5
 
 
-def tukey_fences(values: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Quartiles and whisker fences of a finite 1-D sample.
+def tukey_fences(values: np.ndarray, axis: int | None = None) -> tuple:
+    """Quartiles and whisker fences of a finite sample.
 
     Returns ``(q1, median, q3, fence_lo, fence_hi)`` with the fences at
-    ``q1 - 1.5 IQR`` / ``q3 + 1.5 IQR``.  This is the single home of the
-    paper's fence arithmetic; :class:`BoxStats`, the outlier flaggers, the
-    Monte Carlo projection, and the streaming health monitor all call it
-    rather than re-deriving the expression.
+    ``q1 - 1.5 IQR`` / ``q3 + 1.5 IQR``.  With ``axis=None`` the sample is
+    ``values`` flattened and each entry is a float; with an ``axis`` every
+    slice along it is one sample and each entry is an array over the other
+    axes, equal bit for bit to the flattened call on that slice.  This is
+    the single home of the paper's fence arithmetic; :class:`BoxStats`, the
+    outlier flaggers, the Monte Carlo projection, and the streaming health
+    monitor all call it rather than re-deriving the expression.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.shape[0] == 0:
+    x = np.asarray(values, dtype=float)
+    if axis is None:
+        x = x.ravel()
+    if x.shape[0 if axis is None else axis] == 0:
         raise AnalysisError("cannot compute fences of an empty sample")
-    q1, median, q3 = (float(v) for v in np.percentile(x, [25, 50, 75]))
+    q1, median, q3 = np.percentile(x, [25, 50, 75], axis=axis)
+    if axis is None:
+        q1, median, q3 = float(q1), float(median), float(q3)
     iqr = q3 - q1
     return q1, median, q3, q1 - WHISKER_FACTOR * iqr, q3 + WHISKER_FACTOR * iqr
 

@@ -5,9 +5,16 @@ The anomaly-detection half of the monitoring pipeline.  A
 :class:`~repro.obs.metrics.FleetMonitor` (or synthetic runs in tests) and
 classifies every GPU against the fleet, using the exact statistics the
 paper's operators used — Tukey fences over per-GPU medians
-(:func:`~repro.core.outliers.flag_outlier_values`,
-:func:`~repro.core.boxstats.tukey_fences`) — applied *incrementally* over
-ring-buffer sliding windows instead of a finished dataset.
+(:func:`~repro.core.boxstats.tukey_fences`, with
+:class:`~repro.core.boxstats.BoxStats`' finite-values rule for the
+deviation fence) — over ring-buffer sliding windows of the last
+``window_runs`` runs instead of a finished dataset.
+
+Evaluation is by blocks of runs, with the result of one run at a time:
+the block's runs are stacked into (runs x GPUs) matrices, one scan of the
+ring buffers gives every run's windows, their medians and means come
+from those windows at once, and each fence is one ``np.percentile(...,
+axis=1)`` over the runs; only the hysteresis steps through the runs.
 
 Event semantics (all computed over the last ``window_runs`` runs):
 
@@ -31,25 +38,37 @@ close — transient throttles and single noisy runs do not flap events.
 Determinism: runs are evaluated in campaign order and, within a run,
 conditions in a fixed order and GPUs in ascending index order — the event
 stream is bit-identical for any executor layout (pinned by
-``tests/obs/test_monitor_equivalence.py``).
+``tests/obs/test_monitor_equivalence.py``), for any block size and any
+split of the stream between :meth:`HealthTracker.observe_run` and
+:meth:`HealthTracker.observe_monitor`, and to the one-run-per-call
+tracker kept in ``tests/obs/health_oracle.py`` (pinned by
+``tests/obs/test_health_differential.py``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..config import require, require_in_range
 from ..errors import AnalysisError
-from ..core.boxstats import tukey_fences
-from ..core.outliers import OutlierAccumulator, flag_outlier_values
+from ..core.boxstats import BoxStats, tukey_fences
+from ..core.outliers import OutlierAccumulator
 from .manifest import validate_manifest
-from .metrics import FleetMonitor, SlidingWindow
+from .metrics import (
+    FleetMonitor,
+    SlidingWindow,
+    _push_runs,
+    _window_mean,
+    _window_median,
+)
 from .observer import active_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -99,6 +118,11 @@ _GRADE_OF_OPEN = {
     HealthEventKind.CHRONIC_SLOW_OUTLIER: "degraded",
     HealthEventKind.DEFECT_DRIFT: "watch",
 }
+
+#: :data:`GRADES` index of each condition kind's open grade.
+_OPEN_RANKS = np.array(
+    [GRADES.index(_GRADE_OF_OPEN[kind]) for kind in _CONDITION_KINDS]
+)
 
 
 @dataclass(frozen=True)
@@ -210,14 +234,93 @@ class HealthPolicy:
         }
 
 
-class HealthTracker:
-    """Incremental per-GPU health classifier over a run stream.
+#: Window cells (runs x GPUs x window slots) one block of runs may hold.
+#: Bounds the tracker's working memory at any fleet size and campaign
+#: length: one signal's windows are 256 KB of float64 and each (runs x
+#: GPUs) matrix at most ``_BLOCK_CELLS / window_runs`` entries, small
+#: enough to stay in cache.  At ``window_runs=4`` a 416-GPU Longhorn is
+#: evaluated 19 runs at a time, a 27,648-GPU Summit one run at a time.
+_BLOCK_CELLS = 1 << 15
 
-    Feed :meth:`observe_run` one complete run at a time (campaign order).
-    Events accumulate in :attr:`events`; :meth:`grades` gives the current
-    per-GPU classification.  All state lives in fixed-size ring buffers
-    and integer streak arrays — memory is O(n_gpus * window_runs)
-    regardless of campaign length.
+
+class _Run(NamedTuple):
+    """One validated, non-empty run: GPU indices and equal-length signals."""
+
+    day: int
+    run_index: int
+    gpu_indices: np.ndarray
+    performance_ms: np.ndarray
+    frequency_mhz: np.ndarray
+    temperature_c: np.ndarray
+    capped: np.ndarray
+
+
+def _prepare(run: Any, n_gpus: int) -> _Run | None:
+    """Validate one run's arrays; ``None`` for a run that covers no GPU."""
+    idx = np.asarray(run.gpu_indices).ravel()
+    if idx.shape[0] == 0:
+        return None
+    if int(idx.max()) >= n_gpus:
+        raise AnalysisError(
+            f"run references GPU {int(idx.max())} but tracker has "
+            f"{n_gpus} labels"
+        )
+    capped = (
+        np.asarray(run.power_capped, dtype=bool)
+        | np.asarray(run.thermally_capped, dtype=bool)
+    )
+    prepared = _Run(
+        int(run.day),
+        int(run.run_index),
+        idx,
+        np.asarray(run.performance_ms, dtype=float).ravel(),
+        np.asarray(run.frequency_mhz, dtype=float).ravel(),
+        np.asarray(run.temperature_c, dtype=float).ravel(),
+        capped.ravel(),
+    )
+    for values in prepared[3:]:
+        if values.shape[0] != idx.shape[0]:
+            raise AnalysisError(
+                f"run has {values.shape[0]} values for {idx.shape[0]} GPUs"
+            )
+    return prepared
+
+
+def _medians(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.median`` of each array: one ``axis=1`` call per distinct length."""
+    lengths = np.array([values.shape[0] for values in arrays])
+    out = np.empty(len(arrays))
+    for length in np.unique(lengths):
+        at = np.flatnonzero(lengths == length)
+        out[at] = np.median(np.stack([arrays[i] for i in at]), axis=1)
+    return out
+
+
+def _masked_rows(
+    values: np.ndarray, mask: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, sample)`` per distinct count ``k`` of masked entries per row.
+
+    ``sample`` is ``(len(rows), k)``: each row's masked values in column
+    order, as ``values[row][mask[row]]`` gives them.
+    """
+    sizes = mask.sum(axis=1)
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        yield rows, values[rows][mask[rows]].reshape(rows.shape[0], k)
+
+
+class HealthTracker:
+    """Per-GPU health classifier over a run stream, in blocks of runs.
+
+    Feed :meth:`observe_monitor` a merged monitor, or :meth:`observe_run`
+    one run at a time, in campaign order; both go through the same block
+    evaluation, so any split of a stream between them gives the same
+    events.  Events accumulate in :attr:`events`; :meth:`grades` gives the
+    current per-GPU classification.  Between calls the state is one ring
+    buffer of ``n_gpus * window_runs`` per signal plus per-GPU streak, open
+    and baseline arrays, whatever the campaign length; while a block is
+    evaluated, each signal's windows take at most ``_BLOCK_CELLS`` cells.
     """
 
     def __init__(
@@ -231,20 +334,15 @@ class HealthTracker:
         self._label_array = np.asarray(self.gpu_labels, dtype=object)
         self.policy = policy if policy is not None else HealthPolicy()
         w = self.policy.window_runs
-        self._dev = SlidingWindow(n, w)
-        self._resid = SlidingWindow(n, w)
-        self._freq = SlidingWindow(n, w)
-        self._throttle = SlidingWindow(n, w)
+        #: Perf deviation, temperature residual, frequency, cap residency:
+        #: always pushed together, so they share one ring state.
+        self._windows = tuple(SlidingWindow(n, w) for _ in range(4))
         self._baseline = np.full(n, np.nan)
-        self._streak_true = {
-            kind: np.zeros(n, dtype=np.int64) for kind in _CONDITION_KINDS
-        }
-        self._streak_false = {
-            kind: np.zeros(n, dtype=np.int64) for kind in _CONDITION_KINDS
-        }
-        self._open = {
-            kind: np.zeros(n, dtype=bool) for kind in _CONDITION_KINDS
-        }
+        # One row per condition kind, in _CONDITION_KINDS order.
+        shape = (len(_CONDITION_KINDS), n)
+        self._streak_true = np.zeros(shape, dtype=np.int64)
+        self._streak_false = np.zeros(shape, dtype=np.int64)
+        self._open = np.zeros(shape, dtype=bool)
         self._ever_flagged = np.zeros(n, dtype=bool)
         #: Fleet outlier reports accumulated window-by-window — the
         #: streaming twin of :func:`~repro.core.outliers.persistent_outliers`.
@@ -271,151 +369,222 @@ class HealthTracker:
         power_capped: np.ndarray,
         thermally_capped: np.ndarray,
     ) -> list[HealthEvent]:
-        """Ingest one complete run and return the events it emitted."""
-        idx = np.asarray(gpu_indices).ravel()
-        if idx.shape[0] == 0:
-            return []
-        if int(idx.max()) >= self.n_gpus:
-            raise AnalysisError(
-                f"run references GPU {int(idx.max())} but tracker has "
-                f"{self.n_gpus} labels"
-            )
-        perf = np.asarray(performance_ms, dtype=float).ravel()
-        med = float(np.median(perf))
-        if med <= 0.0:
-            raise AnalysisError("run median performance must be positive")
-        temp = np.asarray(temperature_c, dtype=float).ravel()
-        capped = (
-            np.asarray(power_capped, dtype=bool)
-            | np.asarray(thermally_capped, dtype=bool)
-        )
-        self._dev.push(perf / med, idx)
-        self._resid.push(temp - float(np.median(temp)), idx)
-        self._freq.push(np.asarray(frequency_mhz, dtype=float).ravel(), idx)
-        self._throttle.push(capped.astype(float), idx)
-        self.runs_observed += 1
-        return self._evaluate(int(day), int(run_index), idx)
+        """Ingest one complete run and return the events it emitted.
+
+        A one-run :meth:`observe_monitor`; a run with no GPU is ignored.
+        """
+        return self._observe([SimpleNamespace(
+            day=day,
+            run_index=run_index,
+            gpu_indices=gpu_indices,
+            performance_ms=performance_ms,
+            frequency_mhz=frequency_mhz,
+            temperature_c=temperature_c,
+            power_capped=power_capped,
+            thermally_capped=thermally_capped,
+        )])
 
     def observe_monitor(self, monitor: FleetMonitor) -> list[HealthEvent]:
-        """Ingest every complete run of a merged monitor, in order."""
+        """Ingest every complete run of a merged monitor, in order.
+
+        A malformed run raises :class:`AnalysisError` after the runs
+        before it are evaluated, as when they are fed one at a time.
+        """
+        return self._observe(monitor.iter_runs())
+
+    def _observe(self, runs: Iterable[Any]) -> list[HealthEvent]:
+        """Evaluate ``runs`` in blocks of at most ``_BLOCK_CELLS`` cells.
+
+        A malformed run (a GPU index beyond the labels, signals of another
+        length than its indices, a median performance <= 0) raises
+        :class:`AnalysisError` after the runs before it are evaluated and
+        before it changes anything, as when runs are fed one at a time.
+        """
+        size = max(1, _BLOCK_CELLS // (self.n_gpus * self.policy.window_runs))
         emitted: list[HealthEvent] = []
-        for run in monitor.iter_runs():
-            emitted.extend(
-                self.observe_run(
-                    day=run.day,
-                    run_index=run.run_index,
-                    gpu_indices=run.gpu_indices,
-                    performance_ms=run.performance_ms,
-                    frequency_mhz=run.frequency_mhz,
-                    temperature_c=run.temperature_c,
-                    power_capped=run.power_capped,
-                    thermally_capped=run.thermally_capped,
-                )
-            )
-        return emitted
+        block: list[_Run] = []
+        for run in runs:
+            try:
+                prepared = _prepare(run, self.n_gpus)
+            except AnalysisError:
+                self._evaluate_block(block)
+                raise
+            if prepared is not None:
+                block.append(prepared)
+            if len(block) == size:
+                emitted.extend(self._evaluate_block(block))
+                block = []
+        return emitted + self._evaluate_block(block)
 
     # -- detection -----------------------------------------------------------
 
-    def _evaluate(
-        self, day: int, run_index: int, idx: np.ndarray
-    ) -> list[HealthEvent]:
+    def _evaluate_block(self, block: list[_Run]) -> list[HealthEvent]:
+        """Push a block of runs and evaluate each, as one call per run would.
+
+        Window statistics and fleet fences of all runs come from (runs x
+        GPUs) matrices; only the streaks and open/close hysteresis step
+        through the runs.  A run is evaluated once at least ``min_fleet``
+        GPUs have ``min_window_runs`` runs in their window; unobserved GPUs
+        enter its fences but keep their streaks.
+        """
+        if not block:
+            return []
+        perf_median = _medians([run.performance_ms for run in block])
+        bad = np.flatnonzero(perf_median <= 0.0)
+        if bad.shape[0]:
+            self._evaluate_block(block[:bad[0]])
+            raise AnalysisError("run median performance must be positive")
         p = self.policy
         n = self.n_gpus
-        counts = self._dev.counts
+        lengths = [run.gpu_indices.shape[0] for run in block]
+        bounds = [0, *itertools.accumulate(lengths)]
+        gpus = np.concatenate([run.gpu_indices for run in block])
+        temperature = [run.temperature_c for run in block]
+        signals = (
+            np.concatenate([run.performance_ms for run in block])
+            / np.repeat(perf_median, lengths),
+            np.concatenate(temperature)
+            - np.repeat(_medians(temperature), lengths),
+            np.concatenate([run.frequency_mhz for run in block]),
+            np.concatenate([run.capped for run in block]).astype(float),
+        )
+        before = [
+            (window._buffer.copy(), window._pos.copy(), window._count.copy())
+            for window in self._windows
+        ]
+        counts, contents = _push_runs(self._windows, bounds, gpus, signals)
+        observed = np.zeros((len(block), n), dtype=bool)
+        observed[np.repeat(np.arange(len(block)), lengths), gpus] = True
+        self.runs_observed += len(block)
         valid = counts >= p.min_window_runs
-        if int(valid.sum()) < p.min_fleet:
+        evaluated = valid.sum(axis=1) >= p.min_fleet
+        if not evaluated[-1]:
             return []
-
-        dev_med = self._dev.median()
-        resid_med = self._resid.median()
-        freq_med = self._freq.median()
-        residency = self._throttle.mean()
+        # Fill counts never fall, so the evaluated runs are a suffix.
+        first = int(np.argmax(evaluated))
+        valid, counts, observed = valid[first:], counts[first:], observed[first:]
+        dev_med, resid_med, freq_med = (
+            _window_median(buffers[first:], counts)
+            for buffers in contents[:3]
+        )
+        residency = _window_mean(contents[3][first:], counts)
+        del contents
+        runs = counts.shape[0]
 
         # Chronic slow: fleet Tukey fence over window-median deviations —
-        # the streaming form of flag_outlier_gpus, window by window.
-        report = flag_outlier_values(
-            dev_med[valid], self._label_array[valid], metric="perf_deviation"
-        )
-        self.outlier_accumulator.add(report)
-        chronic = valid & (dev_med > report.stats.fence_hi)
+        # BoxStats over each run's finite values, one np.percentile for all.
+        finite = valid & np.isfinite(dev_med)
+        fences = np.full((5, runs), np.nan)
+        for rows, sample in _masked_rows(dev_med, finite):
+            if sample.shape[1]:
+                fences[:, rows] = tukey_fences(sample, axis=1)
+        _, fleet_dev, _, lo, hi = fences[:, :, None]
+        inside = finite & (dev_med >= lo) & (dev_med <= hi)
+        degenerate = ~inside.any(axis=1) | (fleet_dev[:, 0] == 0.0)
+        if degenerate.any():
+            # As run by run: the runs before it count, it is pushed, then
+            # BoxStats raises on its sample.
+            e = int(np.argmax(degenerate))
+            sample = dev_med[e, valid[e]]
+            for window, (buffer, pos, count) in zip(self._windows, before):
+                window._buffer[...], window._pos[...], window._count[...] = (
+                    buffer, pos, count
+                )
+            self.runs_observed -= len(block)
+            self._evaluate_block(block[:first + e])
+            start, stop = bounds[first + e], bounds[first + e + 1]
+            _push_runs(self._windows, [0, stop - start], gpus[start:stop],
+                       tuple(signal[start:stop] for signal in signals))
+            self.runs_observed += 1
+            BoxStats.from_values(sample)
+        chronic = valid & (dev_med > hi)
+        flagged = valid & ((dev_med < lo) | (dev_med > hi))
 
         # Thermal runaway: residual fence + absolute margin.
-        _, _, _, _, resid_hi = tukey_fences(resid_med[valid])
-        thermal_floor = max(resid_hi, p.thermal_min_residual_c)
+        resid_hi = np.empty(runs)
+        for rows, sample in _masked_rows(resid_med, valid):
+            resid_hi[rows] = tukey_fences(sample, axis=1)[4]
+        margin = p.thermal_min_residual_c
+        thermal_floor = np.where(margin > resid_hi, margin, resid_hi)[:, None]
         thermal = valid & (resid_med > thermal_floor)
 
         # Stuck throttle: capped nearly always *and* materially slow clocks.
-        fleet_freq = float(np.median(freq_med[valid]))
-        freq_floor = fleet_freq * (1.0 - p.stuck_frequency_margin)
+        fleet_freq = np.empty(runs)
+        for rows, sample in _masked_rows(freq_med, valid):
+            fleet_freq[rows] = np.median(sample, axis=1)
+        freq_floor = fleet_freq[:, None] * (1.0 - p.stuck_frequency_margin)
         stuck = valid & (residency >= p.stuck_residency) & (freq_med < freq_floor)
 
-        # Drift vs own baseline (first full window), short of the fence.
-        full = counts >= p.window_runs
-        fresh = full & np.isnan(self._baseline)
-        self._baseline[fresh] = dev_med[fresh]
-        has_base = ~np.isnan(self._baseline)
-        drift_limit = np.where(has_base, self._baseline * p.drift_ratio, np.inf)
+        # Drift vs own baseline, set at the first evaluated run with a full
+        # window (and a non-NaN median), short of the fence.
+        fresh = (counts >= p.window_runs) & ~np.isnan(dev_med)
+        baseline = np.where(
+            np.isnan(self._baseline),
+            np.where(
+                np.logical_or.accumulate(fresh, axis=0),
+                dev_med[np.argmax(fresh, axis=0), np.arange(n)],
+                np.nan,
+            ),
+            self._baseline,
+        )
+        self._baseline = baseline[-1].copy()
+        has_base = ~np.isnan(baseline)
+        drift_limit = np.where(has_base, baseline * p.drift_ratio, np.inf)
         drift = valid & has_base & (dev_med > drift_limit) & ~chronic
 
-        observed = np.zeros(n, dtype=bool)
-        observed[idx] = True
-        conditions = {
-            HealthEventKind.THERMAL_RUNAWAY: (
-                thermal, resid_med, np.full(n, thermal_floor)
-            ),
-            HealthEventKind.STUCK_THROTTLE: (
-                stuck, residency, np.full(n, p.stuck_residency)
-            ),
-            HealthEventKind.CHRONIC_SLOW_OUTLIER: (
-                chronic, dev_med, np.full(n, report.stats.fence_hi)
-            ),
-            HealthEventKind.DEFECT_DRIFT: (drift, dev_med, drift_limit),
-        }
+        flagged_run, flagged_gpu = np.nonzero(flagged)
+        labels = self._label_array[flagged_gpu]
+        cuts = np.searchsorted(flagged_run, np.arange(runs + 1))
+        for e in range(runs):
+            self.outlier_accumulator.add(sorted(labels[cuts[e]:cuts[e + 1]]))
+
+        # Hysteresis, run by run over the (kind, GPU) condition matrices;
+        # a GPU's streaks move only on runs that observe it.
+        condition = np.stack([thermal, stuck, chronic, drift], axis=1)
+        values = (resid_med, residency, dev_med, dev_med)
+        thresholds = tuple(
+            np.broadcast_to(limit, (runs, n))
+            for limit in (thermal_floor, p.stuck_residency, hi, drift_limit)
+        )
+        seen = observed[:, None, :]
+        hit = condition & seen
+        miss = seen & ~condition
+        keep_true, keep_false = ~miss, ~hit
+        s_true, s_false, is_open = (
+            self._streak_true, self._streak_false, self._open
+        )
         emitted: list[HealthEvent] = []
-        for kind in _CONDITION_KINDS:
-            mask, values, thresholds = conditions[kind]
-            s_true = self._streak_true[kind]
-            s_false = self._streak_false[kind]
-            hit = observed & mask
-            miss = observed & ~mask
-            s_true[hit] += 1
-            s_false[hit] = 0
-            s_false[miss] += 1
-            s_true[miss] = 0
-            is_open = self._open[kind]
-            opening = np.flatnonzero(
-                hit & ~is_open & (s_true >= p.open_after)
-            )
-            for g in opening:
-                is_open[g] = True
-                self._ever_flagged[g] = True
+        for e in range(runs):
+            s_true += hit[e]
+            s_true *= keep_true[e]
+            s_false += miss[e]
+            s_false *= keep_false[e]
+            opening = hit[e] & (s_true >= p.open_after) & ~is_open
+            closing = miss[e] & (s_false >= p.close_after) & is_open
+            if not (opening.any() or closing.any()):
+                continue
+            is_open |= opening
+            is_open &= ~closing
+            self._ever_flagged |= opening.any(axis=0)
+            run = block[first + e]
+            # Kinds in order; per kind, openings before closings.
+            for k, closes, g in zip(
+                *np.nonzero(np.stack([opening, closing], axis=1))
+            ):
+                kind = _CONDITION_KINDS[k]
                 emitted.append(
                     HealthEvent(
-                        kind=kind,
+                        kind=HealthEventKind.RECOVERED if closes else kind,
                         gpu_index=int(g),
                         gpu_label=self.gpu_labels[g],
-                        day=day,
-                        run_index=run_index,
-                        value=float(values[g]),
-                        threshold=float(thresholds[g]),
-                        details=(("streak", int(s_true[g])),),
-                    )
-                )
-            closing = np.flatnonzero(
-                miss & is_open & (s_false >= p.close_after)
-            )
-            for g in closing:
-                is_open[g] = False
-                emitted.append(
-                    HealthEvent(
-                        kind=HealthEventKind.RECOVERED,
-                        gpu_index=int(g),
-                        gpu_label=self.gpu_labels[g],
-                        day=day,
-                        run_index=run_index,
-                        value=float(values[g]),
-                        threshold=float(thresholds[g]),
-                        details=(("cleared", kind.value),),
+                        day=run.day,
+                        run_index=run.run_index,
+                        value=float(values[k][e, g]),
+                        threshold=float(thresholds[k][e, g]),
+                        details=(
+                            (("cleared", kind.value),) if closes
+                            else (("streak", int(s_true[k, g])),)
+                        ),
                     )
                 )
         self.events.extend(emitted)
@@ -439,24 +608,20 @@ class HealthTracker:
 
     def open_conditions(self, gpu_index: int) -> tuple[HealthEventKind, ...]:
         """Conditions currently open for one GPU, in evaluation order."""
+        opened = self._open[:, gpu_index]
         return tuple(
-            kind for kind in _CONDITION_KINDS if self._open[kind][gpu_index]
+            kind for kind, is_open in zip(_CONDITION_KINDS, opened) if is_open
         )
+
+    def _grade_ranks(self) -> np.ndarray:
+        """Per-GPU index into :data:`GRADES`: the worst open condition's
+        grade, else ``watch`` for a GPU that recovered, else ``ok`` (0)."""
+        worst = np.where(self._open, _OPEN_RANKS[:, None], 0).max(axis=0)
+        return np.maximum(worst, self._ever_flagged * GRADES.index("watch"))
 
     def grades(self) -> tuple[str, ...]:
         """Current per-GPU health grade (see :data:`GRADES`)."""
-        out = []
-        for g in range(self.n_gpus):
-            grade = "ok"
-            for kind in _CONDITION_KINDS:
-                if self._open[kind][g]:
-                    candidate = _GRADE_OF_OPEN[kind]
-                    if GRADES.index(candidate) > GRADES.index(grade):
-                        grade = candidate
-            if grade == "ok" and self._ever_flagged[g]:
-                grade = "watch"  # recovered once: keep an eye on it
-            out.append(grade)
-        return tuple(out)
+        return tuple(np.asarray(GRADES)[self._grade_ranks()].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -620,22 +785,22 @@ def _rollup(
     group_of_gpu: np.ndarray,
     group_labels: tuple[str, ...],
     grades: tuple[str, ...],
+    unhealthy: np.ndarray,
     label_key: str,
 ) -> tuple[dict[str, Any], ...]:
-    """Worst-grade + counts per topology group, unhealthy groups only."""
+    """Worst-grade + counts per topology group holding an ``unhealthy`` GPU."""
     entries = []
-    for group_index, group_label in enumerate(group_labels):
+    for group_index in np.unique(group_of_gpu[unhealthy]).tolist():
         member_grades = [
             grades[g] for g in np.flatnonzero(group_of_gpu == group_index)
         ]
-        if not member_grades or all(g == "ok" for g in member_grades):
-            continue
         counts: dict[str, int] = {}
         for grade in member_grades:
             counts[grade] = counts.get(grade, 0) + 1
         worst = max(member_grades, key=GRADES.index)
         entries.append(
-            {label_key: group_label, "worst": worst, "grade_counts": counts}
+            {label_key: group_labels[group_index], "worst": worst,
+             "grade_counts": counts}
         )
     return tuple(entries)
 
@@ -650,6 +815,7 @@ def build_health_report(
             f"tracker has {tracker.n_gpus} GPUs, topology {topology.n_gpus}"
         )
     grades = tracker.grades()
+    unhealthy = np.flatnonzero(tracker._grade_ranks())
     node_of_gpu = topology.node_of_gpu
     events_per_gpu: dict[int, int] = {}
     events_by_kind: dict[str, int] = {}
@@ -663,7 +829,7 @@ def build_health_report(
     gpu_entries = tuple(
         {
             "gpu_label": tracker.gpu_labels[g],
-            "gpu_index": int(g),
+            "gpu_index": g,
             "node_label": topology.node_labels[node_of_gpu[g]],
             "grade": grades[g],
             "open_conditions": [
@@ -671,16 +837,16 @@ def build_health_report(
             ],
             "events": events_per_gpu.get(g, 0),
         }
-        for g in range(tracker.n_gpus)
-        if grades[g] != "ok"
+        for g in unhealthy.tolist()
     )
     node_entries = _rollup(
-        node_of_gpu, topology.node_labels, grades, "node_label"
+        node_of_gpu, topology.node_labels, grades, unhealthy, "node_label"
     )
     row_entries: tuple[dict[str, Any], ...] = ()
     if topology.has_grid and topology.row_labels is not None:
         row_entries = _rollup(
-            topology.row_of_gpu, topology.row_labels, grades, "row_label"
+            topology.row_of_gpu, topology.row_labels, grades, unhealthy,
+            "row_label",
         )
     return FleetHealthReport(
         cluster=topology.cluster_name,

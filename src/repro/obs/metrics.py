@@ -29,6 +29,7 @@ over the *merged* stream: a shard only sees its slice of a run, and a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -153,6 +154,146 @@ class FleetRun:
 # ---------------------------------------------------------------------------
 
 
+#: Widest window whose statistics are taken slot by slot (a
+#: compare-exchange sort, a running sum); wider ones use numpy's row
+#: reductions.  numpy sums fewer than 8 terms one at a time from +0.0,
+#: so up to 7 slots the running sum is its row sum bit for bit.
+_SLOTWISE = 7
+
+
+def _observed(
+    windows: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, slots, missing, k)`` over the windows holding an observation.
+
+    ``windows`` is ``(..., capacity)`` with fill counts ``counts`` shaped
+    like its leading axes; ``rows`` index the flattened leading axes,
+    ``slots`` is a slot-major copy, ``(capacity, len(rows))``, so each
+    slot is one contiguous plane, ``missing`` its NaN mask and ``k`` the
+    non-NaN count of each window.  Unfilled slots hold NaN, so a window
+    with no NaN observation has ``k == count``; a NaN observation is
+    skipped as the nan-functions skip it.
+    """
+    rows = np.flatnonzero(counts > 0)
+    block = windows.reshape(-1, windows.shape[-1])
+    if rows.shape[0] < block.shape[0]:
+        block = block[rows]
+    slots = block.T.copy()
+    missing = np.isnan(slots)
+    width, m = slots.shape
+    k = width - missing.sum(axis=0) if missing.any() else np.full(m, width)
+    return rows, slots, missing, k
+
+
+def _place(values: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values`` of the windows at flat ``rows``, over ``shape``, NaN elsewhere."""
+    if rows.shape[0] == values.shape[0] == math.prod(shape):
+        return values.reshape(shape)
+    out = np.full(shape, np.nan)
+    np.put(out, rows, values)
+    return out
+
+
+def _window_median(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Median of each window, shaped like ``counts`` (NaN if empty).
+
+    Bit for bit ``np.nanmedian``, whose short-row path sorts (NaN last),
+    takes the low and high middle values of the ``k`` non-NaN ones (the
+    middle value twice for odd ``k``), sums them from ``+0.0`` and halves
+    the sum.  Here NaN slots become ``+inf`` before the sort, so the first
+    ``k`` sorted slots are the same values, and ``(lo + hi) + 0.0`` is that
+    sum: which of ``-0.0``/``+0.0`` sorts first cannot change it.  A
+    window of NaN observations only is NaN.
+    """
+    rows, ranked, missing, k = _observed(windows, counts)
+    width, m = ranked.shape
+    np.copyto(ranked, np.inf, where=missing)
+    if width <= _SLOTWISE:
+        # Odd-even transposition sort: `width` rounds of compare-exchange.
+        low = np.empty(m)
+        for start in range(width):
+            for i in range(start % 2, width - 1, 2):
+                np.minimum(ranked[i], ranked[i + 1], out=low)
+                np.maximum(ranked[i], ranked[i + 1], out=ranked[i + 1])
+                ranked[i] = low
+    else:
+        ranked.sort(axis=0)
+    if missing.any():
+        flat = ranked.reshape(-1)
+        middle = flat[np.maximum(k - 1, 0) // 2 * m + np.arange(m)]
+        middle += flat[k // 2 * m + np.arange(m)]
+    else:
+        middle = ranked[(width - 1) // 2] + ranked[width // 2]
+    middle += 0.0
+    middle /= 2.0
+    middle[k == 0] = np.nan
+    return _place(middle, rows, counts.shape)
+
+
+def _window_mean(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each window, shaped like ``counts`` (NaN if empty).
+
+    Bit for bit ``np.nanmean``: each window is summed whole, in slot
+    order, with its NaN slots as +0.0, the way numpy's row sum groups the
+    terms at that capacity, then divided by the non-NaN count.
+    """
+    rows, terms, missing, k = _observed(windows, counts)
+    np.copyto(terms, 0.0, where=missing)
+    if terms.shape[0] <= _SLOTWISE:
+        total = 0.0 + terms[0]
+        for term in terms[1:]:
+            total += term
+    else:
+        total = np.ascontiguousarray(terms.T).sum(axis=1)
+    return _place(total / k, rows, counts.shape)
+
+
+def _push_runs(
+    windows: tuple["SlidingWindow", ...],
+    bounds: list[int],
+    series: np.ndarray,
+    values: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Scan a block of runs through windows that share one ring state.
+
+    Run ``r`` pushes ``values[j][bounds[r]:bounds[r + 1]]`` onto series
+    ``series[bounds[r]:bounds[r + 1]]`` of each ``windows[j]``, exactly as
+    one :meth:`SlidingWindow.push` per run and window would; the windows
+    must have seen the same pushes so far.  Returns ``(counts, contents)``:
+    the fill counts ``(runs, n_series)`` after each run and, per window,
+    its buffer after each run, ``(runs, n_series, capacity)``.
+
+    Write positions and fill counts of the whole block come from one
+    cumulative count of each series' pushes, so the run-by-run part is one
+    scatter of each run's values into every buffer (a series listed twice
+    in a run lands in one cell, the later value kept) and a copy of it.
+    """
+    ring = windows[0]
+    for window in windows[1:]:
+        if not (np.array_equal(window._pos, ring._pos)
+                and np.array_equal(window._count, ring._count)):
+            raise AnalysisError("windows pushed together must share a ring state")
+    n, w = ring._buffer.shape
+    runs = len(bounds) - 1
+    run_of = np.repeat(np.arange(runs), np.diff(bounds))
+    observed = np.zeros((runs, n), dtype=bool)
+    observed[run_of, series] = True
+    pushes = np.cumsum(observed, axis=0)
+    cell = series * w + (ring._pos[series] + pushes[run_of, series] - 1) % w
+    contents = [np.empty((runs, n, w)) for _ in windows]
+    for r in range(runs):
+        lo, hi = bounds[r], bounds[r + 1]
+        for window, pushed, buffers in zip(windows, values, contents):
+            np.put(window._buffer, cell[lo:hi], pushed[lo:hi])
+            buffers[r] = window._buffer
+    counts = np.minimum(ring._count + pushes, w)
+    pos = (ring._pos + pushes[-1]) % w
+    for window in windows:
+        window._pos[...] = pos
+        window._count[...] = counts[-1]
+    return counts, contents
+
+
 class SlidingWindow:
     """Ring buffer over the last ``capacity`` pushes of ``n_series`` series.
 
@@ -181,7 +322,10 @@ class SlidingWindow:
         return self._count.copy()
 
     def push(self, values: np.ndarray, indices: np.ndarray | None = None) -> None:
-        """Append one observation per (selected) series."""
+        """Append one observation per (selected) series.
+
+        The one-run case of :func:`_push_runs`.
+        """
         values = np.asarray(values, dtype=float).ravel()
         if indices is None:
             indices = np.arange(self.n_series)
@@ -191,49 +335,15 @@ class SlidingWindow:
             raise AnalysisError(
                 f"push got {values.shape[0]} values for {indices.shape[0]} series"
             )
-        pos = self._pos[indices]
-        self._buffer[indices, pos] = values
-        self._pos[indices] = (pos + 1) % self.capacity
-        self._count[indices] = np.minimum(self._count[indices] + 1, self.capacity)
-
-    def _observed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, block, valid)`` over the observed series.
-
-        ``block`` is their buffer rows and ``valid`` the non-NaN count of
-        each.  Unfilled slots hold NaN, so a series with no NaN observation
-        has ``valid == count``; a NaN observation is skipped as the
-        nan-functions skip it.
-        """
-        rows = np.flatnonzero(self._count > 0)
-        block = self._buffer[rows]
-        return rows, block, (~np.isnan(block)).sum(axis=1)
+        _push_runs((self,), [0, indices.shape[0]], indices, (values,))
 
     def median(self) -> np.ndarray:
-        """Per-series median over the buffered window (NaN if empty).
-
-        Bit for bit ``np.nanmedian``, whose short-row path sorts (NaN
-        last), adds the low and high middle values of the ``valid``
-        non-NaN ones (the middle value to itself for odd counts) and
-        halves the sum.
-        """
-        out = np.full(self.n_series, np.nan)
-        rows, block, valid = self._observed()
-        middle = np.stack([(valid - 1) // 2, valid // 2], axis=1)
-        pair = np.take_along_axis(np.sort(block, axis=1), middle, axis=1)
-        out[rows] = pair.sum(axis=1) / 2.0
-        return out
+        """Per-series median over the buffered window (NaN if empty)."""
+        return _window_median(self._buffer, self._count)
 
     def mean(self) -> np.ndarray:
-        """Per-series mean over the buffered window (NaN if empty).
-
-        Bit for bit ``np.nanmean``: each row is summed whole with its NaN
-        slots as +0.0, so numpy's pairwise summation groups the terms as
-        it does there at any capacity, then divided by the non-NaN count.
-        """
-        out = np.full(self.n_series, np.nan)
-        rows, block, valid = self._observed()
-        out[rows] = np.where(np.isnan(block), 0.0, block).sum(axis=1) / valid
-        return out
+        """Per-series mean over the buffered window (NaN if empty)."""
+        return _window_mean(self._buffer, self._count)
 
     def series_stats(self) -> dict[str, np.ndarray]:
         """Per-series window statistics: mean/p5/p50/p95/iqr arrays.
@@ -247,7 +357,8 @@ class SlidingWindow:
         out = {"mean": self.mean()}
         for key in ("p5", "p50", "p95", "iqr"):
             out[key] = np.full(n, np.nan)
-        rows, block, valid = self._observed()
+        rows, slots, _, valid = _observed(self._buffer, self._count)
+        block = slots.T
         for k in np.unique(valid[valid > 0]):
             group = valid == k
             head, tail = block[group, :k], block[group, k:]
@@ -308,13 +419,22 @@ class _Histogram:
         self.count = 0
         self.sum = 0.0
 
-    def observe(self, values: np.ndarray) -> None:
-        x = np.asarray(values, dtype=float).ravel()
+    def observe(self, runs: list[np.ndarray]) -> None:
+        """Fold in each array of ``runs``, in order, with one bucket count.
+
+        ``sum`` adds each array's own total in turn, so it is the float
+        that observing the arrays one call at a time gives.
+        """
+        parts = [np.asarray(values, dtype=float).ravel() for values in runs]
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts)
         # bucket i holds values <= bounds[i]; past-the-end is +Inf.
         idx = np.searchsorted(self.bounds, x, side="left")
-        np.add.at(self.bucket_counts, idx, 1)
+        self.bucket_counts += np.bincount(
+            idx, minlength=self.bucket_counts.shape[0]
+        )
         self.count += int(x.shape[0])
-        self.sum += float(x.sum())
+        for part in parts:
+            self.sum += float(part.sum())
 
 
 class MetricsRegistry:
@@ -366,6 +486,17 @@ class MetricsRegistry:
         help: str = "",
     ) -> None:
         """Fold observations into the named histogram."""
+        self._observe_runs(name, [values], edges, help)
+
+    def _observe_runs(
+        self,
+        name: str,
+        runs: list[np.ndarray],
+        edges: tuple[float, ...] | None = None,
+        help: str = "",
+    ) -> None:
+        """Fold several arrays into the named histogram at once, as
+        :meth:`observe` would one after another."""
         hist = self._histograms.get(name)
         if hist is None:
             hist = self._histograms[name] = _Histogram(
@@ -373,7 +504,7 @@ class MetricsRegistry:
             )
             if help:
                 self._help.setdefault(name, help)
-        self._histograms[name].observe(values)
+        hist.observe(runs)
 
     # -- reading -------------------------------------------------------------
 
@@ -701,11 +832,15 @@ class FleetMonitor:
             idx = run.gpu_indices
             for name, arr in values.items():
                 last[name][idx] = arr
-                self.registry.observe(f"fleet_{name}", arr)
             observed[idx] += 1
             throttled[idx] += (run.power_capped | run.thermally_capped).astype(
                 np.int64
             )
+        if runs:
+            for name in _FLEET_STREAMS:
+                self.registry._observe_runs(
+                    f"fleet_{name}", [values[name] for _, values in runs]
+                )
 
         self.registry.inc(
             "monitor_runs_total", len(runs),
@@ -737,7 +872,8 @@ class FleetMonitor:
 
         ``{}`` before :meth:`finalize`.  After it, the first read replays
         :meth:`iter_runs` through one :class:`SlidingWindow` of
-        ``window_runs`` per metric, appending each run's
+        ``window_runs`` per metric (pushed together, one shared ring
+        scan per run), appending each run's
         :meth:`~SlidingWindow.pooled_stats` plus its ``day`` and
         ``run_index``; later reads return the same cached dict.  No
         campaign output reads it, so a campaign does not pay for it.
@@ -746,17 +882,21 @@ class FleetMonitor:
             return {}
         if self._window_series is None:
             n = len(self.gpu_labels)
-            windows = {
-                name: SlidingWindow(n, self.config.window_runs)
-                for name in _FLEET_STREAMS
-            }
+            windows = tuple(
+                SlidingWindow(n, self.config.window_runs)
+                for _ in _FLEET_STREAMS
+            )
             series: dict[str, list[dict[str, float]]] = {
                 name: [] for name in _FLEET_STREAMS
             }
             for run, values in self._fleet_values(n):
-                for name, arr in values.items():
-                    windows[name].push(arr, run.gpu_indices)
-                    stats = windows[name].pooled_stats()
+                idx = run.gpu_indices
+                _push_runs(
+                    windows, [0, idx.shape[0]], idx,
+                    tuple(values[name] for name in _FLEET_STREAMS),
+                )
+                for name, window in zip(_FLEET_STREAMS, windows):
+                    stats = window.pooled_stats()
                     stats["day"] = float(run.day)
                     stats["run_index"] = float(run.run_index)
                     series[name].append(stats)

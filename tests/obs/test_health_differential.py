@@ -5,11 +5,13 @@ ring windows scanned for a whole block, fences from one ``np.percentile``
 over a (runs x GPUs) matrix, only the hysteresis stepping run by run.
 :mod:`tests.obs.health_oracle` is the original one-run-per-call tracker.
 On random run streams — partial coverage and lost nodes, windows of 1 to 8
-runs, slow, hot and throttle-stuck GPUs that may heal, blocks of any size,
-and the stream split at random points between ``observe_run`` calls and
-``observe_monitor`` calls — both must give the same events, grades, open
-conditions, outlier counts, run count, report JSON and recorded health
-timeline, compared as exact JSON text (``repr`` round-trips every float).
+runs, slow, hot and throttle-stuck GPUs that may heal, runs with a NaN
+performance, blocks of any size, and the stream split at random points
+between ``observe_run`` calls and ``observe_monitor`` calls — both must
+raise the same error, if any, and leave the same events, grades, open
+conditions, streaks, baselines, outlier counts, run count, report JSON and
+text, and recorded health timeline, compared as exact JSON text (``repr``
+round-trips every float) or raw bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ from repro.cluster.topology import cabinet_topology, row_column_topology
 from repro.errors import AnalysisError
 from repro.obs import health
 from repro.obs.health import HealthPolicy, HealthTracker, build_health_report
-from repro.obs.metrics import FleetMonitor
+from repro.obs.metrics import (
+    FleetMonitor,
+    SlidingWindow,
+    _push_runs,
+    _window_mean,
+)
 from repro.obs.observer import activate
 from repro.obs.timeline import TimelineRecorder, timeline_lines
 
@@ -295,8 +302,6 @@ class TestPinnedTraps:
         holds runs (3, 1, 2): ``(0.1 + 0.7) + 3.0`` differs from the run
         order ``(0.7 + 3.0) + 0.1``.  The block scan must produce the ring.
         """
-        from repro.obs.metrics import SlidingWindow, _push_runs, _window_mean
-
         values = np.array([3.0, 0.7, 3.0, 0.1])
         window = SlidingWindow(1, 3)
         counts, (buffers,) = _push_runs(

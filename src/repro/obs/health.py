@@ -62,13 +62,7 @@ from ..errors import AnalysisError
 from ..core.boxstats import BoxStats, tukey_fences
 from ..core.outliers import OutlierAccumulator
 from .manifest import validate_manifest
-from .metrics import (
-    FleetMonitor,
-    SlidingWindow,
-    _push_runs,
-    _window_mean,
-    _window_median,
-)
+from .metrics import FleetMonitor, _Ring, _window_mean, _window_median
 from .observer import active_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -334,9 +328,9 @@ class HealthTracker:
         self._label_array = np.asarray(self.gpu_labels, dtype=object)
         self.policy = policy if policy is not None else HealthPolicy()
         w = self.policy.window_runs
-        #: Perf deviation, temperature residual, frequency, cap residency:
-        #: always pushed together, so they share one ring state.
-        self._windows = tuple(SlidingWindow(n, w) for _ in range(4))
+        #: Windows of perf deviation, temperature residual, frequency and
+        #: cap residency, in that order.
+        self._ring = _Ring(4, n, w)
         self._baseline = np.full(n, np.nan)
         # One row per condition kind, in _CONDITION_KINDS order.
         shape = (len(_CONDITION_KINDS), n)
@@ -440,19 +434,16 @@ class HealthTracker:
         bounds = [0, *itertools.accumulate(lengths)]
         gpus = np.concatenate([run.gpu_indices for run in block])
         temperature = [run.temperature_c for run in block]
-        signals = (
+        signals = np.stack([
             np.concatenate([run.performance_ms for run in block])
             / np.repeat(perf_median, lengths),
             np.concatenate(temperature)
             - np.repeat(_medians(temperature), lengths),
             np.concatenate([run.frequency_mhz for run in block]),
-            np.concatenate([run.capped for run in block]).astype(float),
-        )
-        before = [
-            (window._buffer.copy(), window._pos.copy(), window._count.copy())
-            for window in self._windows
-        ]
-        counts, contents = _push_runs(self._windows, bounds, gpus, signals)
+            np.concatenate([run.capped for run in block]),
+        ])
+        before = self._ring.snapshot()
+        counts, contents = self._ring.push_runs(bounds, gpus, signals)
         observed = np.zeros((len(block), n), dtype=bool)
         observed[np.repeat(np.arange(len(block)), lengths), gpus] = True
         self.runs_observed += len(block)
@@ -486,15 +477,13 @@ class HealthTracker:
             # BoxStats raises on its sample.
             e = int(np.argmax(degenerate))
             sample = dev_med[e, valid[e]]
-            for window, (buffer, pos, count) in zip(self._windows, before):
-                window._buffer[...], window._pos[...], window._count[...] = (
-                    buffer, pos, count
-                )
+            self._ring.restore(before)
             self.runs_observed -= len(block)
             self._evaluate_block(block[:first + e])
             start, stop = bounds[first + e], bounds[first + e + 1]
-            _push_runs(self._windows, [0, stop - start], gpus[start:stop],
-                       tuple(signal[start:stop] for signal in signals))
+            self._ring.push_runs(
+                [0, stop - start], gpus[start:stop], signals[:, start:stop]
+            )
             self.runs_observed += 1
             BoxStats.from_values(sample)
         chronic = valid & (dev_med > hi)

@@ -154,35 +154,26 @@ class FleetRun:
 # ---------------------------------------------------------------------------
 
 
-#: Widest window whose statistics are taken slot by slot (a
-#: compare-exchange sort, a running sum); wider ones use numpy's row
-#: reductions.  numpy sums fewer than 8 terms one at a time from +0.0,
-#: so up to 7 slots the running sum is its row sum bit for bit.
-_SLOTWISE = 7
-
-
 def _observed(
     windows: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, slots, missing, k)`` over the windows holding an observation.
+    """``(rows, block, missing, k)`` over the windows holding an observation.
 
     ``windows`` is ``(..., capacity)`` with fill counts ``counts`` shaped
     like its leading axes; ``rows`` index the flattened leading axes,
-    ``slots`` is a slot-major copy, ``(capacity, len(rows))``, so each
-    slot is one contiguous plane, ``missing`` its NaN mask and ``k`` the
-    non-NaN count of each window.  Unfilled slots hold NaN, so a window
-    with no NaN observation has ``k == count``; a NaN observation is
-    skipped as the nan-functions skip it.
+    ``block`` is a copy of those windows, ``(len(rows), capacity)``,
+    ``missing`` its NaN mask and ``k`` the non-NaN count of each window.
+    Unfilled slots hold NaN, so a window with no NaN observation has
+    ``k == count``; a NaN observation is skipped as the nan-functions skip
+    it.
     """
     rows = np.flatnonzero(counts > 0)
     block = windows.reshape(-1, windows.shape[-1])
-    if rows.shape[0] < block.shape[0]:
-        block = block[rows]
-    slots = block.T.copy()
-    missing = np.isnan(slots)
-    width, m = slots.shape
-    k = width - missing.sum(axis=0) if missing.any() else np.full(m, width)
-    return rows, slots, missing, k
+    block = block[rows] if rows.shape[0] < block.shape[0] else block.copy()
+    missing = np.isnan(block)
+    m, width = block.shape
+    k = width - missing.sum(axis=1) if missing.any() else np.full(m, width)
+    return rows, block, missing, k
 
 
 def _place(values: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
@@ -206,24 +197,10 @@ def _window_median(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     window of NaN observations only is NaN.
     """
     rows, ranked, missing, k = _observed(windows, counts)
-    width, m = ranked.shape
     np.copyto(ranked, np.inf, where=missing)
-    if width <= _SLOTWISE:
-        # Odd-even transposition sort: `width` rounds of compare-exchange.
-        low = np.empty(m)
-        for start in range(width):
-            for i in range(start % 2, width - 1, 2):
-                np.minimum(ranked[i], ranked[i + 1], out=low)
-                np.maximum(ranked[i], ranked[i + 1], out=ranked[i + 1])
-                ranked[i] = low
-    else:
-        ranked.sort(axis=0)
-    if missing.any():
-        flat = ranked.reshape(-1)
-        middle = flat[np.maximum(k - 1, 0) // 2 * m + np.arange(m)]
-        middle += flat[k // 2 * m + np.arange(m)]
-    else:
-        middle = ranked[(width - 1) // 2] + ranked[width // 2]
+    ranked.sort(axis=1)
+    at = np.arange(ranked.shape[0])
+    middle = ranked[at, np.maximum(k - 1, 0) // 2] + ranked[at, k // 2]
     middle += 0.0
     middle /= 2.0
     middle[k == 0] = np.nan
@@ -234,72 +211,80 @@ def _window_mean(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Mean of each window, shaped like ``counts`` (NaN if empty).
 
     Bit for bit ``np.nanmean``: each window is summed whole, in slot
-    order, with its NaN slots as +0.0, the way numpy's row sum groups the
-    terms at that capacity, then divided by the non-NaN count.
+    order, with its NaN slots as +0.0, so numpy's pairwise summation
+    groups the terms as it does there at any capacity, then divided by
+    the non-NaN count.
     """
     rows, terms, missing, k = _observed(windows, counts)
     np.copyto(terms, 0.0, where=missing)
-    if terms.shape[0] <= _SLOTWISE:
-        total = 0.0 + terms[0]
-        for term in terms[1:]:
-            total += term
-    else:
-        total = np.ascontiguousarray(terms.T).sum(axis=1)
-    return _place(total / k, rows, counts.shape)
+    return _place(terms.sum(axis=1) / k, rows, counts.shape)
 
 
-def _push_runs(
-    windows: tuple["SlidingWindow", ...],
-    bounds: list[int],
-    series: np.ndarray,
-    values: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Scan a block of runs through windows that share one ring state.
+class _Ring:
+    """Parallel ring buffers that are always pushed together.
 
-    Run ``r`` pushes ``values[j][bounds[r]:bounds[r + 1]]`` onto series
-    ``series[bounds[r]:bounds[r + 1]]`` of each ``windows[j]``, exactly as
-    one :meth:`SlidingWindow.push` per run and window would; the windows
-    must have seen the same pushes so far.  Returns ``(counts, contents)``:
-    the fill counts ``(runs, n_series)`` after each run and, per window,
-    its buffer after each run, ``(runs, n_series, capacity)``.
-
-    Write positions and fill counts of the whole block come from one
-    cumulative count of each series' pushes, so the run-by-run part is one
-    scatter of each run's values into every buffer (a series listed twice
-    in a run lands in one cell, the later value kept) and a copy of it.
+    ``buffer`` is ``(n_windows, n_series, capacity)``; the windows share
+    one write position and fill count per series, so pushing a block of
+    runs is one scan whatever the number of windows.
     """
-    ring = windows[0]
-    for window in windows[1:]:
-        if not (np.array_equal(window._pos, ring._pos)
-                and np.array_equal(window._count, ring._count)):
-            raise AnalysisError("windows pushed together must share a ring state")
-    n, w = ring._buffer.shape
-    runs = len(bounds) - 1
-    run_of = np.repeat(np.arange(runs), np.diff(bounds))
-    observed = np.zeros((runs, n), dtype=bool)
-    observed[run_of, series] = True
-    pushes = np.cumsum(observed, axis=0)
-    cell = series * w + (ring._pos[series] + pushes[run_of, series] - 1) % w
-    contents = [np.empty((runs, n, w)) for _ in windows]
-    for r in range(runs):
-        lo, hi = bounds[r], bounds[r + 1]
-        for window, pushed, buffers in zip(windows, values, contents):
-            np.put(window._buffer, cell[lo:hi], pushed[lo:hi])
-            buffers[r] = window._buffer
-    counts = np.minimum(ring._count + pushes, w)
-    pos = (ring._pos + pushes[-1]) % w
-    for window in windows:
-        window._pos[...] = pos
-        window._count[...] = counts[-1]
-    return counts, contents
+
+    def __init__(self, n_windows: int, n_series: int, capacity: int) -> None:
+        self.buffer = np.full((n_windows, n_series, capacity), np.nan)
+        self.pos = np.zeros(n_series, dtype=np.int64)
+        self.count = np.zeros(n_series, dtype=np.int64)
+
+    def push_runs(
+        self, bounds: list[int], series: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scan a block of runs through the ring.
+
+        Run ``r`` pushes ``values[j, bounds[r]:bounds[r + 1]]`` onto series
+        ``series[bounds[r]:bounds[r + 1]]`` of window ``j``, exactly as
+        one push per run and window would.  Returns ``(counts, contents)``:
+        the fill counts ``(runs, n_series)`` after each run and every
+        window's buffer after each run, ``(n_windows, runs, n_series,
+        capacity)``.
+
+        Write positions and fill counts of the whole block come from one
+        cumulative count of each series' pushes, so the run-by-run part is
+        one scatter of each run's values (a series listed twice in a run
+        lands in one cell, the later value kept) and a copy of the buffer.
+        """
+        k, n, w = self.buffer.shape
+        runs = len(bounds) - 1
+        run_of = np.repeat(np.arange(runs), np.diff(bounds))
+        observed = np.zeros((runs, n), dtype=bool)
+        observed[run_of, series] = True
+        pushes = np.cumsum(observed, axis=0)
+        cell = series * w + (self.pos[series] + pushes[run_of, series] - 1) % w
+        cells = cell + n * w * np.arange(k)[:, None]
+        contents = np.empty((k, runs, n, w))
+        for r in range(runs):
+            lo, hi = bounds[r], bounds[r + 1]
+            np.put(self.buffer, cells[:, lo:hi], values[:, lo:hi])
+            contents[:, r] = self.buffer
+        counts = np.minimum(self.count + pushes, w)
+        self.pos[...] = (self.pos + pushes[-1]) % w
+        self.count[...] = counts[-1]
+        return counts, contents
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A copy of the ring state, for :meth:`restore`."""
+        return self.buffer.copy(), self.pos.copy(), self.count.copy()
+
+    def restore(self, state: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Return to a :meth:`snapshot`."""
+        for now, then in zip((self.buffer, self.pos, self.count), state):
+            now[...] = then
 
 
 class SlidingWindow:
     """Ring buffer over the last ``capacity`` pushes of ``n_series`` series.
 
-    Backing store is one ``(n_series, capacity)`` array; each series keeps
-    its own write position and fill count, so partially-covered fleets
-    (``coverage < 1``) advance only the GPUs a run actually observed.
+    Backing store is a one-window :class:`_Ring`: one ``(n_series,
+    capacity)`` array, and per series its own write position and fill
+    count, so partially-covered fleets (``coverage < 1``) advance only the
+    GPUs a run actually observed.
     Statistics are NaN for series with no observations yet.
     """
 
@@ -307,9 +292,10 @@ class SlidingWindow:
         require(n_series >= 1, f"n_series must be >= 1, got {n_series}")
         require(capacity >= 1, f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._buffer = np.full((int(n_series), self.capacity), np.nan)
-        self._pos = np.zeros(int(n_series), dtype=np.int64)
-        self._count = np.zeros(int(n_series), dtype=np.int64)
+        self._ring = _Ring(1, int(n_series), self.capacity)
+        # Views of the ring's arrays.
+        self._buffer = self._ring.buffer[0]
+        self._count = self._ring.count
 
     @property
     def n_series(self) -> int:
@@ -324,7 +310,7 @@ class SlidingWindow:
     def push(self, values: np.ndarray, indices: np.ndarray | None = None) -> None:
         """Append one observation per (selected) series.
 
-        The one-run case of :func:`_push_runs`.
+        The one-run case of :meth:`_Ring.push_runs`.
         """
         values = np.asarray(values, dtype=float).ravel()
         if indices is None:
@@ -335,7 +321,7 @@ class SlidingWindow:
             raise AnalysisError(
                 f"push got {values.shape[0]} values for {indices.shape[0]} series"
             )
-        _push_runs((self,), [0, indices.shape[0]], indices, (values,))
+        self._ring.push_runs([0, indices.shape[0]], indices, values[None])
 
     def median(self) -> np.ndarray:
         """Per-series median over the buffered window (NaN if empty)."""
@@ -357,8 +343,7 @@ class SlidingWindow:
         out = {"mean": self.mean()}
         for key in ("p5", "p50", "p95", "iqr"):
             out[key] = np.full(n, np.nan)
-        rows, slots, _, valid = _observed(self._buffer, self._count)
-        block = slots.T
+        rows, block, _, valid = _observed(self._buffer, self._count)
         for k in np.unique(valid[valid > 0]):
             group = valid == k
             head, tail = block[group, :k], block[group, k:]
@@ -872,8 +857,7 @@ class FleetMonitor:
 
         ``{}`` before :meth:`finalize`.  After it, the first read replays
         :meth:`iter_runs` through one :class:`SlidingWindow` of
-        ``window_runs`` per metric (pushed together, one shared ring
-        scan per run), appending each run's
+        ``window_runs`` per metric, appending each run's
         :meth:`~SlidingWindow.pooled_stats` plus its ``day`` and
         ``run_index``; later reads return the same cached dict.  No
         campaign output reads it, so a campaign does not pay for it.
@@ -882,21 +866,17 @@ class FleetMonitor:
             return {}
         if self._window_series is None:
             n = len(self.gpu_labels)
-            windows = tuple(
-                SlidingWindow(n, self.config.window_runs)
-                for _ in _FLEET_STREAMS
-            )
+            windows = {
+                name: SlidingWindow(n, self.config.window_runs)
+                for name in _FLEET_STREAMS
+            }
             series: dict[str, list[dict[str, float]]] = {
                 name: [] for name in _FLEET_STREAMS
             }
             for run, values in self._fleet_values(n):
-                idx = run.gpu_indices
-                _push_runs(
-                    windows, [0, idx.shape[0]], idx,
-                    tuple(values[name] for name in _FLEET_STREAMS),
-                )
-                for name, window in zip(_FLEET_STREAMS, windows):
-                    stats = window.pooled_stats()
+                for name, arr in values.items():
+                    windows[name].push(arr, run.gpu_indices)
+                    stats = windows[name].pooled_stats()
                     stats["day"] = float(run.day)
                     stats["run_index"] = float(run.run_index)
                     series[name].append(stats)

@@ -28,12 +28,7 @@ from repro.cluster.topology import cabinet_topology, row_column_topology
 from repro.errors import AnalysisError
 from repro.obs import health
 from repro.obs.health import HealthPolicy, HealthTracker, build_health_report
-from repro.obs.metrics import (
-    FleetMonitor,
-    SlidingWindow,
-    _push_runs,
-    _window_mean,
-)
+from repro.obs.metrics import FleetMonitor, _Ring, _window_mean
 from repro.obs.observer import activate
 from repro.obs.timeline import TimelineRecorder, timeline_lines
 
@@ -303,9 +298,8 @@ class TestPinnedTraps:
         order ``(0.7 + 3.0) + 0.1``.  The block scan must produce the ring.
         """
         values = np.array([3.0, 0.7, 3.0, 0.1])
-        window = SlidingWindow(1, 3)
-        counts, (buffers,) = _push_runs(
-            (window,), [0, 1, 2, 3, 4], np.zeros(4, dtype=np.int64), (values,)
+        counts, (buffers,) = _Ring(1, 1, 3).push_runs(
+            [0, 1, 2, 3, 4], np.zeros(4, dtype=np.int64), values[None]
         )
         got = _window_mean(buffers, counts)[:, 0]
         want = oracle.Window(1, 3)
@@ -377,18 +371,27 @@ class TestPinnedTraps:
                        seed=0, block_cells=block_runs * self.N)
         assert got.runs_observed == 5
 
-    @pytest.mark.parametrize("bad", ["index", "median"])
+    @pytest.mark.parametrize("bad", ["index", "median", "length"])
     @pytest.mark.parametrize("as_monitor", [False, True])
     @pytest.mark.parametrize("block_runs", [2, 3, 100])
     def test_malformed_run_raises_before_it_changes_state(
         self, bad, as_monitor, block_runs
     ):
+        """A malformed run 4 raises and leaves the state after run 3.
+
+        For a temperature array one short, the per-run oracle differs: it
+        pushed run 4's deviations before its temperature push raised, so
+        its deviation window moved on.  The block tracker validates every
+        array first and pushes nothing.
+        """
         n = self.N
         runs = _flat_runs(n, 6)
         if bad == "index":
             runs[4]["gpu_indices"] = np.arange(n) + 1
-        else:
+        elif bad == "median":
             runs[4]["performance_ms"] = np.zeros(n)
+        else:
+            runs[4]["temperature_c"] = runs[4]["temperature_c"][:-1]
         policy = HealthPolicy(window_runs=2, min_window_runs=1, min_fleet=8,
                               open_after=1, close_after=1)
         topology = self._topology()
@@ -406,10 +409,15 @@ class TestPinnedTraps:
         assert _state(got, topology, recorder) == _state(
             want, topology, recorder
         )
-        for window, twin in zip(got._windows, (want._dev, want._resid,
-                                               want._freq, want._throttle)):
-            assert window._buffer.tobytes() == twin.buffer.tobytes()
-            assert window._pos.tolist() == twin.pos.tolist()
+        clean = oracle.HealthTracker(topology.gpu_labels, policy)
+        _feed(clean, runs, [(0, 4, False)], np.random.default_rng(0))
+        twins = (clean._dev, clean._resid, clean._freq, clean._throttle)
+        for buffer, twin in zip(got._ring.buffer, twins):
+            assert buffer.tobytes() == twin.buffer.tobytes()
+            assert got._ring.pos.tolist() == twin.pos.tolist()
+            assert got._ring.count.tolist() == twin.count.tolist()
+        moved = want._dev.pos.tolist() != clean._dev.pos.tolist()
+        assert moved == (bad == "length")
 
 
 def test_report_on_full_scale_summit_matches_oracle():

@@ -391,8 +391,8 @@ class HealthTracker:
 
         A malformed run (a GPU index beyond the labels, signals of another
         length than its indices, a median performance <= 0) raises
-        :class:`AnalysisError` after the runs before it are evaluated and
-        before it changes anything, as when runs are fed one at a time.
+        :class:`AnalysisError` after the runs before it are evaluated; it
+        is checked whole before anything is pushed, so it changes nothing.
         """
         size = max(1, _BLOCK_CELLS // (self.n_gpus * self.policy.window_runs))
         emitted: list[HealthEvent] = []

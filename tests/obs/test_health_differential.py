@@ -8,10 +8,11 @@ On random run streams — partial coverage and lost nodes, windows of 1 to 8
 runs, slow, hot and throttle-stuck GPUs that may heal, runs with a NaN
 performance, blocks of any size, and the stream split at random points
 between ``observe_run`` calls and ``observe_monitor`` calls — both must
-raise the same error, if any, and leave the same events, grades, open
-conditions, streaks, baselines, outlier counts, run count, report JSON and
-text, and recorded health timeline, compared as exact JSON text (``repr``
-round-trips every float) or raw bytes.
+raise the same error, if any, and leave the same ring buffers, write
+positions and fill counts, events, grades, open conditions, streaks,
+baselines, outlier counts, run count, report JSON and text, and recorded
+health timeline, compared as exact JSON text (``repr`` round-trips every
+float) or raw bytes.
 """
 
 from __future__ import annotations
@@ -137,7 +138,17 @@ def _state(tracker, topology, recorder) -> dict:
     streaks = [tracker._streak_true, tracker._streak_false]
     if isinstance(tracker, oracle.HealthTracker):
         streaks = [np.stack(list(by_kind.values())) for by_kind in streaks]
+        windows = (tracker._dev, tracker._resid, tracker._freq,
+                   tracker._throttle)
+        ring = [np.stack([window.buffer for window in windows])]
+        ring += [np.stack([window.pos for window in windows]),
+                 np.stack([window.count for window in windows])]
+    else:
+        ring = tracker._ring
+        ring = [ring.buffer, np.tile(ring.pos, (4, 1)),
+                np.tile(ring.count, (4, 1))]
     return {
+        "ring": [array.tobytes() for array in ring],
         "baseline": tracker._baseline.tobytes(),
         "streaks": [streak.tolist() for streak in streaks],
         "events": json.dumps([event.as_dict() for event in tracker.events]),
@@ -354,21 +365,27 @@ class TestPinnedTraps:
         assert [(e.gpu_index, e.run_index) for e in opened] == [(0, 4)]
         assert got.outlier_accumulator.counts()[got.gpu_labels[0]] == 7
 
+    @pytest.mark.parametrize("window", [1, 2])
     @pytest.mark.parametrize("block_runs", [2, 3, 100])
-    def test_degenerate_deviation_fence_raises_as_run_by_run(self, block_runs):
+    def test_degenerate_deviation_fence_raises_as_run_by_run(
+        self, window, block_runs
+    ):
         """No finite window median: the fence raises where the oracle's did.
 
-        One NaN performance makes run 4's median, and so every deviation
-        it pushes, NaN; with one-run windows no finite window median is
-        left.  The runs before it are evaluated, run 4 is pushed, then
-        ``BoxStats`` raises, whatever the block boundaries.
+        One NaN performance makes a run's median, and so every deviation
+        it pushes, NaN; NaN in the last ``window`` runs up to run 4 leaves
+        no finite window median at run 4.  The runs before it are
+        evaluated, run 4 is pushed, then ``BoxStats`` raises, whatever the
+        block boundaries, and the ring holds exactly the pushes of runs
+        0-4.
         """
         runs = _flat_runs(self.N, 6)
-        runs[4]["performance_ms"][3] = np.nan
-        policy = HealthPolicy(window_runs=1, min_window_runs=1, min_fleet=8,
-                              open_after=1, close_after=1)
+        for run in runs[5 - window:5]:
+            run["performance_ms"][3] = np.nan
+        policy = HealthPolicy(window_runs=window, min_window_runs=1,
+                              min_fleet=8, open_after=1, close_after=1)
         got = _compare(self._topology(), policy, runs, [(0, 6, True)],
-                       seed=0, block_cells=block_runs * self.N)
+                       seed=0, block_cells=block_runs * self.N * window)
         assert got.runs_observed == 5
 
     @pytest.mark.parametrize("bad", ["index", "median", "length"])
@@ -405,19 +422,19 @@ class TestPinnedTraps:
                 _feed(got, runs, [(0, 6, as_monitor)], np.random.default_rng(0))
         # The runs before the bad one count, the bad one changes nothing.
         assert got.runs_observed == want.runs_observed == 4
-        recorder = TimelineRecorder()
-        assert _state(got, topology, recorder) == _state(
-            want, topology, recorder
-        )
         clean = oracle.HealthTracker(topology.gpu_labels, policy)
         _feed(clean, runs, [(0, 4, False)], np.random.default_rng(0))
-        twins = (clean._dev, clean._resid, clean._freq, clean._throttle)
-        for buffer, twin in zip(got._ring.buffer, twins):
-            assert buffer.tobytes() == twin.buffer.tobytes()
-            assert got._ring.pos.tolist() == twin.pos.tolist()
-            assert got._ring.count.tolist() == twin.count.tolist()
-        moved = want._dev.pos.tolist() != clean._dev.pos.tolist()
-        assert moved == (bad == "length")
+        recorder = TimelineRecorder()
+        assert _state(got, topology, recorder) == _state(
+            clean, topology, recorder
+        )
+        # Only the ring tells the oracle's short-array case apart.
+        want_state = _state(want, topology, recorder)
+        clean_state = _state(clean, topology, recorder)
+        assert (want_state.pop("ring") != clean_state.pop("ring")) == (
+            bad == "length"
+        )
+        assert want_state == clean_state
 
 
 def test_report_on_full_scale_summit_matches_oracle():

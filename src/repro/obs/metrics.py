@@ -191,13 +191,12 @@ def _window_median(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Bit for bit ``np.nanmedian``, whose short-row path sorts (NaN last),
     takes the low and high middle values of the ``k`` non-NaN ones (the
     middle value twice for odd ``k``), sums them from ``+0.0`` and halves
-    the sum.  Here NaN slots become ``+inf`` before the sort, so the first
-    ``k`` sorted slots are the same values, and ``(lo + hi) + 0.0`` is that
-    sum: which of ``-0.0``/``+0.0`` sorts first cannot change it.  A
-    window of NaN observations only is NaN.
+    the sum.  Here too NaN sorts last, so the first ``k`` sorted slots are
+    the same values, and ``(lo + hi) + 0.0`` is that sum: which of
+    ``-0.0``/``+0.0`` sorts first cannot change it.  A window of NaN
+    observations only is NaN.
     """
-    rows, ranked, missing, k = _observed(windows, counts)
-    np.copyto(ranked, np.inf, where=missing)
+    rows, ranked, _, k = _observed(windows, counts)
     ranked.sort(axis=1)
     at = np.arange(ranked.shape[0])
     middle = ranked[at, np.maximum(k - 1, 0) // 2] + ranked[at, k // 2]

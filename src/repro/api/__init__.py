@@ -43,9 +43,11 @@ removed in 2.0 and now raise :class:`ImportError` naming the replacement.
 
 from __future__ import annotations
 
+import importlib
 import json
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..cluster import get_preset, list_presets
 from ..cluster.cluster import Cluster
@@ -73,16 +75,6 @@ from .requests import (
     request_from_dict,
     request_from_json,
 )
-from ..chaos import (
-    CHAOS_SCORECARD_SCHEMA,
-    ChaosRunResult,
-    Scenario,
-    get_scenario,
-    list_scenarios,
-    render_scorecard,
-    validate_scorecard,
-)
-from ..chaos.score import score_scenario as _score_scenario
 from ..core.suite import ClusterReport
 from ..core.classify import ApplicationClass, classify_workload
 from ..core.scheduler import PlacementPlan
@@ -110,7 +102,6 @@ from ..obs import (
     write_events_jsonl,
     write_timeline,
 )
-from ..obs.replay import ReplayCheck, TimelineReplayer, load_replayer
 from ..obs.health import (
     FleetHealthReport,
     HealthEvent,
@@ -121,28 +112,6 @@ from ..obs.health import (
     validate_health_report,
     write_health_events,
 )
-from ..sched import (
-    ENGINE_MODES,
-    POLICY_NAMES,
-    BackfillPolicy,
-    EnergyCappedPolicy,
-    FifoPolicy,
-    HealthAwarePolicy,
-    Job,
-    JobRecord,
-    PlacementPolicy,
-    ScheduleOutcome,
-    SchedulingReport,
-    TraceConfig,
-    VariabilityAwarePolicy,
-    build_scheduling_report,
-    generate_trace,
-    node_grades_from_gpu_grades,
-    node_power_watts,
-    run_schedule,
-    validate_scheduling_report,
-    write_event_log,
-)
 from ..sim.campaign import CampaignConfig
 from ..sim.campaign import run_campaign as _run_campaign
 from ..sim.parallel import ParallelConfig
@@ -151,6 +120,79 @@ from ..telemetry.progress import CampaignProgress
 from ..telemetry.sample import METRIC_PERFORMANCE
 from ..workloads import get_workload, list_workloads
 from ..workloads.base import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - types only; see _LAZY_EXPORTS
+    from ..chaos import ChaosRunResult, Scenario
+    from ..sched import (
+        Job,
+        JobRecord,
+        PlacementPolicy,
+        ScheduleOutcome,
+        SchedulingReport,
+        TraceConfig,
+    )
+
+#: Re-exports from packages only some verbs use, by home module.  Each
+#: loads on first access (PEP 562 ``__getattr__`` below), so ``import
+#: repro.api`` pays for none of them; the verbs that need them import at
+#: call time.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "ENGINE_MODES",
+            "POLICY_NAMES",
+            "BackfillPolicy",
+            "EnergyCappedPolicy",
+            "FifoPolicy",
+            "HealthAwarePolicy",
+            "Job",
+            "JobRecord",
+            "PlacementPolicy",
+            "ScheduleOutcome",
+            "SchedulingReport",
+            "TraceConfig",
+            "VariabilityAwarePolicy",
+            "build_scheduling_report",
+            "generate_trace",
+            "node_grades_from_gpu_grades",
+            "node_power_watts",
+            "run_schedule",
+            "validate_scheduling_report",
+            "write_event_log",
+        ),
+        "repro.sched",
+    ),
+    **dict.fromkeys(
+        (
+            "CHAOS_SCORECARD_SCHEMA",
+            "ChaosRunResult",
+            "Scenario",
+            "get_scenario",
+            "list_scenarios",
+            "render_scorecard",
+            "validate_scorecard",
+        ),
+        "repro.chaos",
+    ),
+    **dict.fromkeys(
+        ("ReplayCheck", "TimelineReplayer", "load_replayer"),
+        "repro.obs.replay",
+    ),
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY_EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+
 
 __all__ = [
     # constructors / registries
@@ -855,6 +897,18 @@ def _build_policy(
     power_budget_w: float | None = None,
 ) -> tuple[PlacementPolicy, MeasurementDataset | None]:
     """Construct a named policy, profiling the fleet when the policy needs it."""
+    from ..sched import (
+        POLICY_NAMES,
+        BackfillPolicy,
+        EnergyCappedPolicy,
+        FifoPolicy,
+        HealthAwarePolicy,
+        PlacementPolicy,
+        VariabilityAwarePolicy,
+        node_grades_from_gpu_grades,
+        node_power_watts,
+    )
+
     if isinstance(policy, PlacementPolicy):
         return policy, None
     name = str(policy).lower()
@@ -992,6 +1046,8 @@ def schedule(
     the one dispatch loop of :func:`~repro.sched.run_schedule`; a
     request's ``engine`` field is validated and ignored.
     """
+    from ..sched import TraceConfig
+
     if request is not None:
         _require_request_only(
             "schedule", cluster=cluster, trace=trace,
@@ -1036,6 +1092,13 @@ def _schedule_built(
     timeline: TimelineRecorder | None = None,
 ) -> SchedulingResult:
     """The constructed-objects body of :func:`schedule`."""
+    from ..sched import (
+        TraceConfig,
+        build_scheduling_report,
+        generate_trace,
+        run_schedule,
+    )
+
     if trace is None:
         trace = TraceConfig()
     if isinstance(trace, TraceConfig):
@@ -1154,10 +1217,12 @@ def chaos(
         n_jobs = request.n_jobs
         trace_seed = request.trace_seed
         workers = request.workers
+    from ..chaos import get_scenario, score_scenario
+
     _require_built("chaos", scenario=scenario)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    return _score_scenario(
+    return score_scenario(
         scenario,
         cluster_name=cluster,
         seed=seed,

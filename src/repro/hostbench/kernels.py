@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..config import require
 
@@ -63,6 +62,8 @@ def spmv_kernel(
     rng: np.random.Generator | None = None,
 ) -> HostKernel:
     """CSR sparse matrix-vector product with random pattern (irregular)."""
+    import scipy.sparse as sp
+
     require(n >= 16, "spmv dimension must be >= 16")
     require(nnz_per_row >= 1, "nnz_per_row must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(1)

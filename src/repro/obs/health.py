@@ -482,7 +482,8 @@ class HealthTracker:
             self._evaluate_block(block[:first + e])
             start, stop = bounds[first + e], bounds[first + e + 1]
             self._ring.push_runs(
-                [0, stop - start], gpus[start:stop], signals[:, start:stop]
+                [0, stop - start], gpus[start:stop], signals[:, start:stop],
+                contents=False,
             )
             self.runs_observed += 1
             BoxStats.from_values(sample)

@@ -233,8 +233,13 @@ class _Ring:
         self.count = np.zeros(n_series, dtype=np.int64)
 
     def push_runs(
-        self, bounds: list[int], series: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self,
+        bounds: list[int],
+        series: np.ndarray,
+        values: np.ndarray,
+        *,
+        contents: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Scan a block of runs through the ring.
 
         Run ``r`` pushes ``values[j, bounds[r]:bounds[r + 1]]`` onto series
@@ -242,12 +247,13 @@ class _Ring:
         one push per run and window would.  Returns ``(counts, contents)``:
         the fill counts ``(runs, n_series)`` after each run and every
         window's buffer after each run, ``(n_windows, runs, n_series,
-        capacity)``.
+        capacity)``, or ``None`` for ``contents=False``.
 
         Write positions and fill counts of the whole block come from one
         cumulative count of each series' pushes, so the run-by-run part is
         one scatter of each run's values (a series listed twice in a run
-        lands in one cell, the later value kept) and a copy of the buffer.
+        lands in one cell, the later value kept) and, when ``contents``
+        is asked for, a copy of the buffer.
         """
         k, n, w = self.buffer.shape
         runs = len(bounds) - 1
@@ -257,15 +263,16 @@ class _Ring:
         pushes = np.cumsum(observed, axis=0)
         cell = series * w + (self.pos[series] + pushes[run_of, series] - 1) % w
         cells = cell + n * w * np.arange(k)[:, None]
-        contents = np.empty((k, runs, n, w))
+        kept = np.empty((k, runs, n, w)) if contents else None
         for r in range(runs):
             lo, hi = bounds[r], bounds[r + 1]
             np.put(self.buffer, cells[:, lo:hi], values[:, lo:hi])
-            contents[:, r] = self.buffer
+            if kept is not None:
+                kept[:, r] = self.buffer
         counts = np.minimum(self.count + pushes, w)
         self.pos[...] = (self.pos + pushes[-1]) % w
         self.count[...] = counts[-1]
-        return counts, contents
+        return counts, kept
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A copy of the ring state, for :meth:`restore`."""
@@ -320,7 +327,9 @@ class SlidingWindow:
             raise AnalysisError(
                 f"push got {values.shape[0]} values for {indices.shape[0]} series"
             )
-        self._ring.push_runs([0, indices.shape[0]], indices, values[None])
+        self._ring.push_runs(
+            [0, indices.shape[0]], indices, values[None], contents=False
+        )
 
     def median(self) -> np.ndarray:
         """Per-series median over the buffered window (NaN if empty)."""

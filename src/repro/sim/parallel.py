@@ -39,14 +39,12 @@ pinned across refactors by the golden fixtures under ``tests/golden/``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from contextlib import ExitStack
 from concurrent.futures import (
     FIRST_EXCEPTION,
     Executor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
@@ -398,7 +396,8 @@ def make_executor(
     travels by pickle, so spawn-only platforms work too).  Exposed so
     other long-lived components — notably :mod:`repro.service`'s worker
     pool — reuse the exact pool construction (and its start-method
-    choice) instead of growing a second one.
+    choice) instead of growing a second one.  ``multiprocessing`` loads
+    only when a process pool is built.
     """
     require(
         backend in ("thread", "process"),
@@ -409,6 +408,9 @@ def make_executor(
         return ThreadPoolExecutor(
             max_workers=n_workers, initializer=initializer, initargs=initargs
         )
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]

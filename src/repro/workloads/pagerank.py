@@ -25,11 +25,15 @@ exercise the real pipeline end to end on smaller graphs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError
 from .base import KernelPhase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - types only; scipy loads on first use
+    import scipy.sparse as sp
 
 __all__ = [
     "synthesize_circuit_graph",
@@ -79,6 +83,8 @@ def synthesize_circuit_graph(
         raise ConfigError(f"need at least 4 nodes, got {n_nodes}")
     if avg_degree < 2.0:
         raise ConfigError(f"avg_degree must be >= 2, got {avg_degree}")
+    import scipy.sparse as sp
+
     if rng is None:
         rng = np.random.default_rng(20_220_422)
 

@@ -42,6 +42,23 @@ def _require_int(value, what: str) -> int:
     return int(value)
 
 
+def _swept_nodes(
+    n_nodes: int, coverage: float, rng: np.random.Generator | None
+) -> np.ndarray:
+    """The ascending node indices a sweep covers (see
+    :meth:`ExclusiveNodeAllocator.sweep`); campaign shard planning draws
+    its daily coverage through here too, without building allocations."""
+    if not 0 < coverage <= 1:
+        raise AllocationError(f"coverage must be in (0, 1], got {coverage}")
+    nodes = np.arange(n_nodes)
+    if coverage < 1.0:
+        if rng is None:
+            raise AllocationError("coverage < 1 requires an rng")
+        keep = max(1, int(round(n_nodes * coverage)))
+        nodes = np.sort(rng.choice(nodes, size=keep, replace=False))
+    return nodes
+
+
 @dataclass(frozen=True)
 class Allocation:
     """GPUs granted to one job.
@@ -94,14 +111,7 @@ class ExclusiveNodeAllocator:
         always get every node (Vortex: 184 of 216 GPUs; Summit queue
         placement varies by day).  Requires ``rng`` when < 1.
         """
-        if not 0 < coverage <= 1:
-            raise AllocationError(f"coverage must be in (0, 1], got {coverage}")
-        nodes = np.arange(self.topology.n_nodes)
-        if coverage < 1.0:
-            if rng is None:
-                raise AllocationError("coverage < 1 requires an rng")
-            keep = max(1, int(round(self.topology.n_nodes * coverage)))
-            nodes = np.sort(rng.choice(nodes, size=keep, replace=False))
+        nodes = _swept_nodes(self.topology.n_nodes, coverage, rng)
         return [self.allocate_node(int(n), n_gpus) for n in nodes]
 
     def random_assignment(

@@ -677,28 +677,19 @@ class DvfsController:
                     + duty * (t_above[dither_mask] - t_level[dither_mask])
                 )
 
+        timing = None
         if tracer is not None:
-            tracer.add("solver.solves", self.n)
-            tracer.add("solver.batches", 1)
-            tracer.add("solver.dense_cells", self.n * k)
-            tracer.add("solver.columns_evaluated",
-                       self.stats.columns_evaluated - columns_before)
-            tracer.add("solver.fixed_point_iterations",
-                       self.stats.fixed_point_iterations - fixed_point_before)
-            tracer.record_span(
-                "solve",
-                category="solver",
-                track=tracer.track,
-                start_s=span_start,
-                duration_s=time.perf_counter() - span_t0,
-                n=self.n,
-            )
-        monitor = obs.monitor
-        if monitor is not None:
-            # Throttle outcome of the settled operating point: which GPUs
-            # ended the solve capped.  Counts of already-computed booleans
-            # only, so the hook is execution-invariant and perturbation-free.
-            monitor.observe_solve(power_capped, thermally_capped)
+            timing = (span_start, time.perf_counter() - span_t0)
+            _count_solver_work(tracer, SolverStats(
+                solves=self.n,
+                batches=1,
+                columns_evaluated=self.stats.columns_evaluated - columns_before,
+                dense_cells=self.n * k,
+                fixed_point_iterations=(
+                    self.stats.fixed_point_iterations - fixed_point_before
+                ),
+            ))
+        _observe_solve(obs, timing, power_capped, thermally_capped)
         return SteadyOperatingPoint(
             pstate_index=idx.astype(np.int32),
             f_effective_mhz=f_eff,
@@ -992,6 +983,47 @@ class DvfsController:
         idx[over] -= self.policy.down_step
         idx[under & ~over] += self.policy.up_step
         return np.clip(idx, 0, self.spec.n_pstates - 1)
+
+
+def _count_solver_work(tracer, stats: SolverStats) -> None:
+    """Add ``stats`` to ``tracer``'s ``solver.*`` counters."""
+    tracer.add("solver.solves", stats.solves)
+    tracer.add("solver.batches", stats.batches)
+    tracer.add("solver.dense_cells", stats.dense_cells)
+    tracer.add("solver.columns_evaluated", stats.columns_evaluated)
+    tracer.add("solver.fixed_point_iterations", stats.fixed_point_iterations)
+
+
+def _observe_solve(
+    obs,
+    timing: tuple[float, float] | None,
+    power_capped: np.ndarray,
+    thermally_capped: np.ndarray,
+) -> None:
+    """Fire one population's solve hooks on the observer ``obs``.
+
+    The tracer gets a ``solve`` span (``timing`` is its ``(start_s,
+    duration_s)``; required when ``obs`` has a tracer) over the
+    population's ``n`` GPUs, and the monitor the throttle outcome: which
+    GPUs ended the solve capped.  Counts of already-computed booleans
+    only, so the hook is execution-invariant and perturbation-free.
+    :meth:`DvfsController.solve_steady` fires it for its own population;
+    a batched solve over several runs fires it once per run, with that
+    run's rows.
+    """
+    tracer = obs.tracer
+    if tracer is not None:
+        tracer.record_span(
+            "solve",
+            category="solver",
+            track=tracer.track,
+            start_s=timing[0],
+            duration_s=timing[1],
+            n=int(power_capped.shape[0]),
+        )
+    monitor = obs.monitor
+    if monitor is not None:
+        monitor.observe_solve(power_capped, thermally_capped)
 
 
 def _as_vec(value: np.ndarray | float, n: int) -> np.ndarray:

@@ -62,7 +62,13 @@ from ..errors import AnalysisError
 from ..core.boxstats import BoxStats, tukey_fences
 from ..core.outliers import OutlierAccumulator
 from .manifest import validate_manifest
-from .metrics import FleetMonitor, _Ring, _window_mean, _window_median
+from .metrics import (
+    FleetMonitor,
+    _medians,
+    _Ring,
+    _window_mean,
+    _window_median,
+)
 from .observer import active_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -278,16 +284,6 @@ def _prepare(run: Any, n_gpus: int) -> _Run | None:
                 f"run has {values.shape[0]} values for {idx.shape[0]} GPUs"
             )
     return prepared
-
-
-def _medians(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.median`` of each array: one ``axis=1`` call per distinct length."""
-    lengths = np.array([values.shape[0] for values in arrays])
-    out = np.empty(len(arrays))
-    for length in np.unique(lengths):
-        at = np.flatnonzero(lengths == length)
-        out[at] = np.median(np.stack([arrays[i] for i in at]), axis=1)
-    return out
 
 
 def _masked_rows(

@@ -593,6 +593,16 @@ class MetricsRegistry:
 _FLEET_STREAMS = ("frequency_mhz", "power_w", "temperature_c", "perf_deviation")
 
 
+def _medians(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.median`` of each array: one ``axis=1`` call per distinct length."""
+    lengths = np.array([values.shape[0] for values in arrays])
+    out = np.empty(len(arrays))
+    for length in np.unique(lengths):
+        at = np.flatnonzero(lengths == length)
+        out[at] = np.median(np.stack([arrays[i] for i in at]), axis=1)
+    return out
+
+
 class FleetMonitor:
     """Collects fleet telemetry for one observed execution.
 
@@ -771,31 +781,56 @@ class FleetMonitor:
 
     def _fleet_values(
         self, n: int
-    ) -> Iterator[tuple[FleetRun, dict[str, np.ndarray]]]:
-        """Each complete run with its per-GPU streams, checked against ``n``.
+    ) -> tuple[list[FleetRun], np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """The complete runs and their per-GPU streams, checked against ``n``.
 
-        The streams, keyed as :data:`_FLEET_STREAMS`, are the reported
-        frequency, power and temperature plus the perf deviation from the
-        run's fleet median.
+        Returns ``(runs, bounds, gpus, streams)``: ``gpus`` and each
+        stream concatenate the runs in order, run ``r`` at
+        ``bounds[r]:bounds[r + 1]``.  The streams, keyed as
+        :data:`_FLEET_STREAMS`, are the reported frequency, power and
+        temperature plus the perf deviation from the run's fleet median.
+        Raises at the first run, in stream order, that references a GPU
+        past ``n`` or has a non-positive median.
         """
-        for run in self.iter_runs():
-            idx = run.gpu_indices
-            if idx.shape[0] and int(idx.max()) >= n:
-                raise AnalysisError(
-                    f"run day={run.day} references GPU {int(idx.max())} but "
-                    f"only {n} labels were given to finalize()"
-                )
-            med = float(np.median(run.performance_ms))
-            if med <= 0.0:
-                raise AnalysisError(
-                    "cannot normalize perf deviation: non-positive run median"
-                )
-            yield run, {
-                "frequency_mhz": run.frequency_mhz,
-                "power_w": run.power_w,
-                "temperature_c": run.temperature_c,
-                "perf_deviation": run.performance_ms / med,
+        runs = list(self.iter_runs())
+        bounds = np.zeros(len(runs) + 1, dtype=np.int64)
+        np.cumsum([run.gpu_indices.shape[0] for run in runs], out=bounds[1:])
+        if not runs:
+            empty = np.empty(0)
+            return runs, bounds, empty.astype(np.int64), {
+                name: empty for name in _FLEET_STREAMS
             }
+        gpus = np.concatenate([run.gpu_indices for run in runs])
+        perf = [run.performance_ms for run in runs]
+        med = _medians(perf)
+        past = np.flatnonzero(gpus >= n)
+        bad_index = (
+            int(np.searchsorted(bounds, past[0], side="right")) - 1
+            if past.shape[0] else len(runs)
+        )
+        bad_median = np.flatnonzero(med <= 0.0)
+        if bad_median.shape[0] and bad_median[0] < bad_index:
+            raise AnalysisError(
+                "cannot normalize perf deviation: non-positive run median"
+            )
+        if bad_index < len(runs):
+            run = runs[bad_index]
+            raise AnalysisError(
+                f"run day={run.day} references GPU "
+                f"{int(run.gpu_indices.max())} but only {n} labels were "
+                "given to finalize()"
+            )
+        return runs, bounds, gpus, {
+            "frequency_mhz": np.concatenate(
+                [run.frequency_mhz for run in runs]
+            ),
+            "power_w": np.concatenate([run.power_w for run in runs]),
+            "temperature_c": np.concatenate(
+                [run.temperature_c for run in runs]
+            ),
+            "perf_deviation": np.concatenate(perf)
+            / np.repeat(med, np.diff(bounds)),
+        }
 
     def finalize(self, gpu_labels: tuple[str, ...]) -> None:
         """Derive the fleet-level registry from the merged sample stream.
@@ -813,26 +848,28 @@ class FleetMonitor:
         n = len(labels)
         # Validate the whole stream before the registry changes, so a
         # finalize that raises leaves the monitor unfinalized and retryable.
-        runs = list(self._fleet_values(n))
+        runs, bounds, gpus, streams = self._fleet_values(n)
         self._finalized = True
         self.gpu_labels = labels
 
-        last = {name: np.full(n, np.nan) for name in _FLEET_STREAMS}
-        observed = np.zeros(n, dtype=np.int64)
-        throttled = np.zeros(n, dtype=np.int64)
-
-        for run, values in runs:
-            idx = run.gpu_indices
-            for name, arr in values.items():
-                last[name][idx] = arr
-            observed[idx] += 1
-            throttled[idx] += (run.power_capped | run.thermally_capped).astype(
-                np.int64
-            )
+        # Each GPU's gauges hold its value from the last run that saw it:
+        # positions ascend with run order, so the last one is the maximum.
+        last_at = np.full(n, -1)
+        np.maximum.at(last_at, gpus, np.arange(gpus.shape[0]))
+        seen = last_at >= 0
+        last = {}
+        for name, values in streams.items():
+            last[name] = np.full(n, np.nan)
+            last[name][seen] = values[last_at[seen]]
+        observed = np.bincount(gpus, minlength=n)
+        capped = np.concatenate(
+            [run.power_capped | run.thermally_capped for run in runs]
+        ) if runs else np.empty(0, dtype=bool)
+        throttled = np.bincount(gpus[capped], minlength=n)
         if runs:
             for name in _FLEET_STREAMS:
                 self.registry._observe_runs(
-                    f"fleet_{name}", [values[name] for _, values in runs]
+                    f"fleet_{name}", np.split(streams[name], bounds[1:-1])
                 )
 
         self.registry.inc(
@@ -881,8 +918,10 @@ class FleetMonitor:
             series: dict[str, list[dict[str, float]]] = {
                 name: [] for name in _FLEET_STREAMS
             }
-            for run, values in self._fleet_values(n):
-                for name, arr in values.items():
+            runs, bounds, _, streams = self._fleet_values(n)
+            for r, run in enumerate(runs):
+                for name, values in streams.items():
+                    arr = values[bounds[r]:bounds[r + 1]]
                     windows[name].push(arr, run.gpu_indices)
                     stats = windows[name].pooled_stats()
                     stats["day"] = float(run.day)

@@ -166,38 +166,55 @@ def run_campaign(
     )
 
 
-def _to_dataset(
+def _to_datasets(
     cluster: Cluster,
     workload: Workload,
     day: int,
-    run_index: int,
-    result,
-) -> MeasurementDataset:
+    run_indices: list[int],
+    results: list,
+) -> list[MeasurementDataset]:
+    """The dataset slice of each of one day's runs on the same GPUs.
+
+    The identity columns do not depend on the run, so they are built
+    once; each run adds its ``run`` index and its measurements.
+    """
     topo = cluster.topology
-    idx = result.gpu_indices
+    idx = results[0].gpu_indices
     n = idx.shape[0]
-    columns: dict[str, np.ndarray] = {
+    identity: dict[str, np.ndarray | None] = {
         "cluster": np.full(n, cluster.name, dtype=object),
         "workload": np.full(n, workload.name, dtype=object),
         "day": np.full(n, day, dtype=np.int64),
         "weekday": np.full(n, FacilityModel.weekday_name(day), dtype=object),
-        "run": np.full(n, run_index, dtype=np.int64),
+        "run": None,
         "gpu_index": idx.astype(np.int64),
         "gpu_label": topo.gpu_label_array[idx],
         "node_label": topo.node_label_of_gpu[idx],
         "cabinet": topo.cabinet_label_of_gpu[idx],
-        METRIC_PERFORMANCE: result.performance_ms,
-        METRIC_FREQUENCY: result.frequency_mhz,
-        METRIC_POWER: result.power_w,
-        METRIC_TEMPERATURE: result.temperature_c,
-        "true_frequency_mhz": result.true_frequency_mhz,
-        "true_power_w": result.true_power_w,
-        "true_temperature_c": result.true_temperature_c,
-        "power_capped": result.power_capped,
-        "thermally_capped": result.thermally_capped,
+        # The run's measurements take these places, in this order.
+        **dict.fromkeys((
+            METRIC_PERFORMANCE, METRIC_FREQUENCY, METRIC_POWER,
+            METRIC_TEMPERATURE, "true_frequency_mhz", "true_power_w",
+            "true_temperature_c", "power_capped", "thermally_capped",
+        )),
         "defect_kind": cluster.defects.kind[idx].astype(np.int64),
     }
     if topo.has_grid:
-        columns["row"] = topo.row_label_of_gpu[idx]
-        columns["column"] = (topo.column_of_gpu[idx] + 1).astype(np.int64)
-    return MeasurementDataset(columns)
+        identity["row"] = topo.row_label_of_gpu[idx]
+        identity["column"] = (topo.column_of_gpu[idx] + 1).astype(np.int64)
+    return [
+        MeasurementDataset({
+            **identity,
+            "run": np.full(n, run_index, dtype=np.int64),
+            METRIC_PERFORMANCE: result.performance_ms,
+            METRIC_FREQUENCY: result.frequency_mhz,
+            METRIC_POWER: result.power_w,
+            METRIC_TEMPERATURE: result.temperature_c,
+            "true_frequency_mhz": result.true_frequency_mhz,
+            "true_power_w": result.true_power_w,
+            "true_temperature_c": result.true_temperature_c,
+            "power_capped": result.power_capped,
+            "thermally_capped": result.thermally_capped,
+        })
+        for run_index, result in zip(run_indices, results)
+    ]

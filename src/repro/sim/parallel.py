@@ -24,8 +24,10 @@ every column, every bit — to the serial one:
 2. **Worker-independent planning.**  :func:`plan_shards` depends only on
    the cluster, the workload, and the campaign/parallel configuration —
    never on the worker count or the backend.  Serial and parallel
-   executors run literally the same plan, so "serial vs parallel" can
-   only differ in *who* executes a shard, which the physics cannot see.
+   executors run literally the same plan, in the same execution groups
+   (the runs of one (day, shard), whose solves are batched together), so
+   "serial vs parallel" can only differ in *who* executes a group, which
+   the physics cannot see.
 3. **Canonical merge order.**  Results are placed by plan position and
    concatenated in (day, run, shard) order, i.e. ascending
    (day, run, gpu_index).  No cross-shard floating-point reduction
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import ExitStack
 from concurrent.futures import (
     FIRST_EXCEPTION,
     Executor,
@@ -53,14 +54,14 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..cluster.allocator import ExclusiveNodeAllocator
+from ..cluster.allocator import _swept_nodes
 from ..cluster.cluster import Cluster, active_fault_plan
 from ..config import require
 from ..errors import SimulationError
 from ..gpu.dvfs import SolverStats
 from ..obs.manifest import Manifest, build_campaign_manifest
 from ..obs.metrics import FleetMonitor
-from ..obs.observer import Observer, activate
+from ..obs.observer import Observer
 from ..obs.timeline import TimelineRecorder, measurement_digest
 from ..obs.tracer import Tracer
 from ..telemetry.sample import (
@@ -72,7 +73,7 @@ from ..telemetry.sample import (
 from ..telemetry.dataset import MeasurementDataset
 from ..telemetry.progress import CampaignProgress, ShardTiming
 from ..workloads.base import Workload
-from .run import RUN_COOLANT_SIGMA_SHARED, run_rng_label, simulate_run
+from .run import RUN_COOLANT_SIGMA_SHARED, _simulate_runs, run_rng_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .campaign import CampaignConfig
@@ -104,7 +105,8 @@ class ParallelConfig:
     workers:
         Worker count.  ``None`` or ``1`` executes the plan serially in
         the calling process (no pool is created).  The pool never exceeds
-        the number of shards in the plan.
+        the number of execution groups (the (day, shard) pairs) in the
+        plan.
     backend:
         ``"process"`` (default for ``workers > 1``) isolates workers in
         subprocesses — true parallelism for the NumPy-heavy physics.
@@ -189,160 +191,161 @@ def plan_shards(
     campaign runner always used, so plans replay exactly.
     """
     parallel = parallel if parallel is not None else ParallelConfig()
-    allocator = ExclusiveNodeAllocator(cluster.topology)
+    topology = cluster.topology
+    width = topology.gpus_per_node
+    # Shards pack whole nodes — as many as fit under the bound, at least
+    # one, so a node wider than the bound becomes a singleton shard rather
+    # than an error.  Node GPUs are contiguous (node i holds GPUs
+    # i*width ... (i+1)*width - 1), so a day's GPUs are one gather.
+    bound = parallel.max_gpus_per_shard
+    nodes_per_shard = None if bound is None else max(1, bound // width)
+    lanes = np.arange(width)
+    plan = active_fault_plan(cluster)
     tasks: list[ShardTask] = []
     for day in range(config.days):
-        day_rng = cluster.rng_factory.child(f"campaign-day-{day}").generator(
-            "coverage"
-        )
-        allocations = allocator.sweep(coverage=config.coverage, rng=day_rng)
-        plan = active_fault_plan(cluster)
+        # Full coverage draws nothing, so its stream is never built.
+        day_rng = None if config.coverage == 1.0 else cluster.rng_factory.child(
+            f"campaign-day-{day}"
+        ).generator("coverage")
+        nodes = _swept_nodes(topology.n_nodes, config.coverage, day_rng)
         if plan is not None:
             # Chaos node loss drops whole nodes from the day's sweep
             # *after* the coverage draw, so every other day's RNG stream
             # — and the plan's worker-independence — is untouched.
             lost = plan.lost_nodes(day)
             if lost:
-                allocations = [
-                    a for a in allocations if a.node_index not in lost
-                ]
-        if not allocations:
+                nodes = nodes[~np.isin(nodes, sorted(lost))]
+        if not nodes.shape[0]:
             continue
-        shards = _partition_nodes(
-            [a.gpu_indices for a in allocations], parallel.max_gpus_per_shard
-        )
+        gpus = (nodes[:, None] * width + lanes).ravel()
+        step = (nodes_per_shard or nodes.shape[0]) * width
+        shards = [
+            gpus[at:at + step] for at in range(0, gpus.shape[0], step)
+        ]
         for run_index in range(config.runs_per_day):
-            for shard_index, gpus in enumerate(shards):
+            for shard_index, shard_gpus in enumerate(shards):
                 tasks.append(
                     ShardTask(
                         day=day,
                         run_index=run_index,
                         shard_index=shard_index,
                         n_shards=len(shards),
-                        gpu_indices=gpus,
+                        gpu_indices=shard_gpus,
                     )
                 )
     return tasks
 
 
-def _partition_nodes(
-    node_gpu_arrays: list[np.ndarray], max_gpus_per_shard: int | None
-) -> list[np.ndarray]:
-    """Greedily pack whole nodes into contiguous shards of bounded size.
-
-    A shard always contains at least one node, so a node wider than the
-    bound becomes a singleton shard rather than an error.
-    """
-    if max_gpus_per_shard is None:
-        return [np.concatenate(node_gpu_arrays)]
-    shards: list[np.ndarray] = []
-    current: list[np.ndarray] = []
-    current_n = 0
-    for gpus in node_gpu_arrays:
-        if current and current_n + gpus.shape[0] > max_gpus_per_shard:
-            shards.append(np.concatenate(current))
-            current, current_n = [], 0
-        current.append(gpus)
-        current_n += gpus.shape[0]
-    if current:
-        shards.append(np.concatenate(current))
-    return shards
-
-
 # ---------------------------------------------------------------------------
-# shard execution (shared by every backend; runs in workers for pools)
+# group execution (shared by every backend; runs in workers for pools)
 # ---------------------------------------------------------------------------
 
 
-def _execute_shard(
-    cluster: Cluster,
-    workload: Workload,
-    power_limit_w: float | None,
-    task: ShardTask,
-) -> tuple[MeasurementDataset, float, "SolverStats | None"]:
-    """Simulate one shard and convert it to its dataset slice.
+def _group_plan(tasks: list[ShardTask]) -> list[list[int]]:
+    """Plan positions of each execution group, in plan order.
 
-    Single-shard runs take the exact legacy path (the ``"run"`` stream of
-    the run's keyed child factory), so campaigns on ordinarily-sized
-    fleets are byte-identical to the pre-sharding executor.  Multi-shard
-    runs reconstruct, from the same child factory, (a) the run-level
-    shared coolant fluctuation and (b) the shard's private stream.
+    A group is the runs of one (day, shard): the tasks that share a day
+    and a GPU shard, in run order.  Groups are a pure function of the
+    plan, so they — and everything they compute — do not depend on the
+    worker count or the backend.
     """
-    started = time.perf_counter()
+    groups: dict[tuple[int, int], list[int]] = {}
+    for position, task in enumerate(tasks):
+        groups.setdefault((task.day, task.shard_index), []).append(position)
+    return list(groups.values())
+
+
+def _task_streams(
+    cluster: Cluster, workload: Workload, task: ShardTask
+) -> tuple[np.random.Generator, float | None]:
+    """A task's random stream and pre-drawn shared coolant offset.
+
+    Single-shard runs take the legacy stream (``"run"`` of the run's keyed
+    child factory, which draws its own coolant offset first), so campaigns
+    on ordinarily-sized fleets are byte-identical to the pre-sharding
+    executor.  Multi-shard runs reconstruct, from the same child factory,
+    (a) the run-level shared coolant fluctuation and (b) the shard's
+    private stream.
+    """
+    run_factory = cluster.rng_factory.child(
+        run_rng_label(workload, task.day, task.run_index)
+    )
     if task.n_shards == 1:
-        result = simulate_run(
-            cluster,
-            workload,
-            day=task.day,
-            run_index=task.run_index,
-            gpu_indices=task.gpu_indices,
-            power_limit_w=power_limit_w,
+        return run_factory.generator("run"), None
+    shared_offset = float(
+        run_factory.generator("coolant-shared").normal(
+            0.0, RUN_COOLANT_SIGMA_SHARED
         )
-    else:
-        run_factory = cluster.rng_factory.child(
-            run_rng_label(workload, task.day, task.run_index)
-        )
-        shared_offset = float(
-            run_factory.generator("coolant-shared").normal(
-                0.0, RUN_COOLANT_SIGMA_SHARED
-            )
-        )
-        shard_rng = run_factory.generator(
-            f"shard-{task.shard_index}-of-{task.n_shards}"
-        )
-        result = simulate_run(
-            cluster,
-            workload,
-            day=task.day,
-            run_index=task.run_index,
-            gpu_indices=task.gpu_indices,
-            power_limit_w=power_limit_w,
-            rng=shard_rng,
-            coolant_shared_offset_c=shared_offset,
-        )
-    from .campaign import _to_dataset  # deferred: campaign imports us too
-
-    dataset = _to_dataset(cluster, workload, task.day, task.run_index, result)
-    return dataset, time.perf_counter() - started, result.solver_stats
+    )
+    shard_rng = run_factory.generator(
+        f"shard-{task.shard_index}-of-{task.n_shards}"
+    )
+    return shard_rng, shared_offset
 
 
-def _execute_shard_observed(
+#: What executing one task yields: its dataset slice, its share of the
+#: group's wall time, its solver counters and its shard observer payload.
+_TaskOutput = tuple[MeasurementDataset, float, "SolverStats | None", dict]
+
+
+def _execute_group(
     cluster: Cluster,
     workload: Workload,
     power_limit_w: float | None,
-    task: ShardTask,
-    shard: Observer,
-) -> tuple[MeasurementDataset, float, "SolverStats | None", dict]:
-    """Execute one shard under its shard-local ``shard`` observer.
+    tasks: list[ShardTask],
+    shards: list[Observer],
+) -> list[_TaskOutput]:
+    """Simulate the tasks of one group and convert each to its dataset slice.
 
-    Every observed shard gets its *own* sinks (built by
-    :meth:`~repro.obs.observer.Observer.for_shard`) — even on the serial
-    path — activated thread-locally for the duration of the shard, so
-    counter totals, span structure, the metric sample stream, and the
-    event timeline are identical for any worker count or backend: the
-    executors merge the returned payloads in canonical plan order
-    afterwards.  An empty observer activates nothing.
+    The group's runs execute together (:func:`~repro.sim.run._simulate_runs`:
+    one DVFS solve per step for all of them), each on its own keyed
+    stream and under its own shard-local observer ``shards[i]`` (built by
+    :meth:`~repro.obs.observer.Observer.for_shard` — even on the serial
+    path), so counter totals, span structure, the metric sample stream,
+    and the event timeline are identical for any worker count or backend:
+    the executors merge the returned payloads in canonical plan order
+    afterwards.  Each task's tracer gets a ``shard`` span over the group's
+    wall interval, and each task records an equal share of that interval
+    as its duration.
     """
-    if not shard.sinks():
-        return (*_execute_shard(cluster, workload, power_limit_w, task), {})
-    with ExitStack() as stack:
-        stack.enter_context(activate(**shard.sinks()))
+    from .campaign import _to_datasets  # deferred: campaign imports us too
+
+    start_s, t0 = time.time(), time.perf_counter()
+    results = _simulate_runs(
+        cluster,
+        workload,
+        tasks[0].day,
+        tasks[0].gpu_indices,
+        [
+            (task.run_index, *_task_streams(cluster, workload, task), shard)
+            for task, shard in zip(tasks, shards)
+        ],
+        power_limit_w,
+    )
+    datasets = _to_datasets(
+        cluster, workload, tasks[0].day, [t.run_index for t in tasks], results
+    )
+    duration = time.perf_counter() - t0
+    outputs: list[_TaskOutput] = []
+    for task, shard, dataset, result in zip(tasks, shards, datasets, results):
         if shard.tracer is not None:
-            stack.enter_context(
-                shard.tracer.span(
-                    "shard",
-                    category="shard",
-                    day=task.day,
-                    run_index=task.run_index,
-                    shard_index=task.shard_index,
-                    n_shards=task.n_shards,
-                    n_gpus=task.n_gpus,
-                )
+            shard.tracer.record_span(
+                "shard",
+                category="shard",
+                track=shard.tracer.track,
+                start_s=start_s,
+                duration_s=duration,
+                day=task.day,
+                run_index=task.run_index,
+                shard_index=task.shard_index,
+                n_shards=task.n_shards,
+                n_gpus=task.n_gpus,
             )
-        dataset, duration, solver = _execute_shard(
-            cluster, workload, power_limit_w, task
-        )
-    return dataset, duration, solver, shard.to_payload()
+        outputs.append((
+            dataset, duration / len(tasks), result.solver_stats,
+            shard.to_payload(),
+        ))
+    return outputs
 
 
 def _shard_error(task: ShardTask, exc: BaseException) -> SimulationError:
@@ -360,9 +363,9 @@ def _shard_error(task: ShardTask, exc: BaseException) -> SimulationError:
 # -- process-pool plumbing ---------------------------------------------------
 #
 # The cluster and workload are shipped once per worker through the pool
-# initializer (cheap: a Longhorn cluster pickles to ~70 kB); tasks then
-# carry only their shard coordinates, GPU indices and fresh shard-local
-# observer.
+# initializer (cheap: a Longhorn cluster pickles to ~70 kB); a group then
+# carries only its tasks' shard coordinates, GPU indices and fresh
+# shard-local observers.
 
 _WORKER_CONTEXT: dict[str, tuple] = {}
 
@@ -373,13 +376,11 @@ def _init_worker(
     _WORKER_CONTEXT["campaign"] = (cluster, workload, power_limit_w)
 
 
-def _run_task_in_worker(
-    task: ShardTask, shard: Observer
-) -> tuple[MeasurementDataset, float, "SolverStats | None", dict]:
+def _run_group_in_worker(
+    tasks: list[ShardTask], shards: list[Observer]
+) -> list[_TaskOutput]:
     cluster, workload, power_limit_w = _WORKER_CONTEXT["campaign"]
-    return _execute_shard_observed(
-        cluster, workload, power_limit_w, task, shard
-    )
+    return _execute_group(cluster, workload, power_limit_w, tasks, shards)
 
 
 def make_executor(
@@ -517,16 +518,20 @@ def execute_campaign(
             fleet_gpus=cluster.topology.n_gpus,
         )
     backend = parallel.resolved_backend()
-    n_workers = min(parallel.effective_workers, len(tasks))
+    groups = _group_plan(tasks)
+    n_workers = min(parallel.effective_workers, len(groups))
     if backend == "serial" or n_workers <= 1:
-        parts, solvers, payloads = _execute_serial(
-            cluster, workload, config, tasks, progress, observer
+        outputs = _execute_serial(
+            cluster, workload, config, tasks, groups, progress, observer
         )
     else:
-        parts, solvers, payloads = _execute_pool(
-            cluster, workload, config, tasks, backend, n_workers, progress,
-            observer,
+        outputs = _execute_pool(
+            cluster, workload, config, tasks, groups, backend, n_workers,
+            progress, observer,
         )
+    parts = [dataset for dataset, _, _, _ in outputs]
+    solvers = [solver for _, _, solver, _ in outputs]
+    payloads = [payload for _, _, _, payload in outputs]
     if tracer is not None:
         merge_start, merge_t0 = time.time(), time.perf_counter()
     dataset = MeasurementDataset.concat(parts)
@@ -627,26 +632,31 @@ def _synthesize_day_spans(
         )
 
 
-def _record(
+def _place(
+    outputs: list,
+    tasks: list[ShardTask],
+    group: list[int],
+    group_outputs: list[_TaskOutput],
     progress: CampaignProgress | None,
-    task: ShardTask,
-    dataset: MeasurementDataset,
-    duration: float,
-    solver: "SolverStats | None",
 ) -> None:
-    if progress is None:
-        return
-    progress.record(
-        ShardTiming(
-            day=task.day,
-            run_index=task.run_index,
-            shard_index=task.shard_index,
-            n_shards=task.n_shards,
-            n_rows=dataset.n_rows,
-            duration_s=duration,
-            solver=solver,
+    """Store a finished group's outputs by plan position; report progress."""
+    for position, output in zip(group, group_outputs):
+        outputs[position] = output
+        if progress is None:
+            continue
+        task = tasks[position]
+        dataset, duration, solver, _ = output
+        progress.record(
+            ShardTiming(
+                day=task.day,
+                run_index=task.run_index,
+                shard_index=task.shard_index,
+                n_shards=task.n_shards,
+                n_rows=dataset.n_rows,
+                duration_s=duration,
+                solver=solver,
+            )
         )
-    )
 
 
 def _execute_serial(
@@ -654,25 +664,22 @@ def _execute_serial(
     workload: Workload,
     config: "CampaignConfig",
     tasks: list[ShardTask],
+    groups: list[list[int]],
     progress: CampaignProgress | None,
     observer: Observer,
-) -> tuple[list[MeasurementDataset], list["SolverStats | None"], list[dict]]:
-    parts: list[MeasurementDataset] = []
-    solvers: list["SolverStats | None"] = []
-    payloads: list[dict] = []
-    for task in tasks:
+) -> list[_TaskOutput]:
+    outputs: list = [None] * len(tasks)
+    for group in groups:
+        members = [tasks[i] for i in group]
         try:
-            dataset, duration, solver, payload = _execute_shard_observed(
-                cluster, workload, config.power_limit_w, task,
-                observer.for_shard(task),
+            group_outputs = _execute_group(
+                cluster, workload, config.power_limit_w, members,
+                [observer.for_shard(t) for t in members],
             )
         except SimulationError as exc:
-            raise _shard_error(task, exc) from exc
-        _record(progress, task, dataset, duration, solver)
-        parts.append(dataset)
-        solvers.append(solver)
-        payloads.append(payload)
-    return parts, solvers, payloads
+            raise _shard_error(members[0], exc) from exc
+        _place(outputs, tasks, group, group_outputs, progress)
+    return outputs
 
 
 def _execute_pool(
@@ -680,51 +687,51 @@ def _execute_pool(
     workload: Workload,
     config: "CampaignConfig",
     tasks: list[ShardTask],
+    groups: list[list[int]],
     backend: str,
     n_workers: int,
     progress: CampaignProgress | None,
     observer: Observer,
-) -> tuple[list[MeasurementDataset], list["SolverStats | None"], list[dict]]:
-    parts: list[MeasurementDataset | None] = [None] * len(tasks)
-    solvers: list["SolverStats | None"] = [None] * len(tasks)
-    payloads: list[dict | None] = [None] * len(tasks)
+) -> list[_TaskOutput]:
+    outputs: list = [None] * len(tasks)
     executor = _make_executor(
         backend, n_workers, cluster, workload, config.power_limit_w
     )
     submit: Callable
     if backend == "thread":
         # Threads share the cluster object directly; no initializer needed.
-        def submit(t: ShardTask):
+        def submit(members: list[ShardTask], shards: list[Observer]):
             return executor.submit(
-                _execute_shard_observed, cluster, workload,
-                config.power_limit_w, t, observer.for_shard(t),
+                _execute_group, cluster, workload, config.power_limit_w,
+                members, shards,
             )
     else:
-        def submit(t: ShardTask):
-            return executor.submit(_run_task_in_worker, t, observer.for_shard(t))
+        def submit(members: list[ShardTask], shards: list[Observer]):
+            return executor.submit(_run_group_in_worker, members, shards)
 
     try:
-        futures = {submit(t): (i, t) for i, t in enumerate(tasks)}
+        futures = {}
+        for group in groups:
+            members = [tasks[i] for i in group]
+            future = submit(members, [observer.for_shard(t) for t in members])
+            futures[future] = group
         pending = set(futures)
         while pending:
             done, pending = wait(pending, return_when=FIRST_EXCEPTION)
             for future in done:
-                index, task = futures[future]
+                group = futures[future]
                 try:
-                    dataset, duration, solver, payload = future.result()
+                    group_outputs = future.result()
                 except Exception as exc:
                     # Fail fast with shard context rather than letting the
                     # remaining futures drain (or the caller hang on a
                     # half-merged campaign).
-                    raise _shard_error(task, exc) from exc
-                parts[index] = dataset
-                solvers[index] = solver
-                payloads[index] = payload
-                _record(progress, task, dataset, duration, solver)
+                    raise _shard_error(tasks[group[0]], exc) from exc
+                _place(outputs, tasks, group, group_outputs, progress)
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
-    assert all(p is not None for p in parts)
-    return parts, solvers, payloads  # type: ignore[return-value]
+    assert all(output is not None for output in outputs)
+    return outputs
 
 
 def default_worker_count(cap: int = 4) -> int:

@@ -1,0 +1,99 @@
+"""Pinned solver counters of grouped run execution.
+
+The runs of one (day, shard) settle in one batched DVFS solve, so a
+Longhorn campaign with four runs a day takes a quarter of the solver
+batches, while every per-GPU work counter stays exactly where the
+per-run executor (``tests/sim/run_oracle.py``) left it.  Batch-level work
+is charged to the first run of each group; everything else to the run
+whose rows it solved.  Two pinned cases outside the differential's
+search: power-limited groups, and ``simulate_run`` as the one-run group.
+"""
+
+from __future__ import annotations
+
+from repro.obs import TimelineRecorder
+from repro.obs.metrics import FleetMonitor
+from repro.sim import CampaignConfig, run_campaign, simulate_run
+from repro.telemetry import CampaignProgress
+from repro.telemetry.io import dataset_to_csv_text
+from repro.workloads import resnet50, sgemm
+
+from .run_oracle import per_run_groups
+from .run_oracle import simulate_run as oracle_run
+
+CONFIG = CampaignConfig(days=3, runs_per_day=4)
+
+
+def monitored(cluster):
+    progress = CampaignProgress()
+    monitor = FleetMonitor()
+    timeline = TimelineRecorder()
+    run_campaign(
+        cluster, sgemm(), CONFIG, progress=progress, monitor=monitor,
+        timeline=timeline,
+    )
+    return progress, monitor, timeline
+
+
+def test_four_runs_a_day_take_a_quarter_of_the_batches(small_longhorn):
+    with per_run_groups():
+        before, before_monitor, _ = monitored(small_longhorn)
+    after, after_monitor, _ = monitored(small_longhorn)
+    old, new = before.solver_stats, after.solver_stats
+    assert old.batches == CONFIG.days * CONFIG.runs_per_day
+    assert new.batches * CONFIG.runs_per_day == old.batches
+    assert (new.solves, new.dense_cells, new.columns_evaluated,
+            new.fixed_point_iterations) == (
+        old.solves, old.dense_cells, old.columns_evaluated,
+        old.fixed_point_iterations)
+    # The monitor still sees one solve per run.
+    runs = CONFIG.days * CONFIG.runs_per_day
+    for monitor in (before_monitor, after_monitor):
+        assert monitor.registry.counter("solver_solves_total") == runs
+
+
+def test_batch_work_is_charged_to_the_first_run_of_each_group(
+    small_longhorn,
+):
+    progress, _, timeline = monitored(small_longhorn)
+    n = small_longhorn.n_gpus
+    for timing in progress.timings:
+        stats = timing.solver
+        assert (stats.solves, stats.dense_cells) == (
+            n, n * small_longhorn.spec.n_pstates
+        )
+        lead = timing.run_index == 0
+        assert stats.batches == int(lead)
+        assert (stats.columns_evaluated > 0) == lead
+        assert (stats.fixed_point_iterations > 0) == lead
+    runs = [e for e in timeline.events() if (e.layer, e.kind) == ("sim", "run")]
+    assert len(runs) == CONFIG.days * CONFIG.runs_per_day
+    assert [e.value("batches") for e in runs] == [
+        int(e.value("run_index") == 0) for e in runs
+    ]
+    end = next(e for e in timeline.events() if e.kind == "campaign_end")
+    assert end.value("batches") == CONFIG.days
+
+
+def test_power_limited_groups_match_the_oracle(tiny_cloudlab):
+    # Administrative power limits (Section VI-B) only run on CloudLab;
+    # the grouped cap must be each run's own, bit for bit.
+    config = CampaignConfig(days=2, runs_per_day=3, power_limit_w=150.0)
+    with per_run_groups():
+        expected = run_campaign(tiny_cloudlab, sgemm(), config)
+    actual = run_campaign(tiny_cloudlab, sgemm(), config)
+    assert dataset_to_csv_text(actual) == dataset_to_csv_text(expected)
+    assert actual["power_capped"].any()
+
+
+def test_a_lone_run_is_the_oracle_run(small_longhorn):
+    # simulate_run is the one-run group, down to its solver counters.
+    for workload in (sgemm(), resnet50()):
+        got = simulate_run(small_longhorn, workload, day=1, run_index=2)
+        want = oracle_run(small_longhorn, workload, day=1, run_index=2)
+        for name in ("performance_ms", "frequency_mhz", "power_w",
+                     "temperature_c", "true_frequency_mhz", "true_power_w",
+                     "true_temperature_c", "power_capped",
+                     "thermally_capped"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.solver_stats == want.solver_stats

@@ -106,7 +106,8 @@ def test_service_csv_byte_identical_to_offline_facade():
     request = api.CharacterizeRequest(
         cluster="cloudlab", scale=0.5, days=1, seed=3
     )
-    served = decode_response(default_runner(request))
+    body, _ = default_runner(request)
+    served = decode_response(body)
     offline = api.characterize(request=request)
     identical = served["csv"].encode("utf-8") == dataset_to_csv_text(
         offline.dataset

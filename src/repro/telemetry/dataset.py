@@ -26,7 +26,7 @@ __all__ = ["GroupIndex", "MeasurementDataset"]
 def _as_column(values: Any) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in ("U", "S", "O"):
-        arr = arr.astype(object)
+        arr = arr.astype(object, copy=False)
     # A read-only view: the caller's array stays writable, and nothing can
     # change a column under the dataset's memoized reductions.
     view = arr.view()

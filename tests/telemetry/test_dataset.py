@@ -165,6 +165,22 @@ class TestImmutability:
         assert values.flags.writeable
         values[0] = 5.0
 
+    @pytest.mark.parametrize("values", [
+        np.array([1.0, 2.0, 3.0]),
+        np.array(["a", "b", "c"], dtype=object),
+    ], ids=["float64", "object"])
+    def test_column_shares_the_callers_array(self, values):
+        # Slicing a campaign per task, or concatenating it back, must not
+        # copy its identity columns once more for every dataset built.
+        ds = MeasurementDataset({"x": values})
+        column = ds.column("x")
+        assert np.shares_memory(column, values)
+        assert not column.flags.writeable
+        assert values.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = values[1]
+        values[0] = values[1]
+
     def test_unpickled_columns_stay_read_only(self, dataset):
         import pickle
 

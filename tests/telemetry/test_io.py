@@ -1,11 +1,13 @@
 """Tests for CSV persistence."""
 
+import gzip
+
 import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.telemetry.dataset import MeasurementDataset
-from repro.telemetry.io import read_csv, write_csv
+from repro.telemetry.io import dataset_to_csv_text, read_csv, write_csv
 
 
 @pytest.fixture()
@@ -46,6 +48,35 @@ class TestRoundtrip:
         np.testing.assert_allclose(
             back["performance_ms"], sgemm_dataset["performance_ms"]
         )
+
+
+class TestFileBytes:
+    """The file holds exactly the text, gzipped or not, and reads back."""
+
+    @pytest.fixture()
+    def quoted(self, sgemm_dataset):
+        labels = np.array(['a,"b"', "two\r\nlines", "", " lead"], dtype=object)
+        gpu = sgemm_dataset.column("gpu_index")
+        return sgemm_dataset.with_column("gpu_label", labels[gpu % 4])
+
+    @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+    def test_write_csv_bytes_match_the_text(self, quoted, tmp_path, suffix):
+        path = tmp_path / f"campaign{suffix}"
+        write_csv(quoted, path)
+        raw = path.read_bytes()
+        if suffix.endswith(".gz"):
+            raw = gzip.decompress(raw)
+        assert raw == dataset_to_csv_text(quoted).encode("utf-8")
+
+        back = read_csv(path)
+        assert back.column_names == quoted.column_names
+        for name in quoted.column_names:
+            want = quoted.column(name)
+            if want.dtype == object:
+                assert back.column(name).tolist() == want.tolist()
+            else:
+                assert back.column(name).dtype == want.dtype
+                assert back.column(name).tobytes() == want.tobytes()
 
 
 class TestErrors:

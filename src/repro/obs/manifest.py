@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..config import config_from_dict, config_to_dict
 from ..errors import ConfigError
@@ -372,6 +372,37 @@ _TYPE_CHECKS = {
     "null": lambda v: v is None,
 }
 
+#: Exact types every value of a JSON type has when it was parsed or built
+#: from plain literals; a value of another type (a subclass) takes the
+#: full predicate of :data:`_TYPE_CHECKS`.
+_PLAIN_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
+    "null": (type(None),),
+}
+
+#: Compiled validators by ``id(schema)``, each kept with its schema so the
+#: id cannot be reused.  Schemas are treated as immutable once used.
+_COMPILED: dict[int, tuple[Mapping[str, Any], Callable[[Any], None]]] = {}
+_COMPILED_MAX = 32
+
+
+class _Invalid(Exception):
+    """A violation on its way up to :func:`validate_manifest`.
+
+    Each container it passes through adds its path segment, so the path
+    is only built for a document that fails.
+    """
+
+    def __init__(self, detail: str) -> None:
+        super().__init__(detail)
+        self.detail = detail
+        self.segments: list[str] = []
+
 
 def validate_manifest(doc: Any, schema: Mapping[str, Any] | None = None) -> None:
     """Validate a manifest document against :data:`MANIFEST_SCHEMA`.
@@ -379,36 +410,79 @@ def validate_manifest(doc: Any, schema: Mapping[str, Any] | None = None) -> None
     Raises :class:`~repro.errors.ConfigError` naming the offending JSON
     path on the first violation.  Supports the schema subset the manifest
     uses: ``type`` (including type unions), ``required``, ``properties``,
-    ``items``, and ``enum``.
+    ``items``, and ``enum``.  Each schema is compiled once into a tree of
+    checks (:func:`_compile`).
     """
-    _validate_node(doc, schema if schema is not None else MANIFEST_SCHEMA, "$")
+    schema = schema if schema is not None else MANIFEST_SCHEMA
+    entry = _COMPILED.get(id(schema))
+    if entry is None or entry[0] is not schema:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.pop(next(iter(_COMPILED)))
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
+    try:
+        entry[1](doc)
+    except _Invalid as exc:
+        invalid = exc
+    else:
+        return
+    path = "$" + "".join(reversed(invalid.segments))
+    raise ConfigError(f"manifest invalid at {path}: {invalid.detail}")
 
 
-def _validate_node(value: Any, schema: Mapping[str, Any], path: str) -> None:
+def _compile(schema: Mapping[str, Any]) -> Callable[[Any], None]:
+    """One schema node as a check that raises :class:`_Invalid`.
+
+    The checks run in the order of a plain tree walk: ``type``, then
+    ``enum``, then for a dict its ``required`` keys and its present
+    ``properties`` in schema order, for a list its ``items`` in order.
+    A declared type that admits no dict (or no list) skips that branch.
+    """
     types = schema.get("type")
+    allowed = None
     if types is not None:
         allowed = types if isinstance(types, list) else [types]
-        if not any(_TYPE_CHECKS[t](value) for t in allowed):
-            raise ConfigError(
-                f"manifest invalid at {path}: expected {'/'.join(allowed)}, "
-                f"got {type(value).__name__}"
-            )
+    checks = [_TYPE_CHECKS[t] for t in allowed or ()]
+    plain = frozenset(c for t in allowed or () for c in _PLAIN_TYPES[t])
+    expected = "/".join(allowed or ())
     enum = schema.get("enum")
-    if enum is not None and value not in enum:
-        raise ConfigError(
-            f"manifest invalid at {path}: {value!r} not in {enum}"
-        )
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise ConfigError(
-                    f"manifest invalid at {path}: missing required key {key!r}"
-                )
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                _validate_node(value[key], sub, f"{path}.{key}")
-    if isinstance(value, list):
-        items = schema.get("items")
-        if items is not None:
-            for i, element in enumerate(value):
-                _validate_node(element, items, f"{path}[{i}]")
+    required = tuple(schema.get("required", ()))
+    properties = tuple(
+        (key, f".{key}", _compile(sub))
+        for key, sub in schema.get("properties", {}).items()
+    )
+    items = schema.get("items")
+    item_check = None if items is None else _compile(items)
+    may_be_dict = allowed is None or "object" in allowed
+    may_be_list = allowed is None or "array" in allowed
+
+    def check(value: Any) -> None:
+        if allowed is not None and type(value) not in plain and not any(
+            c(value) for c in checks
+        ):
+            raise _Invalid(
+                f"expected {expected}, got {type(value).__name__}"
+            )
+        if enum is not None and value not in enum:
+            raise _Invalid(f"{value!r} not in {enum}")
+        if may_be_dict and isinstance(value, dict):
+            for key in required:
+                if key not in value:
+                    raise _Invalid(f"missing required key {key!r}")
+            segment = ""
+            try:
+                for key, segment, sub in properties:
+                    if key in value:
+                        sub(value[key])
+            except _Invalid as exc:
+                exc.segments.append(segment)
+                raise
+        if item_check is not None and may_be_list and isinstance(value, list):
+            i = 0
+            try:
+                for i, element in enumerate(value):
+                    item_check(element)
+            except _Invalid as exc:
+                exc.segments.append(f"[{i}]")
+                raise
+
+    return check

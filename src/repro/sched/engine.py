@@ -55,11 +55,14 @@ from ..obs.observer import active_observer
 from ..sim.job import (
     JobDraw,
     JobPricingRequest,
-    draw_job_runtime,
+    _draw,
+    _job_table,
+    _JobTable,
     reference_unit_times,
     sample_job_runtimes,
 )
 from ..workloads import get_workload
+from ..workloads.base import Workload
 from .index import OrderedFreeIndex, SizeBucketQueue, resolve_with_ranking
 from .policies import PlacementPolicy, StaticRankingSpec
 from .trace import Job
@@ -145,12 +148,15 @@ def _round(value: float) -> float:
     return round(float(value), 6)
 
 
+#: The event log's encoder: ``json.dumps`` with these arguments would
+#: build a new one per event.
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def event_log_lines(events: tuple[dict[str, object], ...]) -> list[str]:
     """Serialize events as canonical JSON Lines (sorted keys, no spaces)."""
-    return [
-        json.dumps(event, sort_keys=True, separators=(",", ":"))
-        for event in events
-    ]
+    encode = _EVENT_ENCODER.encode
+    return [encode(event) for event in events]
 
 
 def _validate_jobs(cluster: Cluster, jobs: tuple[Job, ...],
@@ -177,7 +183,7 @@ def _validate_jobs(cluster: Cluster, jobs: tuple[Job, ...],
             )
 
 
-def _workload_table(jobs: tuple[Job, ...]) -> dict[str, object]:
+def _workload_table(jobs: tuple[Job, ...]) -> dict[str, Workload]:
     return {
         name: get_workload(name)
         for name in sorted({job.workload_name for job in jobs})
@@ -316,9 +322,13 @@ def _run_loop(
       nodes means "does not fit", exactly as in the reference loop;
     * pricing looks ahead.  At placement the job's start event is
       emitted (it carries no runtime), its finish ``seq`` reserved, and
-      its run-level draws taken by
-      :func:`~repro.sim.job.draw_job_runtime`, which also returns an
-      exact runtime floor.  Before each pop, if the heap is empty or
+      its run-level draws taken as
+      :func:`~repro.sim.job.draw_job_runtime` takes them, which also
+      gives an exact runtime floor.  Everything a draw shares with the
+      other jobs of its (workload, day) — the steady load, the fleet's
+      top-p-state unit times, the slow-assignment mask — is one table,
+      built on the first placement of that pair.  Before each pop, if
+      the heap is empty or
       the smallest pending ``start + floor`` is ``<=`` the head's time,
       every pending job is priced — one
       :func:`~repro.sim.job.sample_job_runtimes` batch per placement day
@@ -337,16 +347,25 @@ def _run_loop(
     admission = policy.admission
     per_node = allocator.topology.gpus_per_node
     counts_view = allocator.free_counts_view()
-    reference_cache: dict[tuple[str, int], tuple[np.ndarray, float]] = {}
+    # Keyed by the workload object: two workloads may share a name.
+    tables: dict[tuple[Workload, int], tuple[_JobTable, np.ndarray]] = {}
 
-    def slow_reference(name: str, day: int) -> tuple[np.ndarray, float]:
-        # Slow-assignment table, memoized per (workload, day).
-        key = (name, day)
-        if key not in reference_cache:
-            ref = reference_unit_times(cluster, workloads[name], day=day)
+    def job_table(
+        workload: Workload, day: int
+    ) -> tuple[_JobTable, np.ndarray]:
+        # The draw table, and which GPUs the reference times call slow: a
+        # gang is slow-assigned when its slowest reference time exceeds
+        # the threshold, i.e. when any of its GPUs does.
+        key = (workload, day)
+        entry = tables.get(key)
+        if entry is None:
+            ref = reference_unit_times(cluster, workload, day=day)
             fast = float(np.percentile(ref, FAST_PERCENTILE))
-            reference_cache[key] = (ref, fast * (1.0 + SLOW_THRESHOLD))
-        return reference_cache[key]
+            entry = tables[key] = (
+                _job_table(cluster, workload, day),
+                ref > fast * (1.0 + SLOW_THRESHOLD),
+            )
+        return entry
 
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
@@ -425,8 +444,9 @@ def _run_loop(
         if admission is not None:
             admission.commit(job.job_id, job.n_gpus)
         day = int(now // _SECONDS_PER_DAY)
-        ref, threshold = slow_reference(job.workload_name, day)
-        slow = bool(ref[allocation.gpu_indices].max() > threshold)
+        workload = workloads[job.workload_name]
+        table, slow_gpus = job_table(workload, day)
+        slow = bool(slow_gpus[allocation.gpu_indices].any())
         nodes = tuple(allocation.node_indices.tolist())
         gpus = tuple(allocation.gpu_indices.tolist())
         # The start event carries no runtime, so it is emitted now.
@@ -446,17 +466,18 @@ def _run_loop(
                 tracer.add("sched.backfills")
             if slow:
                 tracer.add("sched.slow_assignments")
-        draw = draw_job_runtime(
+        draw = _draw(
             cluster,
             JobPricingRequest(
-                workload=workloads[job.workload_name],
+                workload=workload,
                 gpu_indices=allocation.gpu_indices,
                 work_units=job.work_units,
                 rng=cluster.rng_factory.child(
                     f"sched-job-{job.job_id}"
                 ).generator("run"),
             ),
-            day=day,
+            day,
+            table,
         )
         pending.append((job, now, nodes, gpus, slow, seq, draw))
         earliest = min(earliest, now + draw.floor_s)

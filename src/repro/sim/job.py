@@ -285,9 +285,12 @@ class JobDraw:
     :func:`draw_job_runtime` builds it; :func:`sample_job_runtimes` prices
     a batch of them.  ``floor_s`` is an exact lower bound on the priced
     ``runtime_s``: the engine may defer pricing until a job's finish time
-    could be the next event.  On dithering fleets nothing is pre-drawn
-    (the per-GPU fields are ``None``, the stream untouched) and the floor
-    is ``0.0``.
+    could be the next event.  ``normals`` is the job's whole
+    ``standard_normal(1 + 5n)`` draw; the factors the floor needs
+    (``time_multiplier``, ``drift``) are derived from it at placement,
+    the run's coolant and activity only in the pricing batch.  On
+    dithering fleets nothing is pre-drawn (the per-GPU fields are
+    ``None``, the stream untouched) and the floor is ``0.0``.
     """
 
     request: JobPricingRequest
@@ -295,11 +298,53 @@ class JobDraw:
     gpu_indices: np.ndarray  # sorted
     spanned: int             # nodes the gang spans
     floor_s: float
-    coolant_c: np.ndarray | None = None
-    act_run: np.ndarray | None = None
+    normals: np.ndarray | None = None
+    act0: float = 0.0
     dram0: float = 0.0
     time_multiplier: np.ndarray | None = None
     drift: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class _JobTable:
+    """What every draw of one workload on one day shares.
+
+    ``top_unit_ms`` is the workload's unit time at the top p-state on
+    every GPU of the day fleet (``None`` on dithering fleets, which draw
+    nothing ahead).  The roofline is elementwise, so gathering a gang's
+    entries gives the bits of evaluating the gang alone.
+    """
+
+    act0: float
+    dram0: float
+    corr: float
+    ortho: float
+    top_unit_ms: np.ndarray | None
+
+
+def _speed_mix(workload: Workload) -> tuple[float, float]:
+    """Weights of the shared and own normals in the speed/activity draws."""
+    corr = np.sqrt(workload.activity_speed_correlation)
+    return corr, np.sqrt(1 - corr**2)
+
+
+def _job_table(cluster: Cluster, workload: Workload, day: int) -> _JobTable:
+    """The draw inputs of ``workload`` on day ``day`` that no job changes."""
+    day_fleet = cluster.fleet_for_day(day)
+    spec = day_fleet.spec
+    act0, dram0 = workload.steady_load(
+        spec.f_max_mhz, spec.compute_throughput, spec.mem_bandwidth_gbs
+    )
+    top_unit_ms = None
+    if not day_fleet.policy.dither:
+        arrays = day_fleet.arrays
+        top_unit_ms = workload.unit_time_ms(
+            spec.f_max_mhz,
+            spec.compute_throughput,
+            arrays.mem_bandwidth_gbs,
+            arrays.efficiency,
+        )
+    return _JobTable(act0, dram0, *_speed_mix(workload), top_unit_ms)
 
 
 def draw_job_runtime(
@@ -324,7 +369,22 @@ def draw_job_runtime(
     Dithering fleets draw run noise *after* the first solve, which on
     dithering ladders consumes the stream, so nothing can be drawn ahead:
     the stream is left untouched and the floor is ``0.0``.
+
+    Called alone, this builds the (workload, day) table for the one job;
+    the scheduler builds each table once per run and draws against it.
     """
+    return _draw(
+        cluster, request, day, _job_table(cluster, request.workload, day)
+    )
+
+
+def _draw(
+    cluster: Cluster,
+    request: JobPricingRequest,
+    day: int,
+    table: _JobTable,
+) -> JobDraw:
+    """:func:`draw_job_runtime` against a prebuilt table of its day."""
     gang = np.sort(np.asarray(request.gpu_indices, dtype=np.int64))
     n = int(gang.shape[0])
     if n < 1:
@@ -333,49 +393,21 @@ def draw_job_runtime(
         raise SimulationError(
             f"work_units must be >= 1, got {request.work_units}"
         )
-    spanned = _nodes_spanned(cluster, gang)
-    day_fleet = cluster.fleet_for_day(day)
-    if day_fleet.policy.dither:
+    spanned = 1 if n == 1 else _nodes_spanned(cluster, gang)
+    if table.top_unit_ms is None:
         return JobDraw(request, day, gang, spanned, 0.0)
 
-    spec = day_fleet.spec
     workload = request.workload
-    act0, dram0 = workload.steady_load(
-        spec.f_max_mhz, spec.compute_throughput, spec.mem_bandwidth_gbs
-    )
     z = request.rng.standard_normal(1 + 5 * n)
-    z_local = z[1 : 1 + n]
-    z_shared = z[1 + n : 1 + 2 * n]
-    z_speed_ortho = z[1 + 2 * n : 1 + 3 * n]
-    z_act_ortho = z[1 + 3 * n : 1 + 4 * n]
-    z_drift = z[1 + 4 * n : 1 + 5 * n]
-    coolant = (
-        day_fleet.coolant_c[gang]
-        + (0.0 + RUN_COOLANT_SIGMA_SHARED * z[0])
-        + (0.0 + RUN_COOLANT_SIGMA_LOCAL * z_local)
+    z_speed = (
+        table.corr * z[1 + n : 1 + 2 * n]
+        + table.ortho * z[1 + 2 * n : 1 + 3 * n]
     )
-    corr = np.sqrt(workload.activity_speed_correlation)
-    ortho = np.sqrt(1 - corr**2)
-    z_speed = corr * z_shared + ortho * z_speed_ortho
-    z_act = corr * z_shared + ortho * z_act_ortho
     time_multiplier = np.exp(workload.run_speed_sigma * z_speed)
-    act_run = np.clip(
-        act0 * np.exp(-workload.activity_mix_sigma * z_act), 0.02, 1.0
-    )
     drift = np.clip(
-        1.0 + (0.0 + cluster.run_noise_sigma * z_drift), 0.5, 1.5
+        1.0 + (0.0 + cluster.run_noise_sigma * z[1 + 4 * n :]), 0.5, 1.5
     )
-    arrays = day_fleet.arrays
-    floor_unit_ms = (
-        workload.unit_time_ms(
-            spec.f_max_mhz,
-            spec.compute_throughput,
-            arrays.mem_bandwidth_gbs[gang],
-            arrays.efficiency[gang],
-        )
-        * time_multiplier
-        * drift
-    )
+    floor_unit_ms = table.top_unit_ms[gang] * time_multiplier * drift
     floor_s = (
         _job_unit_ms(workload, floor_unit_ms, spanned)
         * int(request.work_units)
@@ -387,9 +419,9 @@ def draw_job_runtime(
         gpu_indices=gang,
         spanned=spanned,
         floor_s=floor_s,
-        coolant_c=coolant,
-        act_run=act_run,
-        dram0=dram0,
+        normals=z,
+        act0=table.act0,
+        dram0=table.dram0,
         time_multiplier=time_multiplier,
         drift=drift,
     )
@@ -405,13 +437,25 @@ def sample_job_runtimes(
 
     The solve step of two-phase pricing: ``requests`` holds jobs drawn on
     day ``day`` by :func:`draw_job_runtime` (bare requests are drawn
-    here first).  The gangs' solver inputs are gathered by index from the
-    day fleet (:meth:`~repro.gpu.GPUFleet.solver_at` — no sub-fleet is
-    built), and the whole batch settles in at most two vectorized DVFS
-    solves: one for every gang's free-running unit times, one for the
-    multi-GPU gangs' duty-adjusted power.  The DVFS solver's
-    evaluation-shape freedom makes the concatenated solve bit-identical
-    to per-gang solves, so batch composition is unobservable.
+    here first, one table per workload).  The batch is priced array at a
+    time over its concatenated rows (one row per GPU of each job, in
+    job order):
+
+    * the run's coolant and activity come from the jobs' concatenated
+      normals, with the elementwise operations of the one-job path;
+    * the gangs' solver inputs are gathered by index from the day fleet
+      (:meth:`~repro.gpu.GPUFleet.solver_at` — no sub-fleet is built),
+      and the batch settles in at most two vectorized DVFS solves: one
+      for every gang's free-running unit times, one for the multi-GPU
+      gangs' duty-adjusted power.  The DVFS solver's evaluation-shape
+      freedom makes the concatenated solve bit-identical to per-gang
+      solves, so batch composition is unobservable;
+    * unit times take one roofline call per distinct workload, gang
+      maxima one ``maximum.reduceat``, gang medians one ``lexsort``; the
+      gang expression of :func:`_job_unit_ms`, duty and runtime are
+      evaluated for all jobs at once.  Each is the one-job expression
+      elementwise, so every result keeps its bits.  Energy keeps a
+      per-job ``power.sum()``: a segmented sum adds in another order.
 
     Dithering fleets fall back to the sequential
     :func:`sample_job_runtime` per job, preserving stream-exact equality
@@ -419,15 +463,21 @@ def sample_job_runtimes(
     """
     if not requests:
         return []
-    draws = [
-        r if isinstance(r, JobDraw) else draw_job_runtime(cluster, r, day=day)
-        for r in requests
-    ]
-    for draw in draws:
-        if draw.day != day:
+    tables: dict[int, _JobTable] = {}
+    draws = []
+    for r in requests:
+        if not isinstance(r, JobDraw):
+            table = tables.get(id(r.workload))
+            if table is None:
+                table = tables[id(r.workload)] = _job_table(
+                    cluster, r.workload, day
+                )
+            r = _draw(cluster, r, day, table)
+        elif r.day != day:
             raise SimulationError(
-                f"a job drawn on day {draw.day} cannot price on day {day}"
+                f"a job drawn on day {r.day} cannot price on day {day}"
             )
+        draws.append(r)
     day_fleet = cluster.fleet_for_day(day)
     if day_fleet.policy.dither:
         return [
@@ -442,13 +492,57 @@ def sample_job_runtimes(
             for draw in draws
         ]
 
-    widths = [int(draw.gpu_indices.shape[0]) for draw in draws]
-    offsets = np.zeros(len(draws) + 1, dtype=np.int64)
-    np.cumsum(widths, out=offsets[1:])
+    n_jobs = len(draws)
+    widths = np.array([draw.gpu_indices.shape[0] for draw in draws])
+    starts = np.zeros(n_jobs, dtype=np.int64)
+    np.cumsum(widths[:-1], out=starts[1:])
+    job_of_row = np.repeat(np.arange(n_jobs), widths)
+    width_row = widths[job_of_row]
+    pos_row = np.arange(job_of_row.shape[0]) - starts[job_of_row]
     concat = np.concatenate([draw.gpu_indices for draw in draws])
-    coolant = np.concatenate([draw.coolant_c for draw in draws])
-    act_run = np.concatenate([draw.act_run for draw in draws])
-    dram0_row = np.repeat([draw.dram0 for draw in draws], widths)
+
+    # Per-job scalars; workloads are told apart by identity (two
+    # workloads may share a name).
+    slot_of: dict[int, int] = {}
+    workloads: list[Workload] = []
+    workload_of_job = np.empty(n_jobs, dtype=np.int64)
+    for j, draw in enumerate(draws):
+        workload = draw.request.workload
+        slot = slot_of.get(id(workload))
+        if slot is None:
+            slot = slot_of[id(workload)] = len(workloads)
+            workloads.append(workload)
+        workload_of_job[j] = slot
+    mix = np.array([_speed_mix(w) for w in workloads])
+    act0 = np.array([draw.act0 for draw in draws])
+    dram0 = np.array([draw.dram0 for draw in draws])
+    workload_row = workload_of_job[job_of_row]
+
+    # The normals: a job's z[0] is the shared coolant offset, then n
+    # each of local coolant, shared, speed, activity and drift normals.
+    z = np.concatenate([draw.normals for draw in draws])
+    z_start = np.zeros(n_jobs, dtype=np.int64)
+    np.cumsum(1 + 5 * widths[:-1], out=z_start[1:])
+    z_first = z_start[job_of_row]
+    z_row = z_first + pos_row
+    z_shared = z[z_row + 1 + width_row]
+    z_act = (
+        mix[workload_row, 0] * z_shared
+        + mix[workload_row, 1] * z[z_row + 1 + 3 * width_row]
+    )
+    neg_mix_sigma = -np.array([w.activity_mix_sigma for w in workloads])
+    act_run = np.clip(
+        act0[job_of_row] * np.exp(neg_mix_sigma[workload_row] * z_act),
+        0.02,
+        1.0,
+    )
+    coolant = (
+        day_fleet.coolant_c[concat]
+        + (0.0 + RUN_COOLANT_SIGMA_SHARED * z[z_first])
+        + (0.0 + RUN_COOLANT_SIGMA_LOCAL * z[z_row + 1])
+    )
+    dram0_row = dram0[job_of_row]
+
     controller, arrays = day_fleet.solver_at(concat, coolant)
     efficiency = arrays.efficiency
     op = controller.solve_steady(
@@ -459,76 +553,90 @@ def sample_job_runtimes(
         f_cap_mhz=arrays.f_cap_mhz,
     )
     spec = day_fleet.spec
-    mem_bw = arrays.mem_bandwidth_gbs
     f_effective = op.f_effective_mhz
-    power_free = op.power_w
+    mem_bw = arrays.mem_bandwidth_gbs
+    free_ms = np.empty(concat.shape[0])
+    for slot, workload in enumerate(workloads):
+        rows = np.flatnonzero(workload_row == slot)
+        free_ms[rows] = workload.unit_time_ms(
+            f_effective[rows],
+            spec.compute_throughput,
+            mem_bw[rows],
+            efficiency[rows],
+        )
+    unit_ms = (
+        free_ms
+        * np.concatenate([draw.time_multiplier for draw in draws])
+        * np.concatenate([draw.drift for draw in draws])
+    )
 
-    unit_ms_of: list[np.ndarray] = []
-    job_unit_ms_of: list[float] = []
-    multi: list[int] = []
-    act_eff_parts: list[np.ndarray] = []
-    dram_eff_parts: list[np.ndarray] = []
-    for j, draw in enumerate(draws):
-        rows = slice(int(offsets[j]), int(offsets[j + 1]))
-        workload = draw.request.workload
-        unit_ms = (
-            workload.unit_time_ms(
-                f_effective[rows],
-                spec.compute_throughput,
-                mem_bw[rows],
-                efficiency[rows],
-            )
-            * draw.time_multiplier
-            * draw.drift
-        )
-        unit_ms_of.append(unit_ms)
-        job_unit_ms = _job_unit_ms(workload, unit_ms, draw.spanned)
-        job_unit_ms_of.append(job_unit_ms)
-        if widths[j] == 1:
-            continue
-        # Early finishers busy-wait at low activity (see sample_job_runtime).
-        duty = np.clip(unit_ms / job_unit_ms, 0.0, 1.0)
-        multi.append(j)
-        act_eff_parts.append(
-            draw.act_run * duty + WAIT_ACTIVITY * (1.0 - duty)
-        )
-        dram_eff_parts.append(draw.dram0 * duty)
+    # The gang expression of _job_unit_ms, for every job at once; a
+    # one-GPU gang's unit time passes through.
+    slowest = np.maximum.reduceat(unit_ms, starts)
+    sync_ms = np.array([
+        w.sync_overhead_ms if w.sync_overhead_ms > 0.0
+        else DEFAULT_SYNC_OVERHEAD_MS
+        for w in workloads
+    ])[workload_of_job]
+    sync_ms = sync_ms * (
+        1.0
+        + INTER_NODE_SYNC_FACTOR
+        * (np.array([draw.spanned for draw in draws]) - 1)
+    )
+    jitter = np.array([w.iteration_jitter_sigma for w in workloads])
+    jitter_amp = np.array(
+        [expected_max_of_normals(n) for n in widths.tolist()]
+    )
+    job_unit_ms = np.where(
+        widths == 1,
+        slowest,
+        slowest * (1.0 + jitter[workload_of_job] * jitter_amp) + sync_ms,
+    )
 
-    power_of: dict[int, np.ndarray] = {}
-    if multi:
-        sub, sub_arrays = day_fleet.solver_at(
-            np.concatenate([draws[j].gpu_indices for j in multi]),
-            np.concatenate([draws[j].coolant_c for j in multi]),
+    # Early finishers busy-wait at low activity (see sample_job_runtime);
+    # the multi-GPU gangs settle again at their duty-adjusted load.
+    power = op.power_w
+    multi = np.flatnonzero(width_row > 1)
+    if multi.shape[0]:
+        duty = np.clip(
+            unit_ms[multi] / job_unit_ms[job_of_row[multi]], 0.0, 1.0
         )
+        sub, sub_arrays = day_fleet.solver_at(concat[multi], coolant[multi])
         op_eff = sub.solve_steady(
-            np.concatenate(act_eff_parts),
-            np.concatenate(dram_eff_parts),
+            act_run[multi] * duty + WAIT_ACTIVITY * (1.0 - duty),
+            dram0_row[multi] * duty,
             sub_arrays.efficiency,
             power_cap_w=sub_arrays.power_cap_w,
             f_cap_mhz=sub_arrays.f_cap_mhz,
         )
-        at = 0
-        for j in multi:
-            power_of[j] = op_eff.power_w[at : at + widths[j]]
-            at += widths[j]
+        power = power.copy()
+        power[multi] = op_eff.power_w
+
+    # Gang medians from one sort: the middle element, or the mean of the
+    # two middle ones ((a + a) / 2 == a, so one expression serves both).
+    ranked = unit_ms[np.lexsort((unit_ms, job_of_row))]
+    median = (
+        ranked[starts + (widths - 1) // 2] + ranked[starts + widths // 2]
+    ) / 2
+    imbalance = slowest / median
+    units = np.array([int(draw.request.work_units) for draw in draws])
+    runtime_s = job_unit_ms * units / 1000.0
 
     out: list[JobPerformance] = []
-    for j, draw in enumerate(draws):
-        unit_ms = unit_ms_of[j]
-        job_unit_ms = job_unit_ms_of[j]
-        power = power_of.get(j)
-        if power is None:
-            power = power_free[int(offsets[j]) : int(offsets[j + 1])]
-        runtime_s = job_unit_ms * int(draw.request.work_units) / 1000.0
+    for draw, lo, hi, job_ms, runtime, ratio in zip(
+        draws, starts.tolist(), (starts + widths).tolist(),
+        job_unit_ms.tolist(), runtime_s.tolist(), imbalance.tolist(),
+    ):
+        job_power = power[lo:hi]
         out.append(
             JobPerformance(
                 gpu_indices=draw.gpu_indices,
-                unit_time_ms=unit_ms,
-                job_unit_ms=job_unit_ms,
-                runtime_s=runtime_s,
-                power_w=power,
-                energy_j=float(power.sum()) * runtime_s,
-                gang_imbalance=float(unit_ms.max() / np.median(unit_ms)),
+                unit_time_ms=unit_ms[lo:hi],
+                job_unit_ms=job_ms,
+                runtime_s=runtime,
+                power_w=job_power,
+                energy_j=float(job_power.sum()) * runtime,
+                gang_imbalance=ratio,
             )
         )
     return out

@@ -227,9 +227,10 @@ def _simulate_runs(
     simulated alone draws, so every run's measurements are bit-identical
     to simulating it alone.  Between the draws, the runs' arrays are
     stacked ``(runs, GPUs)`` and every DVFS steady solve settles all runs
-    that need it in one batch — a controller gathered from the cached
-    :meth:`~repro.cluster.cluster.Cluster.fleet_slice` at
-    ``np.tile(arange(n), runs)`` in the runs' concatenated coolant.  The
+    that need it in one batch — a controller gathered from a view of the
+    cached :meth:`~repro.cluster.cluster.Cluster.fleet_slice` at
+    ``np.tile(arange(n), runs)`` in the runs' concatenated coolant (the
+    view derives the group's solver inputs; the cache keeps none).  The
     fleet search treats every row on its own, so a batch settles each
     row exactly as the run's own solve would.  The exception is a
     dithering policy (AMD DPM), whose solve draws duty cycles from the
@@ -299,7 +300,10 @@ def _simulate_runs(
     activity_multiplier = np.exp(-workload.activity_mix_sigma * z_act)
     act_run = np.clip(act0 * activity_multiplier, 0.02, 1.0)
 
-    arrays = fleet.arrays
+    # The group derives its FleetArrays on a view of the slice and drops
+    # them with the group: the cached slice keeps none.
+    group_fleet = fleet.with_coolant(fleet.coolant_c)
+    arrays = group_fleet.arrays
     efficiency = arrays.efficiency
     per_gpu = (efficiency, fleet.power_cap_w(power_limit_w), arrays.f_cap_mhz)
     stats = [SolverStats() for _ in runs]
@@ -314,7 +318,7 @@ def _simulate_runs(
         for at in range(0, members.shape[0], step):
             rows = members[at:at + step]
             m = rows.shape[0]
-            controller, _ = fleet.solver_at(
+            controller, _ = group_fleet.solver_at(
                 np.tile(np.arange(n), m), coolant[rows].ravel()
             )
             eff, cap, f_cap = (np.tile(a, m) for a in per_gpu)

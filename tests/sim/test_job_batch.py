@@ -10,10 +10,16 @@ composition must be unobservable.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import get_preset
+from repro.sched.trace import PAPER_WORKLOAD_NAMES
 from repro.sim.job import (
     JobPricingRequest,
+    _draw,
+    _job_table,
+    draw_job_runtime,
     reference_unit_times,
     sample_job_runtime,
     sample_job_runtimes,
@@ -21,6 +27,7 @@ from repro.sim.job import (
 from repro.workloads import get_workload
 
 from tests.gpu.dvfs_oracle import dense_solver
+from tests.sim.test_job_floor import _defective_cluster
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +146,102 @@ class TestSolverPassthrough:
         with dense_solver():
             dense = sample_job_runtimes(cluster, _requests(cluster), day=1)
         _assert_bitwise_equal(fleet, dense)
+
+
+# ---------------------------------------------------------------------------
+# Differential: array-at-a-time pricing vs each job priced alone
+# ---------------------------------------------------------------------------
+
+#: The paper mix plus an AMD workload that shares SGEMM's name.
+DIFF_WORKLOADS = PAPER_WORKLOAD_NAMES + ("sgemm-amd",)
+
+
+def _bits(value) -> bytes:
+    """A value's exact bits, dtype included (``==`` hides ±0.0 and NaN)."""
+    array = np.asarray(value)
+    return array.dtype.str.encode() + repr(array.shape).encode() + (
+        array.tobytes()
+    )
+
+
+@st.composite
+def priced_batches(draw):
+    """A batch of 1-6 jobs of mixed workloads, gang widths 1-16."""
+    n_gpus = _defective_cluster(False).topology.n_gpus
+    jobs = []
+    for job_id in range(draw(st.integers(1, 6))):
+        gang = draw(st.lists(st.integers(0, n_gpus - 1), min_size=1,
+                             max_size=16, unique=True))
+        jobs.append((
+            job_id,
+            draw(st.sampled_from(DIFF_WORKLOADS)),
+            tuple(gang),
+            draw(st.sampled_from((1, 3, 17, 400))),
+        ))
+    return draw(st.booleans()), draw(st.integers(0, 4)), jobs
+
+
+def _job_request(cluster, job_id, workload, gang, units):
+    return JobPricingRequest(
+        workload=get_workload(workload),
+        gpu_indices=np.asarray(gang, dtype=np.int64),
+        work_units=units,
+        rng=cluster.rng_factory.child(f"diff-job-{job_id}").generator("run"),
+    )
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(priced_batches())
+@example((False, 0, [
+    (0, "sgemm", (0, 1, 2, 3, 4, 5, 6, 7, 8), 17),
+    (1, "sgemm-amd", (9, 10), 3),
+    (2, "sgemm", (11,), 400),
+    (3, "sgemm-amd", tuple(range(20, 36)), 1),
+]))
+def test_batch_pricing_equals_each_job_alone(batch):
+    """Every field of every job's price, and its floor, keep their bits.
+
+    Drawn on defective and chaos-capped fleets, so solves land far below
+    the top p-state; widths up to 16 reach numpy's pairwise sums and
+    even-width medians.  The pinned example mixes ``sgemm`` and
+    ``sgemm-amd`` — two workloads named ``"SGEMM"`` — in one batch.
+    """
+    chaos, day, jobs = batch
+    cluster = _defective_cluster(chaos)
+    # The scheduler's path: one table per workload, shared by its draws.
+    tables = {}
+    draws = []
+    for job in jobs:
+        request = _job_request(cluster, *job)
+        key = job[1]
+        if key not in tables:
+            tables[key] = _job_table(cluster, request.workload, day)
+        draws.append(_draw(cluster, request, day, tables[key]))
+    perfs = sample_job_runtimes(cluster, draws, day=day)
+    bare = sample_job_runtimes(
+        cluster, [_job_request(cluster, *job) for job in jobs], day=day
+    )
+    for job, draw, perf, perf_bare in zip(jobs, draws, perfs, bare):
+        alone_draw = draw_job_runtime(
+            cluster, _job_request(cluster, *job), day=day
+        )
+        assert _bits(draw.floor_s) == _bits(alone_draw.floor_s)
+        alone = sample_job_runtime(
+            cluster, get_workload(job[1]), np.asarray(job[2]), day=day,
+            work_units=job[3],
+            rng=cluster.rng_factory.child(
+                f"diff-job-{job[0]}"
+            ).generator("run"),
+        )
+        for got in (perf, perf_bare):
+            for name in ("gpu_indices", "unit_time_ms", "job_unit_ms",
+                         "runtime_s", "power_w", "energy_j",
+                         "gang_imbalance"):
+                assert _bits(getattr(got, name)) == _bits(
+                    getattr(alone, name)
+                ), name
+        assert 0.0 < draw.floor_s <= perf.runtime_s

@@ -170,7 +170,7 @@ def test_dithering_fleet_floor_is_zero_and_stream_untouched():
     state = request.rng.bit_generator.state
     draw = draw_job_runtime(corona, request, day=1)
     assert draw.floor_s == 0.0
-    assert draw.coolant_c is None
+    assert draw.normals is None
     assert request.rng.bit_generator.state == state
     (perf,) = sample_job_runtimes(corona, [draw], day=1)
     alone = sample_job_runtime(

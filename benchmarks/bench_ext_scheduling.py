@@ -27,7 +27,7 @@ and the indexed engine must be >=10x faster.  Results land in
 clock only — the equality and quality assertions are deterministic and
 always run) are skipped under ``REPRO_BENCH_CHECK_ONLY=1``, which also
 downscales the hot-path case to a quarter-Summit trace so CI finishes in
-minutes.
+minutes and leaves ``BENCH_sched.json`` untouched.
 
 Run from the repository root (the oracle is imported from ``tests``)::
 
@@ -107,7 +107,15 @@ CHECK_TRACE = dict(SUMMIT_TRACE, n_jobs=4_000, arrival_rate_per_hour=150.0)
 
 
 def _merge_results(section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_sched.json``."""
+    """Read-modify-write one section of ``BENCH_sched.json``.
+
+    Full runs only: a ``REPRO_BENCH_CHECK_ONLY=1`` run is downscaled and
+    unconstrained in time, so its figures must not replace the committed
+    ones.
+    """
+    if CHECK_ONLY:
+        print(f"\ncheck-only run: {OUTPUT_PATH} left as it is")
+        return
     doc = {}
     if OUTPUT_PATH.exists():
         try:
@@ -118,6 +126,7 @@ def _merge_results(section: str, payload: dict) -> None:
     OUTPUT_PATH.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    print(f"\nresults written to {OUTPUT_PATH}")
 
 
 def _run_policies():
@@ -205,7 +214,6 @@ def test_scheduling_policies():
             },
         },
     )
-    print(f"\nresults written to {OUTPUT_PATH}")
 
 
 def _node_variability_scores(cluster):
@@ -333,7 +341,6 @@ def test_indexed_engine_speedup():
             },
         },
     )
-    print(f"\nresults written to {OUTPUT_PATH}")
 
 
 if __name__ == "__main__":

@@ -754,11 +754,13 @@ class DvfsController:
         * Inside each evaluation, converged fixed-point cells freeze early
           (:meth:`_settle_masked`); only cells never probed (mostly the
           level above rows with an empty feasible set) run in one final
-          masked batch.
+          masked batch.  The cell above a GPU pinned at its boost
+          ceiling is never settled: nothing reads it, and its slot
+          repeats the level's values.
 
         Every cell is settled by the one elementwise float32 fixed point
-        :meth:`power_grid` also runs, so the outputs are bit-identical to
-        the dense scan's.
+        :meth:`power_grid` also runs, so every cell the caller reads is
+        bit-identical to the dense scan's.
         """
         steps = self.pstates()
         k = steps.shape[0]
@@ -829,16 +831,20 @@ class DvfsController:
                 # probe a cell above it; that cell is infeasible.
                 f_lo2 &= c_lo < hi_top
                 f_hi2 &= c_hi < hi_top
-            if int(np.count_nonzero(f_lo2)) == n and not f_hi2.any():
-                # Every row bracketed the boundary at its estimate — the
-                # common case when the analytic estimate is exact.  The
-                # probed pair already is the (level, above) answer, so the
-                # gallop rounds and the endpoint epilogue have nothing to
-                # do; return the pair directly (float32 widens exactly).
+            # The pair resolves a row that brackets the boundary, and a
+            # row whose two cells are both feasible when c_hi is its last
+            # rung (the ladder top or its boost ceiling): the level is
+            # c_hi, and solve_steady reads nothing above it there.
+            if np.where(f_hi2, c_hi == hi_top - 1, f_lo2).all():
+                # Every row resolved, the common case when the analytic
+                # estimate is exact: the gallop rounds and the endpoint
+                # epilogue have nothing to do, so return the pair directly
+                # (float32 widens exactly).  A row at its last rung gets
+                # its level's values as the unread above cell.
                 return (
-                    c_lo,
-                    pv_lo.astype(np.float64),
-                    tv_lo.astype(np.float64),
+                    c_lo + f_hi2,
+                    np.where(f_hi2, pv_hi, pv_lo).astype(np.float64),
+                    np.where(f_hi2, tv_hi, tv_lo).astype(np.float64),
                     pv_hi.astype(np.float64),
                     tv_hi.astype(np.float64),
                 )
@@ -875,9 +881,11 @@ class DvfsController:
 
         # Above values: at the ladder top, above == idx; for found rows the
         # bracket ends at gap 1, so above == hi and the cached infeasible
-        # endpoint is exactly the above cell.
+        # endpoint is exactly the above cell.  A cell above the boost
+        # ceiling is never settled: solve_steady masks both capped flags
+        # and dithering there, so such rows carry their level's values.
         hi_is_above = hi_eval & (hi == above) & ~at_top
-        need_above = ~at_top & ~hi_is_above
+        need_above = ~at_top & ~hi_is_above & (above < hi_top)
 
         rows_l = np.flatnonzero(need_level)
         rows_a = np.flatnonzero(need_above)

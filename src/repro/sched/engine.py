@@ -27,9 +27,10 @@ segment trees, per-attempt rankings (random draws, or a custom policy's
 opaque :meth:`~repro.sched.policies.PlacementPolicy.rank_nodes`) resolved
 with one vectorized scan, a per-gang-size blocked-queue index instead of
 head rescans, and lookahead job pricing: runtimes are drawn at placement
-and solved in batches through :func:`~repro.sim.job.sample_job_runtimes`
-only once a finish time could be the next event.  Policies describe
-their ranking via
+and solved in batches through the runtime half of
+:func:`~repro.sim.job.sample_job_runtimes` only once a finish time could
+be the next event, and energy settles once per day after the loop.
+Policies describe their ranking via
 :meth:`~repro.sched.policies.PlacementPolicy.indexed_ranking`;
 ``docs/SCHEDULING.md`` carries the byte-stability argument, and the
 original rank-every-node loop lives on as the test oracle in
@@ -52,12 +53,17 @@ from ..cluster.allocator import FreeListAllocator, GangAllocation
 from ..cluster.cluster import Cluster
 from ..errors import SimulationError
 from ..obs.observer import active_observer
-from ..sim.job import (
+# The engine prices through the two halves of ``sample_job_runtimes``;
+# the function itself stays importable here, where perfbench wraps it.
+from ..sim.job import (  # noqa: F401
     JobDraw,
     JobPricingRequest,
     _draw,
     _job_table,
     _JobTable,
+    _price_runtimes,
+    _PricedBatch,
+    _settle_energy,
     reference_unit_times,
     sample_job_runtimes,
 )
@@ -328,16 +334,21 @@ def _run_loop(
       other jobs of its (workload, day) — the steady load, the fleet's
       top-p-state unit times, the slow-assignment mask — is one table,
       built on the first placement of that pair.  Before each pop, if
-      the heap is empty or
-      the smallest pending ``start + floor`` is ``<=`` the head's time,
-      every pending job is priced — one
-      :func:`~repro.sim.job.sample_job_runtimes` batch per placement day
-      — and its record and finish event land.  A finish is never
-      earlier than its floor, so nothing pending can precede a head
-      that every floor exceeds; ``<=`` because a FINISH sorts ahead of
-      a SUBMIT at equal times, and the heap's ``(time, kind, seq)``
-      order makes the late push unobservable.  Dithering fleets have a
-      zero floor, so they price every round before the next pop.
+      the heap is empty or the smallest pending ``start + floor`` is
+      ``<=`` the head's time, every pending job's runtime is priced —
+      one batch per placement day, through the runtime half of
+      :func:`~repro.sim.job.sample_job_runtimes` — and its finish event
+      lands.  A finish is never earlier than its floor, so nothing
+      pending can precede a head that every floor exceeds; ``<=``
+      because a FINISH sorts ahead of a SUBMIT at equal times, and the
+      heap's ``(time, kind, seq)`` order makes the late push
+      unobservable.  Dithering fleets have a zero floor, so they price
+      every round before the next pop;
+    * energy waits for the end.  No decision reads it, so a batch runs
+      only the runtime half of pricing (one DVFS solve), and after the
+      loop each placement day's multi-GPU gangs settle at their
+      duty-adjusted load in one more solve, across all of that day's
+      batches; only then are the records built.
     """
     allocator = FreeListAllocator(cluster.topology)
     policy_rng = cluster.rng_factory.child("sched-policy").generator(
@@ -559,43 +570,62 @@ def _run_loop(
 
     dispatch = dispatch_static if static else dispatch_ranked
 
+    # Runtime-priced batches awaiting their energy, by placement day,
+    # each with its jobs' (job, start, nodes, gpus, slow) entries.
+    priced: dict[int, list[tuple[list[tuple], _PricedBatch]]] = {}
+
     def price_pending() -> None:
         nonlocal earliest
         by_day: dict[int, list[tuple]] = {}
         for entry in pending:
             by_day.setdefault(entry[-1].day, []).append(entry)
         for day, entries in by_day.items():
-            perfs = sample_job_runtimes(
-                cluster, [entry[-1] for entry in entries], day=day
+            batch = _price_runtimes(
+                cluster, [entry[-1] for entry in entries], day
             )
             if tracer is not None:
                 tracer.add("sched.price_batches")
-            for (job, start, nodes, gpus, slow, finish_seq, _), perf in zip(
-                entries, perfs
+            for (job, start, _, _, _, finish_seq, _), runtime in zip(
+                entries, batch.runtime_s.tolist()
             ):
-                finish_t = start + perf.runtime_s
-                records.append(
-                    JobRecord(
-                        job_id=job.job_id,
-                        workload_name=job.workload_name,
-                        n_gpus=job.n_gpus,
-                        work_units=job.work_units,
-                        submit_time_s=job.submit_time_s,
-                        start_time_s=start,
-                        finish_time_s=finish_t,
-                        node_indices=nodes,
-                        gpu_indices=gpus,
-                        runtime_s=perf.runtime_s,
-                        energy_j=perf.energy_j,
-                        gang_imbalance=perf.gang_imbalance,
-                        slow_assigned=slow,
-                    )
-                )
                 heapq.heappush(
-                    heap, (finish_t, _EVT_FINISH, finish_seq, job.job_id)
+                    heap,
+                    (start + runtime, _EVT_FINISH, finish_seq, job.job_id),
                 )
+            priced.setdefault(day, []).append(
+                ([entry[:5] for entry in entries], batch)
+            )
         pending.clear()
         earliest = math.inf
+
+    def settle_records() -> None:
+        for day, batches in priced.items():
+            settled = _settle_energy(
+                cluster, day, [batch for _, batch in batches]
+            )
+            for (entries, batch), (_, energy) in zip(batches, settled):
+                for entry, runtime, ratio, joules in zip(
+                    entries, batch.runtime_s.tolist(),
+                    batch.gang_imbalance.tolist(), energy,
+                ):
+                    job, start, nodes, gpus, slow = entry
+                    records.append(
+                        JobRecord(
+                            job_id=job.job_id,
+                            workload_name=job.workload_name,
+                            n_gpus=job.n_gpus,
+                            work_units=job.work_units,
+                            submit_time_s=job.submit_time_s,
+                            start_time_s=start,
+                            finish_time_s=start + runtime,
+                            node_indices=nodes,
+                            gpu_indices=gpus,
+                            runtime_s=runtime,
+                            energy_j=joules,
+                            gang_imbalance=ratio,
+                            slow_assigned=slow,
+                        )
+                    )
 
     span = (
         tracer.span(
@@ -646,6 +676,7 @@ def _run_loop(
                 if tracer is not None:
                     tracer.add("sched.completed")
             dispatch(now)
+        settle_records()
 
     queued = len(bucket_queue) if use_buckets else len(flat_queue)
     if queued or running:

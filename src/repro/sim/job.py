@@ -23,9 +23,10 @@ Four entry points:
   normal draws from its own job-id-keyed stream in one
   ``standard_normal`` batch and bounds its runtime from below (exactly,
   in IEEE doubles); the solve step prices many drawn jobs together,
-  gathering their GPUs' solver inputs by index from the day fleet and
-  settling the batch in at most two vectorized DVFS solves, bitwise
-  equal to pricing each job alone.
+  gathering their GPUs' solver inputs by index from the day fleet,
+  bitwise equal to pricing each job alone.  It has two halves: one
+  vectorized DVFS solve for the runtimes, and one for the energy of the
+  multi-GPU gangs, which may settle many batches of a day at once.
 """
 
 from __future__ import annotations
@@ -437,29 +438,25 @@ def sample_job_runtimes(
 
     The solve step of two-phase pricing: ``requests`` holds jobs drawn on
     day ``day`` by :func:`draw_job_runtime` (bare requests are drawn
-    here first, one table per workload).  The batch is priced array at a
-    time over its concatenated rows (one row per GPU of each job, in
-    job order):
+    here first, one table per workload).  Pricing has two halves, each
+    array at a time over the batch's concatenated rows (one row per GPU
+    of each job, in job order):
 
-    * the run's coolant and activity come from the jobs' concatenated
-      normals, with the elementwise operations of the one-job path;
-    * the gangs' solver inputs are gathered by index from the day fleet
-      (:meth:`~repro.gpu.GPUFleet.solver_at` — no sub-fleet is built),
-      and the batch settles in at most two vectorized DVFS solves: one
-      for every gang's free-running unit times, one for the multi-GPU
-      gangs' duty-adjusted power.  The DVFS solver's evaluation-shape
-      freedom makes the concatenated solve bit-identical to per-gang
-      solves, so batch composition is unobservable;
-    * unit times take one roofline call per distinct workload, gang
-      maxima one ``maximum.reduceat``, gang medians one ``lexsort``; the
-      gang expression of :func:`_job_unit_ms`, duty and runtime are
-      evaluated for all jobs at once.  Each is the one-job expression
-      elementwise, so every result keeps its bits.  Energy keeps a
-      per-job ``power.sum()``: a segmented sum adds in another order.
+    * the runtime half (:func:`_price_runtimes`) settles every gang's
+      free-running clock in one vectorized DVFS solve and derives unit
+      times, runtimes and gang imbalance;
+    * the energy half (:func:`_settle_energy`) settles the multi-GPU
+      gangs again at their duty-adjusted load, in one more solve, and
+      takes each job's energy.
 
-    Dithering fleets fall back to the sequential
-    :func:`sample_job_runtime` per job, preserving stream-exact equality
-    everywhere.
+    The scheduler runs the runtime half per batch and the energy half
+    once per day after its dispatch loop, since no decision reads
+    energy.  The DVFS solver's evaluation-shape freedom makes a
+    concatenated solve bit-identical to per-gang solves, so neither the
+    composition of a batch nor the settling of many batches at once is
+    observable.  Dithering fleets price each job alone with the
+    sequential :func:`sample_job_runtime`, preserving stream-exact
+    equality everywhere.
     """
     if not requests:
         return []
@@ -478,24 +475,81 @@ def sample_job_runtimes(
                 f"a job drawn on day {r.day} cannot price on day {day}"
             )
         draws.append(r)
-    day_fleet = cluster.fleet_for_day(day)
-    if day_fleet.policy.dither:
-        return [
-            sample_job_runtime(
-                cluster,
-                draw.request.workload,
-                draw.gpu_indices,
-                day=day,
-                work_units=draw.request.work_units,
-                rng=draw.request.rng,
-            )
-            for draw in draws
-        ]
+    priced = _price_runtimes(cluster, draws, day)
+    ((power, energy),) = _settle_energy(cluster, day, [priced])
+    starts = priced.starts
+    return [
+        JobPerformance(
+            gpu_indices=draw.gpu_indices,
+            unit_time_ms=priced.unit_ms[lo:hi],
+            job_unit_ms=job_ms,
+            runtime_s=runtime,
+            power_w=power[lo:hi],
+            energy_j=energy_j,
+            gang_imbalance=ratio,
+        )
+        for draw, lo, hi, job_ms, runtime, ratio, energy_j in zip(
+            draws, starts.tolist(), (starts + priced.widths).tolist(),
+            priced.job_unit_ms.tolist(), priced.runtime_s.tolist(),
+            priced.gang_imbalance.tolist(), energy,
+        )
+    ]
 
+
+@dataclass(frozen=True)
+class _PricedBatch:
+    """The runtime half of one pricing batch (:func:`_price_runtimes`).
+
+    Per job: its first row (``starts``), ``widths``, the gang unit time,
+    runtime and imbalance.  Per row: the unit time and ``power_w``, the
+    power at the free-running clock, which is final for one-GPU gangs.
+    The rows of multi-GPU gangs (``multi``, with the job of each in
+    ``multi_job``) carry what :func:`_settle_energy` settles them again
+    from: their GPUs, run coolant, activity and DRAM load.  Dithering
+    fleets price each job alone, so their rows arrive settled and
+    ``multi`` is empty.
+    """
+
+    starts: np.ndarray
+    widths: np.ndarray
+    unit_ms: np.ndarray
+    job_unit_ms: np.ndarray
+    runtime_s: np.ndarray
+    gang_imbalance: np.ndarray
+    power_w: np.ndarray
+    multi: np.ndarray
+    multi_job: np.ndarray
+    multi_gpus: np.ndarray
+    multi_coolant: np.ndarray
+    multi_act: np.ndarray
+    multi_dram: np.ndarray
+
+
+def _price_runtimes(
+    cluster: Cluster, draws: Sequence[JobDraw], day: int
+) -> _PricedBatch:
+    """The runtime half of :func:`sample_job_runtimes`, for drawn jobs.
+
+    * the run's coolant and activity come from the jobs' concatenated
+      normals, with the elementwise operations of the one-job path;
+    * the gangs' solver inputs are gathered by index from the day fleet
+      (:meth:`~repro.gpu.GPUFleet.solver_at` — no sub-fleet is built),
+      and every gang's free-running clock settles in one vectorized
+      DVFS solve;
+    * unit times take one roofline call per distinct workload, gang
+      maxima one ``maximum.reduceat``, gang medians one ``lexsort``; the
+      gang expression of :func:`_job_unit_ms` and the runtime are
+      evaluated for all jobs at once.  Each is the one-job expression
+      elementwise, so every result keeps its bits.
+    """
     n_jobs = len(draws)
     widths = np.array([draw.gpu_indices.shape[0] for draw in draws])
     starts = np.zeros(n_jobs, dtype=np.int64)
     np.cumsum(widths[:-1], out=starts[1:])
+    day_fleet = cluster.fleet_for_day(day)
+    if day_fleet.policy.dither:
+        return _priced_alone(cluster, draws, day, starts, widths)
+
     job_of_row = np.repeat(np.arange(n_jobs), widths)
     width_row = widths[job_of_row]
     pos_row = np.arange(job_of_row.shape[0]) - starts[job_of_row]
@@ -593,50 +647,127 @@ def sample_job_runtimes(
         slowest * (1.0 + jitter[workload_of_job] * jitter_amp) + sync_ms,
     )
 
-    # Early finishers busy-wait at low activity (see sample_job_runtime);
-    # the multi-GPU gangs settle again at their duty-adjusted load.
-    power = op.power_w
-    multi = np.flatnonzero(width_row > 1)
-    if multi.shape[0]:
-        duty = np.clip(
-            unit_ms[multi] / job_unit_ms[job_of_row[multi]], 0.0, 1.0
-        )
-        sub, sub_arrays = day_fleet.solver_at(concat[multi], coolant[multi])
-        op_eff = sub.solve_steady(
-            act_run[multi] * duty + WAIT_ACTIVITY * (1.0 - duty),
-            dram0_row[multi] * duty,
-            sub_arrays.efficiency,
-            power_cap_w=sub_arrays.power_cap_w,
-            f_cap_mhz=sub_arrays.f_cap_mhz,
-        )
-        power = power.copy()
-        power[multi] = op_eff.power_w
-
     # Gang medians from one sort: the middle element, or the mean of the
     # two middle ones ((a + a) / 2 == a, so one expression serves both).
     ranked = unit_ms[np.lexsort((unit_ms, job_of_row))]
     median = (
         ranked[starts + (widths - 1) // 2] + ranked[starts + widths // 2]
     ) / 2
-    imbalance = slowest / median
     units = np.array([int(draw.request.work_units) for draw in draws])
-    runtime_s = job_unit_ms * units / 1000.0
+    multi = np.flatnonzero(width_row > 1)
+    return _PricedBatch(
+        starts=starts,
+        widths=widths,
+        unit_ms=unit_ms,
+        job_unit_ms=job_unit_ms,
+        runtime_s=job_unit_ms * units / 1000.0,
+        gang_imbalance=slowest / median,
+        power_w=op.power_w,
+        multi=multi,
+        multi_job=job_of_row[multi],
+        multi_gpus=concat[multi],
+        multi_coolant=coolant[multi],
+        multi_act=act_run[multi],
+        multi_dram=dram0_row[multi],
+    )
 
-    out: list[JobPerformance] = []
-    for draw, lo, hi, job_ms, runtime, ratio in zip(
-        draws, starts.tolist(), (starts + widths).tolist(),
-        job_unit_ms.tolist(), runtime_s.tolist(), imbalance.tolist(),
-    ):
-        job_power = power[lo:hi]
-        out.append(
-            JobPerformance(
-                gpu_indices=draw.gpu_indices,
-                unit_time_ms=unit_ms[lo:hi],
-                job_unit_ms=job_ms,
-                runtime_s=runtime,
-                power_w=job_power,
-                energy_j=float(job_power.sum()) * runtime,
-                gang_imbalance=ratio,
-            )
+
+def _priced_alone(
+    cluster: Cluster,
+    draws: Sequence[JobDraw],
+    day: int,
+    starts: np.ndarray,
+    widths: np.ndarray,
+) -> _PricedBatch:
+    """The runtime half on a dithering fleet: each job priced alone.
+
+    Dithering draws from the job's stream inside both of its solves, so
+    the one-job path runs whole and the batch's rows arrive settled.
+    """
+    perfs = [
+        sample_job_runtime(
+            cluster,
+            draw.request.workload,
+            draw.gpu_indices,
+            day=day,
+            work_units=draw.request.work_units,
+            rng=draw.request.rng,
         )
+        for draw in draws
+    ]
+    none = np.empty(0, dtype=np.int64)
+    empty = np.empty(0)
+    return _PricedBatch(
+        starts=starts,
+        widths=widths,
+        unit_ms=np.concatenate([p.unit_time_ms for p in perfs]),
+        job_unit_ms=np.array([p.job_unit_ms for p in perfs]),
+        runtime_s=np.array([p.runtime_s for p in perfs]),
+        gang_imbalance=np.array([p.gang_imbalance for p in perfs]),
+        power_w=np.concatenate([p.power_w for p in perfs]),
+        multi=none,
+        multi_job=none,
+        multi_gpus=none,
+        multi_coolant=empty,
+        multi_act=empty,
+        multi_dram=empty,
+    )
+
+
+def _settle_energy(
+    cluster: Cluster, day: int, batches: Sequence[_PricedBatch]
+) -> list[tuple[np.ndarray, list[float]]]:
+    """The energy half: each batch's per-row power and per-job energy.
+
+    Early finishers busy-wait at low activity (see
+    :func:`sample_job_runtime`): the multi-GPU gangs of every batch,
+    which must all have priced on day ``day``, settle again at their
+    duty-adjusted load in one DVFS solve.  Energy keeps a per-job
+    ``power.sum()``, because a segmented sum adds in another order.
+    """
+    loads = []
+    for batch in batches:
+        duty = np.clip(
+            batch.unit_ms[batch.multi] / batch.job_unit_ms[batch.multi_job],
+            0.0,
+            1.0,
+        )
+        loads.append((
+            batch.multi_act * duty + WAIT_ACTIVITY * (1.0 - duty),
+            batch.multi_dram * duty,
+        ))
+    settled = None
+    if any(batch.multi.shape[0] for batch in batches):
+        sub, arrays = cluster.fleet_for_day(day).solver_at(
+            np.concatenate([batch.multi_gpus for batch in batches]),
+            np.concatenate([batch.multi_coolant for batch in batches]),
+        )
+        settled = sub.solve_steady(
+            np.concatenate([act for act, _ in loads]),
+            np.concatenate([dram for _, dram in loads]),
+            arrays.efficiency,
+            power_cap_w=arrays.power_cap_w,
+            f_cap_mhz=arrays.f_cap_mhz,
+        ).power_w
+
+    out = []
+    offset = 0
+    for batch in batches:
+        power = batch.power_w
+        m = int(batch.multi.shape[0])
+        if m:
+            power = power.copy()
+            power[batch.multi] = settled[offset : offset + m]
+            offset += m
+        starts = batch.starts
+        out.append((
+            power,
+            [
+                float(power[lo:hi].sum()) * runtime
+                for lo, hi, runtime in zip(
+                    starts.tolist(), (starts + batch.widths).tolist(),
+                    batch.runtime_s.tolist(),
+                )
+            ],
+        ))
     return out

@@ -515,8 +515,8 @@ def monitor_fleet(
     identical for any ``workers`` value.
 
     Pass either a :class:`~repro.api.requests.MonitorRequest` (its
-    ``window`` feeds both the metrics pipeline and the health detector) or
-    the constructed objects — not both.
+    ``window`` feeds the health detector) or the constructed objects — not
+    both.
     """
     if request is not None:
         _require_request_only(
@@ -535,7 +535,6 @@ def monitor_fleet(
         )
         workers = request.workers
         policy = HealthPolicy(window_runs=request.window)
-        monitor_config = MonitorConfig(window_runs=request.window)
     _require_built("monitor_fleet", cluster=cluster, workload=workload)
     monitor = FleetMonitor(monitor_config)
     dataset = run_campaign(

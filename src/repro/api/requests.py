@@ -364,7 +364,7 @@ class MonitorRequest(_RequestBase):
     """Campaign with streaming metrics and online health detection.
 
     Mirrors ``repro monitor`` / :func:`repro.api.monitor_fleet`;
-    ``window`` feeds both the metrics pipeline and the health detector.
+    ``window`` feeds only the health detector.
     """
 
     cluster: str = "longhorn"

@@ -19,13 +19,14 @@ it?  Eight modules:
   digest, RNG label roots, solver mode, result digest) with a JSON schema,
   enabling reproducibility audits without re-execution;
 * :mod:`repro.obs.metrics` — the DCGM-shaped fleet half: a typed metric
-  registry (per-GPU gauges, fleet histograms, counters), ring-buffer
-  sliding windows, Prometheus-style text exposition, and the
+  registry (per-GPU gauges, fleet histograms, counters),
+  Prometheus-style text exposition, and the
   :class:`~repro.obs.metrics.FleetMonitor` the campaign executors merge
   in canonical plan order;
 * :mod:`repro.obs.health` — online anomaly detection over the monitor's
-  run stream: typed health events with hysteresis, per-GPU grades, and
-  fleet health reports with topology rollups;
+  run stream: ring-buffer windows of the last runs, typed health events
+  with hysteresis, per-GPU grades, and fleet health reports with
+  topology rollups;
 * :mod:`repro.obs.timeline` — the unified flight recorder: one
   schema-versioned, byte-stable event stream spanning campaign, sim,
   health, sched, and service layers, ordered by a monotone logical clock
@@ -64,7 +65,6 @@ from .metrics import (
     MetricsRegistry,
     MonitorConfig,
     RunSample,
-    SlidingWindow,
     render_prometheus,
 )
 from .timeline import (
@@ -116,6 +116,12 @@ _REPLAY_EXPORTS = (
     "load_replayer",
 )
 
+#: Removed names -> what to use instead; importing one raises a hint.
+_REMOVED_EXPORTS = {
+    "SlidingWindow": "no replacement: no output read its statistics, and "
+    "the health detector's windows live in repro.obs.health",
+}
+
 
 def __getattr__(name: str):
     if name in _HEALTH_EXPORTS:
@@ -126,6 +132,10 @@ def __getattr__(name: str):
         from . import replay
 
         return getattr(replay, name)
+    if name in _REMOVED_EXPORTS:
+        raise ImportError(
+            f"'repro.obs.{name}' was removed; {_REMOVED_EXPORTS[name]}"
+        )
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -144,7 +154,6 @@ __all__ = [
     "MetricsRegistry",
     "MonitorConfig",
     "RunSample",
-    "SlidingWindow",
     "render_prometheus",
     "SpanRecord",
     "Tracer",

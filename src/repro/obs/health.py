@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,13 +63,7 @@ from ..errors import AnalysisError
 from ..core.boxstats import BoxStats, tukey_fences
 from ..core.outliers import OutlierAccumulator
 from .manifest import validate_manifest
-from .metrics import (
-    FleetMonitor,
-    _medians,
-    _Ring,
-    _window_mean,
-    _window_median,
-)
+from .metrics import FleetMonitor, _medians
 from .observer import active_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -298,6 +293,136 @@ def _masked_rows(
     for k in np.unique(sizes):
         rows = np.flatnonzero(sizes == k)
         yield rows, values[rows][mask[rows]].reshape(rows.shape[0], k)
+
+
+def _observed(
+    windows: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, block, missing, k)`` over the windows holding an observation.
+
+    ``windows`` is ``(..., capacity)`` with fill counts ``counts`` shaped
+    like its leading axes; ``rows`` index the flattened leading axes,
+    ``block`` is a copy of those windows, ``(len(rows), capacity)``,
+    ``missing`` its NaN mask and ``k`` the non-NaN count of each window.
+    Unfilled slots hold NaN, so a window with no NaN observation has
+    ``k == count``; a NaN observation is skipped as the nan-functions skip
+    it.
+    """
+    rows = np.flatnonzero(counts > 0)
+    block = windows.reshape(-1, windows.shape[-1])
+    block = block[rows] if rows.shape[0] < block.shape[0] else block.copy()
+    missing = np.isnan(block)
+    m, width = block.shape
+    k = width - missing.sum(axis=1) if missing.any() else np.full(m, width)
+    return rows, block, missing, k
+
+
+def _place(values: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values`` of the windows at flat ``rows``, over ``shape``, NaN elsewhere."""
+    if rows.shape[0] == values.shape[0] == math.prod(shape):
+        return values.reshape(shape)
+    out = np.full(shape, np.nan)
+    np.put(out, rows, values)
+    return out
+
+
+def _window_median(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Median of each window, shaped like ``counts`` (NaN if empty).
+
+    Bit for bit ``np.nanmedian``, whose short-row path sorts (NaN last),
+    takes the low and high middle values of the ``k`` non-NaN ones (the
+    middle value twice for odd ``k``), sums them from ``+0.0`` and halves
+    the sum.  Here too NaN sorts last, so the first ``k`` sorted slots are
+    the same values, and ``(lo + hi) + 0.0`` is that sum: which of
+    ``-0.0``/``+0.0`` sorts first cannot change it.  A window of NaN
+    observations only is NaN.
+    """
+    rows, ranked, _, k = _observed(windows, counts)
+    ranked.sort(axis=1)
+    at = np.arange(ranked.shape[0])
+    middle = ranked[at, np.maximum(k - 1, 0) // 2] + ranked[at, k // 2]
+    middle += 0.0
+    middle /= 2.0
+    middle[k == 0] = np.nan
+    return _place(middle, rows, counts.shape)
+
+
+def _window_mean(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each window, shaped like ``counts`` (NaN if empty).
+
+    Bit for bit ``np.nanmean``: each window is summed whole, in slot
+    order, with its NaN slots as +0.0, so numpy's pairwise summation
+    groups the terms as it does there at any capacity, then divided by
+    the non-NaN count.
+    """
+    rows, terms, missing, k = _observed(windows, counts)
+    np.copyto(terms, 0.0, where=missing)
+    return _place(terms.sum(axis=1) / k, rows, counts.shape)
+
+
+class _Ring:
+    """Parallel ring buffers that are always pushed together.
+
+    ``buffer`` is ``(n_windows, n_series, capacity)``; the windows share
+    one write position and fill count per series, so pushing a block of
+    runs is one scan whatever the number of windows.
+    """
+
+    def __init__(self, n_windows: int, n_series: int, capacity: int) -> None:
+        self.buffer = np.full((n_windows, n_series, capacity), np.nan)
+        self.pos = np.zeros(n_series, dtype=np.int64)
+        self.count = np.zeros(n_series, dtype=np.int64)
+
+    def push_runs(
+        self,
+        bounds: list[int],
+        series: np.ndarray,
+        values: np.ndarray,
+        *,
+        contents: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Scan a block of runs through the ring.
+
+        Run ``r`` pushes ``values[j, bounds[r]:bounds[r + 1]]`` onto series
+        ``series[bounds[r]:bounds[r + 1]]`` of window ``j``, exactly as
+        one push per run and window would.  Returns ``(counts, contents)``:
+        the fill counts ``(runs, n_series)`` after each run and every
+        window's buffer after each run, ``(n_windows, runs, n_series,
+        capacity)``, or ``None`` for ``contents=False``.
+
+        Write positions and fill counts of the whole block come from one
+        cumulative count of each series' pushes, so the run-by-run part is
+        one scatter of each run's values (a series listed twice in a run
+        lands in one cell, the later value kept) and, when ``contents``
+        is asked for, a copy of the buffer.
+        """
+        k, n, w = self.buffer.shape
+        runs = len(bounds) - 1
+        run_of = np.repeat(np.arange(runs), np.diff(bounds))
+        observed = np.zeros((runs, n), dtype=bool)
+        observed[run_of, series] = True
+        pushes = np.cumsum(observed, axis=0)
+        cell = series * w + (self.pos[series] + pushes[run_of, series] - 1) % w
+        cells = cell + n * w * np.arange(k)[:, None]
+        kept = np.empty((k, runs, n, w)) if contents else None
+        for r in range(runs):
+            lo, hi = bounds[r], bounds[r + 1]
+            np.put(self.buffer, cells[:, lo:hi], values[:, lo:hi])
+            if kept is not None:
+                kept[:, r] = self.buffer
+        counts = np.minimum(self.count + pushes, w)
+        self.pos[...] = (self.pos + pushes[-1]) % w
+        self.count[...] = counts[-1]
+        return counts, kept
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A copy of the ring state, for :meth:`restore`."""
+        return self.buffer.copy(), self.pos.copy(), self.count.copy()
+
+    def restore(self, state: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Return to a :meth:`snapshot`."""
+        for now, then in zip((self.buffer, self.pos, self.count), state):
+            now[...] = then
 
 
 class HealthTracker:

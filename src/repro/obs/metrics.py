@@ -1,12 +1,13 @@
-"""Streaming fleet metrics: typed registry, ring windows, and the monitor.
+"""Streaming fleet metrics: typed registry, the monitor, Prometheus text.
 
 This is the DCGM-shaped half of the observability layer.  Where
 :mod:`repro.obs.tracer` answers "where did the *wall clock* go",
 :mod:`repro.obs.metrics` answers "what did the *fleet* do over simulated
 time": per-GPU gauges (last frequency / power / temperature / perf
-deviation / throttle residency), fleet-wide histograms, and ring-buffer
-sliding-window aggregates — everything a dashboard scrapes from a real
-cluster's telemetry daemon.
+deviation / throttle residency), fleet-wide histograms and counters, and
+their Prometheus-style text exposition — what a dashboard scrapes from a
+real cluster's telemetry daemon.  The windowed statistics of the health
+detector live with it, in :mod:`repro.obs.health`.
 
 The design constraints are the tracer's, verbatim:
 
@@ -21,15 +22,14 @@ The design constraints are the tracer's, verbatim:
   order, so the merged sample stream, counter totals, and every derived
   statistic are invariant to worker count and backend.
 
-Fleet-level aggregation (perf deviation from the fleet median, sliding
-windows, gauges) deliberately happens in :meth:`FleetMonitor.finalize`
+Fleet-level aggregation (perf deviation from the fleet median, gauges,
+fleet histograms) deliberately happens in :meth:`FleetMonitor.finalize`
 over the *merged* stream: a shard only sees its slice of a run, and a
 "fleet median" computed per shard would depend on the shard shape.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -45,7 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "MonitorConfig",
     "RunSample",
-    "SlidingWindow",
     "render_prometheus",
 ]
 
@@ -84,9 +83,10 @@ class MonitorConfig:
     Parameters
     ----------
     window_runs:
-        Ring-buffer depth (in completed runs) of the sliding-window
-        aggregators.  Part of the *analysis*, not of the execution: any
-        value produces byte-identical campaign outputs.
+        Validated and kept, but no output reads it: the monitor derives
+        no windowed statistics (the health detector's window is
+        :attr:`~repro.obs.health.HealthPolicy.window_runs`).  Any value
+        produces byte-identical campaign outputs.
     """
 
     window_runs: int = 4
@@ -147,249 +147,6 @@ class FleetRun:
     def n(self) -> int:
         """GPUs measured in this run."""
         return int(self.gpu_indices.shape[0])
-
-
-# ---------------------------------------------------------------------------
-# sliding windows
-# ---------------------------------------------------------------------------
-
-
-def _observed(
-    windows: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, block, missing, k)`` over the windows holding an observation.
-
-    ``windows`` is ``(..., capacity)`` with fill counts ``counts`` shaped
-    like its leading axes; ``rows`` index the flattened leading axes,
-    ``block`` is a copy of those windows, ``(len(rows), capacity)``,
-    ``missing`` its NaN mask and ``k`` the non-NaN count of each window.
-    Unfilled slots hold NaN, so a window with no NaN observation has
-    ``k == count``; a NaN observation is skipped as the nan-functions skip
-    it.
-    """
-    rows = np.flatnonzero(counts > 0)
-    block = windows.reshape(-1, windows.shape[-1])
-    block = block[rows] if rows.shape[0] < block.shape[0] else block.copy()
-    missing = np.isnan(block)
-    m, width = block.shape
-    k = width - missing.sum(axis=1) if missing.any() else np.full(m, width)
-    return rows, block, missing, k
-
-
-def _place(values: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """``values`` of the windows at flat ``rows``, over ``shape``, NaN elsewhere."""
-    if rows.shape[0] == values.shape[0] == math.prod(shape):
-        return values.reshape(shape)
-    out = np.full(shape, np.nan)
-    np.put(out, rows, values)
-    return out
-
-
-def _window_median(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Median of each window, shaped like ``counts`` (NaN if empty).
-
-    Bit for bit ``np.nanmedian``, whose short-row path sorts (NaN last),
-    takes the low and high middle values of the ``k`` non-NaN ones (the
-    middle value twice for odd ``k``), sums them from ``+0.0`` and halves
-    the sum.  Here too NaN sorts last, so the first ``k`` sorted slots are
-    the same values, and ``(lo + hi) + 0.0`` is that sum: which of
-    ``-0.0``/``+0.0`` sorts first cannot change it.  A window of NaN
-    observations only is NaN.
-    """
-    rows, ranked, _, k = _observed(windows, counts)
-    ranked.sort(axis=1)
-    at = np.arange(ranked.shape[0])
-    middle = ranked[at, np.maximum(k - 1, 0) // 2] + ranked[at, k // 2]
-    middle += 0.0
-    middle /= 2.0
-    middle[k == 0] = np.nan
-    return _place(middle, rows, counts.shape)
-
-
-def _window_mean(windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of each window, shaped like ``counts`` (NaN if empty).
-
-    Bit for bit ``np.nanmean``: each window is summed whole, in slot
-    order, with its NaN slots as +0.0, so numpy's pairwise summation
-    groups the terms as it does there at any capacity, then divided by
-    the non-NaN count.
-    """
-    rows, terms, missing, k = _observed(windows, counts)
-    np.copyto(terms, 0.0, where=missing)
-    return _place(terms.sum(axis=1) / k, rows, counts.shape)
-
-
-class _Ring:
-    """Parallel ring buffers that are always pushed together.
-
-    ``buffer`` is ``(n_windows, n_series, capacity)``; the windows share
-    one write position and fill count per series, so pushing a block of
-    runs is one scan whatever the number of windows.
-    """
-
-    def __init__(self, n_windows: int, n_series: int, capacity: int) -> None:
-        self.buffer = np.full((n_windows, n_series, capacity), np.nan)
-        self.pos = np.zeros(n_series, dtype=np.int64)
-        self.count = np.zeros(n_series, dtype=np.int64)
-
-    def push_runs(
-        self,
-        bounds: list[int],
-        series: np.ndarray,
-        values: np.ndarray,
-        *,
-        contents: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Scan a block of runs through the ring.
-
-        Run ``r`` pushes ``values[j, bounds[r]:bounds[r + 1]]`` onto series
-        ``series[bounds[r]:bounds[r + 1]]`` of window ``j``, exactly as
-        one push per run and window would.  Returns ``(counts, contents)``:
-        the fill counts ``(runs, n_series)`` after each run and every
-        window's buffer after each run, ``(n_windows, runs, n_series,
-        capacity)``, or ``None`` for ``contents=False``.
-
-        Write positions and fill counts of the whole block come from one
-        cumulative count of each series' pushes, so the run-by-run part is
-        one scatter of each run's values (a series listed twice in a run
-        lands in one cell, the later value kept) and, when ``contents``
-        is asked for, a copy of the buffer.
-        """
-        k, n, w = self.buffer.shape
-        runs = len(bounds) - 1
-        run_of = np.repeat(np.arange(runs), np.diff(bounds))
-        observed = np.zeros((runs, n), dtype=bool)
-        observed[run_of, series] = True
-        pushes = np.cumsum(observed, axis=0)
-        cell = series * w + (self.pos[series] + pushes[run_of, series] - 1) % w
-        cells = cell + n * w * np.arange(k)[:, None]
-        kept = np.empty((k, runs, n, w)) if contents else None
-        for r in range(runs):
-            lo, hi = bounds[r], bounds[r + 1]
-            np.put(self.buffer, cells[:, lo:hi], values[:, lo:hi])
-            if kept is not None:
-                kept[:, r] = self.buffer
-        counts = np.minimum(self.count + pushes, w)
-        self.pos[...] = (self.pos + pushes[-1]) % w
-        self.count[...] = counts[-1]
-        return counts, kept
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A copy of the ring state, for :meth:`restore`."""
-        return self.buffer.copy(), self.pos.copy(), self.count.copy()
-
-    def restore(self, state: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        """Return to a :meth:`snapshot`."""
-        for now, then in zip((self.buffer, self.pos, self.count), state):
-            now[...] = then
-
-
-class SlidingWindow:
-    """Ring buffer over the last ``capacity`` pushes of ``n_series`` series.
-
-    Backing store is a one-window :class:`_Ring`: one ``(n_series,
-    capacity)`` array, and per series its own write position and fill
-    count, so partially-covered fleets (``coverage < 1``) advance only the
-    GPUs a run actually observed.
-    Statistics are NaN for series with no observations yet.
-    """
-
-    def __init__(self, n_series: int, capacity: int) -> None:
-        require(n_series >= 1, f"n_series must be >= 1, got {n_series}")
-        require(capacity >= 1, f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._ring = _Ring(1, int(n_series), self.capacity)
-        # Views of the ring's arrays.
-        self._buffer = self._ring.buffer[0]
-        self._count = self._ring.count
-
-    @property
-    def n_series(self) -> int:
-        """Number of parallel series."""
-        return self._buffer.shape[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Observations currently buffered per series (<= capacity)."""
-        return self._count.copy()
-
-    def push(self, values: np.ndarray, indices: np.ndarray | None = None) -> None:
-        """Append one observation per (selected) series.
-
-        The one-run case of :meth:`_Ring.push_runs`.
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        if indices is None:
-            indices = np.arange(self.n_series)
-        else:
-            indices = np.asarray(indices).ravel()
-        if values.shape[0] != indices.shape[0]:
-            raise AnalysisError(
-                f"push got {values.shape[0]} values for {indices.shape[0]} series"
-            )
-        self._ring.push_runs(
-            [0, indices.shape[0]], indices, values[None], contents=False
-        )
-
-    def median(self) -> np.ndarray:
-        """Per-series median over the buffered window (NaN if empty)."""
-        return _window_median(self._buffer, self._count)
-
-    def mean(self) -> np.ndarray:
-        """Per-series mean over the buffered window (NaN if empty)."""
-        return _window_mean(self._buffer, self._count)
-
-    def series_stats(self) -> dict[str, np.ndarray]:
-        """Per-series window statistics: mean/p5/p50/p95/iqr arrays.
-
-        Percentiles run ``np.percentile`` once per non-NaN count ``k`` on
-        the NaN-free rows ``np.nanpercentile`` extracts: the first ``k``
-        slots, with any NaN among them replaced, in order, by the non-NaN
-        values after them.
-        """
-        n = self.n_series
-        out = {"mean": self.mean()}
-        for key in ("p5", "p50", "p95", "iqr"):
-            out[key] = np.full(n, np.nan)
-        rows, block, _, valid = _observed(self._buffer, self._count)
-        for k in np.unique(valid[valid > 0]):
-            group = valid == k
-            head, tail = block[group, :k], block[group, k:]
-            head[np.isnan(head)] = tail[~np.isnan(tail)]
-            p5, q1, p50, q3, p95 = np.percentile(
-                head, (5, 25, 50, 75, 95), axis=1
-            )
-            at = rows[group]
-            out["p5"][at] = p5
-            out["p50"][at] = p50
-            out["p95"][at] = p95
-            out["iqr"][at] = q3 - q1
-        return out
-
-    def pooled_stats(self) -> dict[str, float]:
-        """Statistics over *all* buffered observations of every series.
-
-        The fleet-wide "per window" aggregate: mean, p5/p50/p95, IQR, and
-        the pooled observation count.  NaN statistics with nothing
-        buffered.
-        """
-        pooled = self._buffer[np.isfinite(self._buffer)]
-        if pooled.size == 0:
-            return {
-                "mean": float("nan"), "p5": float("nan"), "p50": float("nan"),
-                "p95": float("nan"), "iqr": float("nan"), "n": 0.0,
-            }
-        p5, q1, p50, q3, p95 = (
-            float(v) for v in np.percentile(pooled, [5, 25, 50, 75, 95])
-        )
-        return {
-            "mean": float(pooled.mean()),
-            "p5": p5,
-            "p50": p50,
-            "p95": p95,
-            "iqr": q3 - q1,
-            "n": float(pooled.size),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +368,7 @@ class FleetMonitor:
     executors create one short-lived monitor per shard and fold the
     payloads into the campaign monitor in canonical plan order, after which
     :meth:`finalize` derives the fleet-level registry (gauges, deviation
-    histograms) from the merged sample stream, and :attr:`window_series`
-    derives the sliding-window series from it when first read.
+    histograms) from the merged sample stream.
 
     Not thread-safe by design — activation is per-thread and each
     concurrently-executing shard gets its own instance.
@@ -624,7 +380,6 @@ class FleetMonitor:
         self.samples: list[RunSample] = []
         self.gpu_labels: tuple[str, ...] | None = None
         self._finalized = False
-        self._window_series: dict[str, list[dict[str, float]]] | None = None
 
     # -- hook-facing API (called from instrumented simulator code) ----------
 
@@ -839,8 +594,7 @@ class FleetMonitor:
         merge (idempotent; a call that raises changes nothing, so it can be
         retried).  Populates per-GPU gauges (last observed value and
         throttle residency) and fleet histograms (including perf deviation
-        from each run's fleet median); :attr:`window_series` is derived
-        from the same stream when first read.
+        from each run's fleet median).
         """
         if self._finalized:
             return
@@ -895,40 +649,6 @@ class FleetMonitor:
             help="fraction of observed runs the GPU settled capped "
                  "(power or thermal)",
         )
-
-    @property
-    def window_series(self) -> dict[str, list[dict[str, float]]]:
-        """Per-metric list of one pooled-window statistics dict per run.
-
-        ``{}`` before :meth:`finalize`.  After it, the first read replays
-        :meth:`iter_runs` through one :class:`SlidingWindow` of
-        ``window_runs`` per metric, appending each run's
-        :meth:`~SlidingWindow.pooled_stats` plus its ``day`` and
-        ``run_index``; later reads return the same cached dict.  No
-        campaign output reads it, so a campaign does not pay for it.
-        """
-        if not self._finalized:
-            return {}
-        if self._window_series is None:
-            n = len(self.gpu_labels)
-            windows = {
-                name: SlidingWindow(n, self.config.window_runs)
-                for name in _FLEET_STREAMS
-            }
-            series: dict[str, list[dict[str, float]]] = {
-                name: [] for name in _FLEET_STREAMS
-            }
-            runs, bounds, _, streams = self._fleet_values(n)
-            for r, run in enumerate(runs):
-                for name, values in streams.items():
-                    arr = values[bounds[r]:bounds[r + 1]]
-                    windows[name].push(arr, run.gpu_indices)
-                    stats = windows[name].pooled_stats()
-                    stats["day"] = float(run.day)
-                    stats["run_index"] = float(run.run_index)
-                    series[name].append(stats)
-            self._window_series = series
-        return self._window_series
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

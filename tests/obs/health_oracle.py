@@ -3,7 +3,7 @@
 The semantic definition of :class:`~repro.obs.health.HealthTracker` and
 :func:`~repro.obs.health.build_health_report`, kept from the original
 implementations: the tracker evaluates one run per call, in campaign order,
-with its own ring buffers (the original ``SlidingWindow.push``) read through
+with its own one-push-at-a-time ring buffers (:class:`Window`) read through
 ``np.nanmedian`` / ``np.nanmean``, one ``flag_outlier_values`` and one
 ``tukey_fences`` per evaluated run, and the hysteresis one run at a time;
 the report builder scans every topology group and grades GPUs one by one.

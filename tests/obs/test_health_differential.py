@@ -28,8 +28,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster.topology import cabinet_topology, row_column_topology
 from repro.errors import AnalysisError
 from repro.obs import health
-from repro.obs.health import HealthPolicy, HealthTracker, build_health_report
-from repro.obs.metrics import FleetMonitor, _Ring, _window_mean
+from repro.obs.health import (
+    HealthPolicy,
+    HealthTracker,
+    _Ring,
+    _window_mean,
+    build_health_report,
+)
+from repro.obs.metrics import FleetMonitor
 from repro.obs.observer import activate
 from repro.obs.timeline import TimelineRecorder, timeline_lines
 

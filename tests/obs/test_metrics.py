@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     FleetMonitor,
     MetricsRegistry,
     MonitorConfig,
-    SlidingWindow,
     render_prometheus,
 )
 from repro.obs.observer import activate, active_monitor
@@ -17,55 +16,6 @@ from repro.obs.observer import activate, active_monitor
 from ..golden import golden_csv_text, read_golden_text
 
 GOLDEN_NAME = "cloudlab-sgemm"
-
-
-class TestSlidingWindow:
-    def test_push_and_median(self):
-        w = SlidingWindow(n_series=3, capacity=2)
-        w.push(np.array([1.0, 10.0, 100.0]))
-        w.push(np.array([3.0, 30.0, 300.0]))
-        assert np.allclose(w.median(), [2.0, 20.0, 200.0])
-
-    def test_ring_evicts_oldest(self):
-        w = SlidingWindow(n_series=1, capacity=2)
-        for value in (1.0, 2.0, 9.0):
-            w.push(np.array([value]))
-        # 1.0 fell out of the window; median over {2, 9}
-        assert np.allclose(w.median(), [5.5])
-        assert w.counts.tolist() == [2]
-
-    def test_partial_coverage_advances_only_observed_series(self):
-        w = SlidingWindow(n_series=4, capacity=3)
-        w.push(np.array([5.0, 7.0]), indices=np.array([0, 2]))
-        assert w.counts.tolist() == [1, 0, 1, 0]
-        med = w.median()
-        assert med[0] == 5.0 and med[2] == 7.0
-        assert np.isnan(med[1]) and np.isnan(med[3])
-
-    def test_series_stats_keys_and_nan_for_empty(self):
-        w = SlidingWindow(n_series=2, capacity=4)
-        w.push(np.array([1.0]), indices=np.array([0]))
-        stats = w.series_stats()
-        assert set(stats) == {"mean", "p5", "p50", "p95", "iqr"}
-        assert stats["p50"][0] == 1.0
-        assert all(np.isnan(stats[k][1]) for k in stats)
-
-    def test_pooled_stats_over_all_series(self):
-        w = SlidingWindow(n_series=2, capacity=2)
-        w.push(np.array([1.0, 3.0]))
-        pooled = w.pooled_stats()
-        assert pooled["mean"] == 2.0
-        assert pooled["n"] == 2.0
-
-    def test_pooled_stats_empty_is_nan(self):
-        pooled = SlidingWindow(1, 1).pooled_stats()
-        assert pooled["n"] == 0.0
-        assert np.isnan(pooled["p50"])
-
-    def test_length_mismatch_raises(self):
-        w = SlidingWindow(n_series=2, capacity=2)
-        with pytest.raises(AnalysisError, match="values"):
-            w.push(np.array([1.0, 2.0, 3.0]), indices=np.array([0, 1]))
 
 
 class TestRegistry:
@@ -200,17 +150,6 @@ class TestFleetMonitor:
         assert residency[1] == 0.0
         assert np.isnan(residency[2])  # never observed
 
-    def test_finalize_window_series_one_entry_per_run(self):
-        monitor = FleetMonitor(MonitorConfig(window_runs=2))
-        for run_index in range(3):
-            _feed(monitor, run_index=run_index, perf=[100.0, 110.0])
-        monitor.finalize(("g0", "g1"))
-        series = monitor.window_series["perf_deviation"]
-        assert len(series) == 3
-        assert series[-1]["run_index"] == 2.0
-        # window depth 2: each pooled window holds at most 2 runs x 2 GPUs
-        assert series[-1]["n"] == 4.0
-
     def test_finalize_is_idempotent(self):
         monitor = FleetMonitor()
         _feed(monitor, perf=[100.0])
@@ -224,6 +163,26 @@ class TestFleetMonitor:
         _feed(monitor, perf=[100.0, 100.0], idx=[0, 5])
         with pytest.raises(AnalysisError, match="labels"):
             monitor.finalize(("g0", "g1"))
+
+    def test_failed_finalize_changes_nothing_and_can_be_retried(self):
+        def three_gpu_runs():
+            monitor = FleetMonitor()
+            for r in range(3):
+                _feed(monitor, run_index=r, perf=np.array([1.0, 2.0, 3.0]) + r,
+                      freq=np.ones(3), power=np.ones(3), temp=np.ones(3),
+                      pcap=[r % 2 == 0, False, True])
+            return monitor
+
+        labels = ("g0", "g1", "g2")
+        monitor = three_gpu_runs()
+        with pytest.raises(AnalysisError, match="references GPU 2"):
+            monitor.finalize(labels[:2])
+        assert monitor.gpu_labels is None
+        monitor.finalize(labels)
+        fresh = three_gpu_runs()
+        fresh.finalize(labels)
+        assert monitor.gpu_labels == labels
+        assert render_prometheus(monitor) == render_prometheus(fresh)
 
     def test_payload_roundtrip_preserves_stream(self):
         shard = FleetMonitor()

@@ -1,12 +1,15 @@
-"""Window statistics vs the nan-function oracles, byte for byte.
+"""Window statistics vs the nan-function oracle, byte for byte.
 
-:class:`~repro.obs.metrics.SlidingWindow` computes ``median``, ``mean`` and
-``series_stats`` with plain numpy reductions over each series' non-NaN
-count, and calls no nan-function.  Every statistic must equal :mod:`tests.obs.window_oracle`'s nan-function result
-in raw bytes, on arbitrary push sequences: capacities 1 to 12 (the pairwise
-summation of ``np.sum`` changes grouping at 8 terms), pushes before and
-after wrap-around, partial coverage through ``indices=``, NaN pushed into
-filled slots, infinities, signed zeros, values near the overflow limit,
+The health tracker's :func:`~repro.obs.health._window_median` and
+:func:`~repro.obs.health._window_mean` compute each window's median and
+mean with plain numpy reductions over its non-NaN count, and call no
+nan-function.  Pushed through a one-window
+:class:`~repro.obs.health._Ring`, they must equal ``np.nanmedian`` /
+``np.nanmean`` over :class:`tests.obs.health_oracle.Window`, fed the same
+pushes, in raw bytes, on arbitrary push sequences: capacities 1 to 12 (the
+pairwise summation of ``np.sum`` changes grouping at 8 terms), pushes
+before and after wrap-around, partial coverage, NaN pushed into filled
+slots, infinities, signed zeros, values near the overflow limit,
 subnormals and ties.
 """
 
@@ -18,9 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.obs.metrics import SlidingWindow
+from repro.obs.health import _Ring, _window_mean, _window_median
 
-from . import window_oracle as oracle
+from .health_oracle import Window
 
 SETTINGS = settings(
     max_examples=150, deadline=None,
@@ -34,7 +37,22 @@ _VALUES = st.one_of(
     st.floats(allow_nan=False, width=64),
 )
 
-_STATS = ("mean", "p5", "p50", "p95", "iqr")
+
+class Pair:
+    """A one-window ring and the oracle window, pushed alike."""
+
+    def __init__(self, n_series: int, capacity: int) -> None:
+        self.ring = _Ring(1, n_series, capacity)
+        self.oracle = Window(n_series, capacity)
+
+    def push(self, values: np.ndarray, indices: np.ndarray | None = None) -> None:
+        values = np.asarray(values, dtype=float)
+        if indices is None:
+            indices = np.arange(self.ring.count.shape[0])
+        self.ring.push_runs(
+            [0, indices.shape[0]], indices, values[None], contents=False
+        )
+        self.oracle.push(values, indices)
 
 
 def _quiet(fn, *args):
@@ -48,14 +66,16 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
-def assert_matches_oracle(window: SlidingWindow) -> None:
-    assert_same_bits(_quiet(window.median), _quiet(oracle.median, window))
-    assert_same_bits(_quiet(window.mean), _quiet(oracle.mean, window))
-    got = _quiet(window.series_stats)
-    want = _quiet(oracle.series_stats, window)
-    assert list(got) == list(want) == list(_STATS)
-    for key in _STATS:
-        assert_same_bits(got[key], want[key])
+def assert_matches_oracle(pair: Pair) -> None:
+    buffer, count = pair.ring.buffer[0], pair.ring.count
+    assert_same_bits(buffer, pair.oracle.buffer)
+    assert_same_bits(count, pair.oracle.count)
+    assert_same_bits(
+        _quiet(_window_median, buffer, count), _quiet(pair.oracle.median)
+    )
+    assert_same_bits(
+        _quiet(_window_mean, buffer, count), _quiet(pair.oracle.mean)
+    )
 
 
 @st.composite
@@ -66,7 +86,7 @@ def windows(draw):
     values = (
         st.one_of(_VALUES, st.just(np.nan)) if draw(st.booleans()) else _VALUES
     )
-    window = SlidingWindow(n_series, capacity)
+    pair = Pair(n_series, capacity)
     for _ in range(draw(st.integers(0, 3 * capacity + 2))):
         if draw(st.booleans()):
             indices = None
@@ -78,15 +98,15 @@ def windows(draw):
             indices = np.asarray(chosen, dtype=np.int64)
             width = indices.shape[0]
         pushed = draw(st.lists(values, min_size=width, max_size=width))
-        window.push(np.asarray(pushed, dtype=float), indices)
-    return window
+        pair.push(np.asarray(pushed, dtype=float), indices)
+    return pair
 
 
 class TestWindowStatistics:
     @SETTINGS
-    @given(window=windows())
-    def test_matches_oracle(self, window):
-        assert_matches_oracle(window)
+    @given(pair=windows())
+    def test_matches_oracle(self, pair):
+        assert_matches_oracle(pair)
 
     @SETTINGS
     @given(
@@ -96,14 +116,13 @@ class TestWindowStatistics:
     )
     def test_ties_match_oracle(self, capacity, pushes, data):
         # Few distinct values, so most windows hold ties (signed zeros are
-        # ties that differ in bits); NaN observations move the ties into
-        # the slots np.nanpercentile compacts.
-        window = SlidingWindow(4, capacity)
+        # ties that differ in bits), NaN observations among them.
+        pair = Pair(4, capacity)
         tie_values = st.sampled_from([0.0, -0.0, 1.0, 1.0, 3.0, np.nan])
         for _ in range(pushes):
             pushed = data.draw(st.lists(tie_values, min_size=4, max_size=4))
-            window.push(np.asarray(pushed))
-        assert_matches_oracle(window)
+            pair.push(np.asarray(pushed))
+        assert_matches_oracle(pair)
 
     @SETTINGS
     @given(
@@ -113,13 +132,13 @@ class TestWindowStatistics:
     def test_long_partial_windows_match_oracle(self, capacity, data):
         # Ordinary magnitudes in windows that are not full yet: the sums
         # whose grouping depends on the row width.
-        window = SlidingWindow(3, capacity)
+        pair = Pair(3, capacity)
         values = st.floats(1e-3, 1e3)
         for _ in range(data.draw(st.integers(0, capacity))):
-            window.push(np.asarray(
+            pair.push(np.asarray(
                 data.draw(st.lists(values, min_size=3, max_size=3))
             ))
-        assert_matches_oracle(window)
+        assert_matches_oracle(pair)
 
     @pytest.mark.parametrize("rows", [
         [[-0.0]], [[-0.0, -0.0, -0.0]], [[1e308, 1e308, 1.0]],
@@ -137,20 +156,19 @@ class TestWindowStatistics:
         # (so 1e308 overflows), sums seed +0.0, and a row of 8+ slots sums
         # pairwise, so five values summed alone differ from the same five
         # padded with unfilled slots to capacity 9.  NaN observations are
-        # skipped, also beside +inf (the masked median sorts them as +inf);
-        # among signed zeros the percentiles depend on the order in which
-        # np.nanpercentile compacts the row, not only on its values.
+        # skipped, also beside +inf (the masked median sorts them as +inf).
         rows = np.asarray(rows)
         width = rows.shape[1]
         for capacity in sorted({1, 2, 3, width, width + 1, 9, 12}):
-            window = SlidingWindow(rows.shape[0], capacity)
+            pair = Pair(rows.shape[0], capacity)
             for column in rows.T:
-                window.push(column)
-            assert_matches_oracle(window)
+                pair.push(column)
+            assert_matches_oracle(pair)
 
     def test_empty_and_partial_series_stay_nan(self):
-        window = SlidingWindow(3, 4)
-        assert_matches_oracle(window)
-        window.push(np.array([2.0]), indices=np.array([1]))
-        assert_matches_oracle(window)
-        assert np.isnan(window.median()[[0, 2]]).all()
+        pair = Pair(3, 4)
+        assert_matches_oracle(pair)
+        pair.push(np.array([2.0]), indices=np.array([1]))
+        assert_matches_oracle(pair)
+        median = _window_median(pair.ring.buffer[0], pair.ring.count)
+        assert np.isnan(median[[0, 2]]).all()

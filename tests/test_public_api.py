@@ -158,6 +158,10 @@ class TestTopLevel:
         with pytest.raises(ImportError, match=r'load_preset\("longhorn"\)'):
             repro.longhorn
 
+    def test_removed_obs_window_names_its_removal(self):
+        with pytest.raises(ImportError, match="SlidingWindow' was removed"):
+            from repro.obs import SlidingWindow  # noqa: F401
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist

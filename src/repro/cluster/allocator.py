@@ -165,28 +165,30 @@ class FreeListAllocator:
     each node, so allocation state — and everything derived from it — is a
     pure function of the grant/free call sequence.
 
-    Counts are maintained *incrementally*: the per-node free-count array,
-    the machine-wide total, and a free-count bucket index ("how many nodes
-    have at least ``k`` free GPUs") are updated in O(delta) on every
-    allocate/free instead of being rebuilt per query, so the scheduler's
-    fit checks are O(1) at any fleet size.  External order-keyed indexes
+    Each node's free GPUs are an ascending Python list, so a grant is the
+    list's head and a node's free count is the list's length.  The other
+    counts are maintained *incrementally*: the per-node free-count array
+    (read by :func:`~repro.sched.index.resolve_with_ranking` through
+    :meth:`free_counts_view`), the machine-wide total, and a free-count
+    bucket index ("how many nodes have at least ``k`` free GPUs") are
+    updated in O(delta) on every allocate/free instead of being rebuilt
+    per query, so the scheduler's fit checks are O(1) at any fleet size.
+    External order-keyed indexes
     (:class:`repro.sched.index.OrderedFreeIndex`) can subscribe to count
     changes via :meth:`add_listener`.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
+        self._n_nodes = topology.n_nodes
         self._free = [
-            set(topology.gpus_of_node(n).tolist())
-            for n in range(topology.n_nodes)
+            topology.gpus_of_node(n).tolist() for n in range(topology.n_nodes)
         ]
         per_node = topology.gpus_per_node
         self._counts = np.full(topology.n_nodes, per_node, dtype=np.int64)
         self._n_free = int(topology.n_gpus)
         # _ge[k] = number of nodes with >= k free GPUs, k in 0..gpus_per_node
-        self._ge = np.zeros(per_node + 1, dtype=np.int64)
-        self._ge[0] = topology.n_nodes
-        self._ge[1:] = topology.n_nodes
+        self._ge = [topology.n_nodes] * (per_node + 1)
         self._listeners: list = []
         # Node of each GPU, snapshotted once (topology caches it too; the
         # local alias keeps free() from attribute-chasing per call).
@@ -196,16 +198,17 @@ class FreeListAllocator:
         """Subscribe ``callback(node_index, new_count)`` to count changes."""
         self._listeners.append(callback)
 
-    def _set_count(self, node: int, new: int) -> None:
-        old = int(self._counts[node])
-        if new == old:
-            return
+    def _set_count(self, node: int, old: int, new: int) -> None:
+        """Record that ``node``'s free list went from ``old`` to ``new``."""
         self._counts[node] = new
         self._n_free += new - old
+        ge = self._ge
         if new > old:
-            self._ge[old + 1 : new + 1] += 1
+            for k in range(old + 1, new + 1):
+                ge[k] += 1
         else:
-            self._ge[new + 1 : old + 1] -= 1
+            for k in range(new + 1, old + 1):
+                ge[k] -= 1
         for callback in self._listeners:
             callback(node, new)
 
@@ -230,16 +233,16 @@ class FreeListAllocator:
     def n_nodes_with_at_least(self, k: int) -> int:
         """Number of nodes holding at least ``k`` free GPUs, O(1)."""
         if k <= 0:
-            return self.topology.n_nodes
+            return self._n_nodes
         if k > self.topology.gpus_per_node:
             return 0
-        return int(self._ge[k])
+        return self._ge[k]
 
     def free_gpus_of_node(self, node_index: int) -> np.ndarray:
         """Free GPU indices of one node, ascending."""
-        if not 0 <= node_index < self.topology.n_nodes:
+        if not 0 <= node_index < self._n_nodes:
             raise AllocationError(f"node index {node_index} out of range")
-        return np.asarray(sorted(self._free[node_index]), dtype=np.int64)
+        return np.asarray(self._free[node_index], dtype=np.int64)
 
     def allocate(
         self, requests: Sequence[tuple[int, int]]
@@ -252,11 +255,17 @@ class FreeListAllocator:
         """
         if not requests:
             raise AllocationError("allocation needs at least one request")
+        free = self._free
+        checked: list[tuple[int, int]] = []
         seen: set[int] = set()
         for node_index, count in requests:
-            node_index = _require_int(node_index, "node_index")
-            count = _require_int(count, "count")
-            if not 0 <= node_index < self.topology.n_nodes:
+            # Plain ints need no check; bools, floats and numpy integers
+            # go through _require_int.
+            if type(node_index) is not int:
+                node_index = _require_int(node_index, "node_index")
+            if type(count) is not int:
+                count = _require_int(count, "count")
+            if not 0 <= node_index < self._n_nodes:
                 raise AllocationError(f"node index {node_index} out of range")
             if node_index in seen:
                 raise AllocationError(
@@ -265,36 +274,45 @@ class FreeListAllocator:
             seen.add(node_index)
             if count < 1:
                 raise AllocationError(f"count must be >= 1, got {count}")
-            if count > len(self._free[node_index]):
+            if count > len(free[node_index]):
                 raise AllocationError(
-                    f"node {node_index} has {len(self._free[node_index])} "
+                    f"node {node_index} has {len(free[node_index])} "
                     f"free GPUs, requested {count}"
                 )
+            checked.append((node_index, count))
         nodes: list[int] = []
         gpus: list[int] = []
-        for node_index, count in requests:
-            node_index = int(node_index)
-            taken = sorted(self._free[node_index])[: int(count)]
-            self._free[node_index].difference_update(taken)
-            self._set_count(node_index, len(self._free[node_index]))
+        for node_index, count in checked:
+            node_free = free[node_index]
+            old = len(node_free)
+            gpus += node_free[:count]
+            del node_free[:count]
+            self._set_count(node_index, old, old - count)
             nodes.append(node_index)
-            gpus.extend(taken)
+        nodes.sort()
+        gpus.sort()
         return GangAllocation(
-            node_indices=np.asarray(sorted(nodes), dtype=np.int64),
-            gpu_indices=np.asarray(sorted(gpus), dtype=np.int64),
+            node_indices=np.asarray(nodes, dtype=np.int64),
+            gpu_indices=np.asarray(gpus, dtype=np.int64),
         )
 
     def free(self, allocation: GangAllocation) -> None:
         """Return an allocation's GPUs; double-freeing raises."""
-        node_of_gpu = self._node_of_gpu
-        for gpu in allocation.gpu_indices.tolist():
-            node = int(node_of_gpu[gpu])
-            if gpu in self._free[node]:
+        gpus = allocation.gpu_indices.tolist()
+        nodes = self._node_of_gpu[allocation.gpu_indices].tolist()
+        free = self._free
+        for gpu, node in zip(gpus, nodes):
+            if gpu in free[node]:
                 raise AllocationError(f"GPU {gpu} is already free")
-        touched: set[int] = set()
-        for gpu in allocation.gpu_indices.tolist():
-            node = int(node_of_gpu[gpu])
-            self._free[node].add(int(gpu))
-            touched.add(node)
-        for node in sorted(touched):
-            self._set_count(node, len(self._free[node]))
+        old: dict[int, int] = {}
+        for gpu, node in zip(gpus, nodes):
+            node_free = free[node]
+            if node not in old:
+                old[node] = len(node_free)
+            # A GPU listed twice in one allocation returns once.
+            if gpu not in node_free:
+                node_free.append(gpu)
+        for node in sorted(old):
+            node_free = free[node]
+            node_free.sort()
+            self._set_count(node, old[node], len(node_free))

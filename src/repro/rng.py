@@ -23,6 +23,7 @@ True
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Iterable
 
 import numpy as np
@@ -37,7 +38,23 @@ def label_to_words(label: str) -> list[int]:
     platforms (unlike ``hash()``).
     """
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return list(struct.unpack("<4I", digest))
+
+
+def _seed_to_words(seed: int) -> list[int] | None:
+    """``seed`` as the little-endian 32-bit words numpy splits it into.
+
+    A seed of 0 is ``[0]``.  A negative seed has no words (``None``);
+    numpy rejects it when a stream is built.
+    """
+    if seed < 0:
+        return None
+    words = [seed & 0xFFFFFFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    return words
 
 
 class RngFactory:
@@ -54,6 +71,7 @@ class RngFactory:
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
         self._seed = int(seed)
+        self._seed_words = _seed_to_words(self._seed)
 
     @property
     def seed(self) -> int:
@@ -61,8 +79,20 @@ class RngFactory:
         return self._seed
 
     def sequence(self, label: str) -> np.random.SeedSequence:
-        """Return the SeedSequence for ``label`` under this master seed."""
-        return np.random.SeedSequence([self._seed, *label_to_words(label)])
+        """Return the SeedSequence for ``label`` under this master seed.
+
+        Its entropy is the uint32 array ``[*seed words, *label words]``:
+        the words numpy itself makes of ``[seed, *label_to_words(label)]``,
+        built in one array rather than one small array per int, so the
+        sequence's pool and every stream drawn from it are the same.  The
+        ``entropy`` attribute is therefore that array, not a list.
+        """
+        if self._seed_words is None:
+            # Let numpy raise its own error for a negative seed.
+            return np.random.SeedSequence([self._seed, *label_to_words(label)])
+        return np.random.SeedSequence(
+            np.array(self._seed_words + label_to_words(label), dtype=np.uint32)
+        )
 
     def generator(self, label: str) -> np.random.Generator:
         """Return a fresh PCG64 generator keyed by ``label``."""

@@ -76,16 +76,30 @@ class OrderedFreeIndex:
             sm[i] = sm[left] + sm[right]
 
     def update(self, node: int, count: int) -> None:
-        """Set ``node``'s free count; O(log n)."""
+        """Set ``node``'s free count; O(log n).
+
+        Every ancestor's sum moves by the same delta.  An ancestor's
+        maximum depends only on its children's, so once one comes out
+        unchanged, none above it can change and only sums are left.
+        """
         i = self._pos_of_node[node] + self._m
         mx, sm = self._max, self._sum
+        delta = count - sm[i]
         mx[i] = count
         sm[i] = count
         i >>= 1
         while i:
-            left, right = 2 * i, 2 * i + 1
-            mx[i] = mx[left] if mx[left] >= mx[right] else mx[right]
-            sm[i] = sm[left] + sm[right]
+            sm[i] += delta
+            left = 2 * i
+            a, b = mx[left], mx[left + 1]
+            top = a if a >= b else b
+            if mx[i] == top:
+                break
+            mx[i] = top
+            i >>= 1
+        i >>= 1
+        while i:
+            sm[i] += delta
             i >>= 1
 
     def first_at_least(self, k: int) -> int:

@@ -237,7 +237,7 @@ def sample_job_runtime(
 
 
 def _nodes_spanned(cluster: Cluster, gang: np.ndarray) -> int:
-    return int(np.unique(cluster.topology.node_of_gpu[gang]).shape[0])
+    return len(set(cluster.topology.node_of_gpu[gang].tolist()))
 
 
 def _job_unit_ms(workload: Workload, unit_ms: np.ndarray, spanned: int) -> float:
@@ -405,8 +405,12 @@ def _draw(
         + table.ortho * z[1 + 2 * n : 1 + 3 * n]
     )
     time_multiplier = np.exp(workload.run_speed_sigma * z_speed)
-    drift = np.clip(
-        1.0 + (0.0 + cluster.run_noise_sigma * z[1 + 4 * n :]), 0.5, 1.5
+    # np.clip(1.0 + normal(0.0, sigma), 0.5, 1.5) in its bits: the 0.0 +
+    # only turns -0.0 into +0.0, which 1.0 + absorbs, and the ufuncs skip
+    # clip's Python wrapper (NaN propagates through both forms, and
+    # neither bound is a signed zero).
+    drift = np.minimum(
+        np.maximum(1.0 + cluster.run_noise_sigma * z[1 + 4 * n :], 0.5), 1.5
     )
     floor_unit_ms = table.top_unit_ms[gang] * time_multiplier * drift
     floor_s = (

@@ -71,6 +71,21 @@ class TestOrderedFreeIndex:
                 order, counts, width
             )
 
+    @pytest.mark.parametrize("n_nodes", (1, 2, 7, 33))
+    def test_updated_tree_equals_rebuilt_tree(self, n_nodes):
+        """Every internal max and sum after churn, not just the answers."""
+        rng = np.random.default_rng(n_nodes)
+        order = rng.permutation(n_nodes)
+        counts = rng.integers(0, 7, size=n_nodes)
+        tree = OrderedFreeIndex(order, counts)
+        for _ in range(400):
+            node = int(rng.integers(0, n_nodes))
+            counts[node] = int(rng.integers(0, 7))
+            tree.update(node, int(counts[node]))
+            rebuilt = OrderedFreeIndex(order, counts)
+            assert tree._max == rebuilt._max
+            assert tree._sum == rebuilt._sum
+
     def test_empty_machine(self):
         tree = OrderedFreeIndex(np.arange(3), np.zeros(3, dtype=np.int64))
         assert tree.first_at_least(1) == -1

@@ -67,6 +67,64 @@ class TestRngFactory:
         assert RngFactory(np.int64(5)).seed == 5
 
 
+def _numpy_words_sequence(seed, label):
+    """The sequence numpy builds from the word list itself."""
+    return np.random.SeedSequence([int(seed), *label_to_words(label)])
+
+
+_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 5)
+
+
+@st.composite
+def _factories(draw):
+    """Edge seeds, numpy-integer seeds, arbitrary seeds and child seeds."""
+    kind = draw(st.sampled_from(["edge", "int64", "any", "child"]))
+    if kind == "edge":
+        return RngFactory(draw(st.sampled_from(_EDGE_SEEDS)))
+    if kind == "int64":
+        return RngFactory(np.int64(draw(st.integers(0, 2**63 - 1))))
+    if kind == "any":
+        return RngFactory(draw(st.integers(0, 2**130)))
+    parent = RngFactory(draw(st.sampled_from(_EDGE_SEEDS)))
+    return parent.child(draw(st.text(max_size=24)))
+
+
+class TestStreamWords:
+    """Streams built from one uint32 word array equal numpy's own."""
+
+    @given(_factories(), st.text(max_size=48))
+    def test_streams_equal_numpy_word_list(self, factory, label):
+        want = _numpy_words_sequence(factory.seed, label)
+        got = factory.sequence(label)
+        np.testing.assert_array_equal(
+            got.generate_state(8), want.generate_state(8)
+        )
+        assert (
+            factory.generator(label).bit_generator.state
+            == np.random.Generator(np.random.PCG64(want)).bit_generator.state
+        )
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_entropy_is_the_uint32_word_array(self, seed):
+        entropy = RngFactory(seed).sequence("x").entropy
+        assert entropy.dtype == np.uint32
+        words = []
+        rest = seed
+        while True:
+            words.append(rest & 0xFFFFFFFF)
+            rest >>= 32
+            if not rest:
+                break
+        assert entropy.tolist() == words + label_to_words("x")
+
+    def test_negative_seed_raises_numpys_error(self):
+        factory = RngFactory(-1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            factory.sequence("x")
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            factory.generator("x")
+
+
 class TestSpawnGenerators:
     def test_spawns_all_labels(self):
         gens = spawn_generators(3, ["a", "b", "c"])

@@ -42,6 +42,7 @@ from repro.cluster import longhorn
 from repro.gpu import dvfs as dvfs_mod
 from repro.obs import Manifest, Tracer
 from repro.sim import CampaignConfig, run_campaign
+from repro.sim import campaign as campaign_mod
 from repro.sim import engine as engine_mod
 from repro.sim import run as run_mod
 from repro.telemetry.io import dataset_to_csv_text
@@ -65,8 +66,9 @@ OUTPUT_PATH = pathlib.Path("BENCH_obs.json")
 
 CONFIG = CampaignConfig(days=10, runs_per_day=2)
 
-#: Every module whose hook sites read ``active_observer()`` for the tracer.
-HOOK_MODULES = (run_mod, engine_mod, dvfs_mod, cluster_mod)
+#: Every module whose hook sites read ``active_observer()`` for the tracer
+#: (``run_campaign`` reads it once per campaign).
+HOOK_MODULES = (campaign_mod, run_mod, engine_mod, dvfs_mod, cluster_mod)
 
 
 def _timed_campaign(tracer=None, manifest=None):

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import importlib
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -90,7 +89,6 @@ from ..obs import (
     TimelineEvent,
     TimelineRecorder,
     Tracer,
-    activate,
     activate_recorder,
     active_monitor,
     canonical_digest,
@@ -112,6 +110,7 @@ from ..obs.health import (
     validate_health_report,
     write_health_events,
 )
+from ..obs.observer import _attach
 from ..sim.campaign import CampaignConfig
 from ..sim.campaign import run_campaign as _run_campaign
 from ..sim.parallel import ParallelConfig
@@ -379,7 +378,9 @@ def run_campaign(
     Identical to :func:`repro.sim.campaign.run_campaign` but fully
     keyword-only.  The result is bit-identical for any ``workers`` value
     and with or without ``tracer``/``manifest``/``monitor``/``timeline``
-    attached.
+    attached.  Like every verb here, a sink keyword left ``None`` inherits
+    the sink active on this thread (:func:`repro.obs.activate`), and the
+    sinks see the same campaign at any worker count.
     """
     return _run_campaign(
         cluster,
@@ -550,13 +551,14 @@ def monitor_fleet(
         timeline=timeline,
     )
     # Health analysis replays the merged monitor stream on this thread, so
-    # activating the recorder here captures every transition in the same
+    # the recorder active here captures every transition in the same
     # deterministic order the tracker emits them — after the campaign's own
     # events, independent of worker count.
-    with activate_recorder(timeline):
+    with _attach(recorder=timeline) as observer:
         tracker, report = analyze_fleet_health(
             monitor, cluster.topology, policy=policy
         )
+    timeline = observer.recorder
     if timeline is not None:
         report_doc = report.to_dict()
         timeline.record(
@@ -1037,7 +1039,8 @@ def schedule(
         sequence (submit/start/finish per job, with exact record floats)
         plus a ``sched_report`` digest event land on the unified flight
         recorder — enough for ``repro replay --check`` to re-derive the
-        report from the log alone.
+        report from the log alone.  The profiling campaign is never
+        recorded.
 
     Same ``cluster`` seed + same ``trace`` + same ``policy`` ⇒
     byte-identical event log and report.  Every policy, built-in or a
@@ -1106,22 +1109,20 @@ def _schedule_built(
     else:
         trace_seed = None
         jobs = tuple(trace)
-    built, profile = _build_policy(
-        policy,
-        cluster,
-        profile_workload=profile_workload,
-        profile_config=profile_config,
-        workers=workers,
-        tracer=tracer,
-        manifest=manifest,
-        power_budget_w=power_budget_w,
-    )
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(activate(tracer))
-        if timeline is not None:
-            stack.enter_context(activate_recorder(timeline))
+    with activate_recorder(None):
+        built, profile = _build_policy(
+            policy,
+            cluster,
+            profile_workload=profile_workload,
+            profile_config=profile_config,
+            workers=workers,
+            tracer=tracer,
+            manifest=manifest,
+            power_budget_w=power_budget_w,
+        )
+    with _attach(tracer, recorder=timeline) as observer:
         outcome = run_schedule(cluster, jobs, built)
+    timeline = observer.recorder
     report = build_scheduling_report(
         cluster.name,
         outcome,

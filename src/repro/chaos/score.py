@@ -33,7 +33,7 @@ import numpy as np
 
 from ..config import require
 from ..obs.manifest import validate_manifest
-from ..obs.observer import activate_recorder
+from ..obs.observer import activate, active_observer
 from ..obs.timeline import TimelineRecorder, canonical_digest, canonical_json
 from .plan import ChaosPlan, compile_plan
 from .scenarios import Scenario, scenario_to_dict
@@ -338,11 +338,12 @@ def score_scenario(
     """Run ``scenario`` end-to-end against an automatically-run baseline.
 
     Returns a :class:`ChaosRunResult` whose ``scorecard`` validates
-    against :data:`CHAOS_SCORECARD_SCHEMA`.  When ``timeline`` is given,
-    the faulted run's events — scenario/fault declarations, campaign,
-    health, scheduling, and the final scorecard claims — land on it in a
-    deterministic order (the baseline run is never recorded: the
-    timeline is the faulted machine's flight log).
+    against :data:`CHAOS_SCORECARD_SCHEMA`.  When ``timeline`` is given
+    (``None`` inherits the active recorder), the faulted run's events —
+    scenario/fault declarations, campaign, health, scheduling, and the
+    final scorecard claims — land on it in a deterministic order (the
+    baseline run is never recorded: the timeline is the faulted
+    machine's flight log).
     """
     # Deferred: the facade imports this module's result types.
     from ..api import load_preset, load_workload, monitor_fleet
@@ -352,6 +353,10 @@ def score_scenario(
     require(runs_per_day >= 1,
             f"runs_per_day must be >= 1, got {runs_per_day}")
     require(n_jobs >= 1, f"n_jobs must be >= 1, got {n_jobs}")
+    # Like every sink keyword, a ``None`` timeline inherits the active
+    # recorder, which then receives the whole flight log.
+    if timeline is None:
+        timeline = active_observer().recorder
 
     faulted_cluster = load_preset(cluster_name, seed=seed, scale=scale)
     plan = compile_plan(scenario, faulted_cluster)
@@ -372,9 +377,9 @@ def score_scenario(
         workers=workers, timeline=timeline, tracer=tracer,
         manifest=manifest,
     )
-    # Mask any outer active recorder: the baseline twin must never
-    # appear on the faulted machine's flight log.
-    with activate_recorder(None):
+    # Mask every outer active sink: the baseline twin must never appear
+    # on the faulted machine's flight log, spans or metrics.
+    with activate(None, monitor=None, recorder=None):
         baseline = monitor_fleet(
             cluster=baseline_cluster, workload=workload, config=config,
             workers=workers,
@@ -384,7 +389,7 @@ def score_scenario(
         n_jobs=n_jobs, trace_seed=trace_seed, timeline=timeline,
         tracer=tracer,
     )
-    with activate_recorder(None):
+    with activate(None, monitor=None, recorder=None):
         sched_b, misrouted_b, slow_b = _sched_reaction(
             baseline_cluster, baseline.tracker,
             n_jobs=n_jobs, trace_seed=trace_seed, timeline=None,

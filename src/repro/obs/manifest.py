@@ -161,7 +161,7 @@ def build_campaign_manifest(
 ) -> CampaignManifest:
     """Assemble the manifest entry for one finished campaign.
 
-    Called by :func:`repro.sim.parallel.execute_campaign` after the merge;
+    Called by :func:`repro.sim.campaign.run_campaign` after the merge;
     the entry is a pure function of inputs that are themselves
     deterministic, so serial and parallel executions of the same campaign
     produce identical entries (including the result digest).

@@ -10,9 +10,11 @@ allocated or formatted.
 Activation is per-thread and nestable: :func:`activate` replaces only the
 sinks it is given and inherits the rest, so activating a shard tracer
 leaves an outer monitor in place and ``activate_recorder(None)`` masks
-only the recorder.  The campaign executors give every shard its own
-sinks via :meth:`Observer.for_shard` and fold one picklable payload per
-shard back with :meth:`Observer.merge_payload` in canonical plan order.
+only the recorder.  The campaign gives every shard its own sinks via
+:meth:`Observer.for_shard` and folds one picklable payload per shard
+back into the active sinks with :meth:`Observer.merge_payload` in
+canonical plan order, so an activated sink and a sink passed as a
+keyword see the same campaign at any worker count.
 """
 
 from __future__ import annotations
@@ -155,3 +157,18 @@ def activate_recorder(
 ) -> AbstractContextManager[Observer]:
     """Activate ``recorder`` (``None`` masks the current one) for the block."""
     return activate(recorder=recorder)
+
+
+def _attach(
+    tracer: Tracer | None = None,
+    monitor: FleetMonitor | None = None,
+    recorder: TimelineRecorder | None = None,
+) -> AbstractContextManager[Observer]:
+    """Activate the sinks given over the active ones; a ``None`` inherits.
+
+    The rule for every ``tracer=``/``monitor=``/``timeline=`` keyword of
+    the campaign and the facade verbs: a sink passed is observed, a sink
+    left out is whatever the caller activated.
+    """
+    given = zip(_SINKS, (tracer, monitor, recorder))
+    return activate(**{name: sink for name, sink in given if sink is not None})

@@ -26,7 +26,6 @@ from .campaign import CampaignConfig, run_campaign
 from .parallel import (
     ParallelConfig,
     ShardTask,
-    execute_campaign,
     make_executor,
     plan_shards,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "run_campaign",
     "ParallelConfig",
     "ShardTask",
-    "execute_campaign",
     "make_executor",
     "plan_shards",
     "SharedNodeResult",

@@ -7,9 +7,11 @@ protocol and emits a long-form :class:`~repro.telemetry.dataset.MeasurementDatas
 with one row per (GPU, run), carrying the identity columns every analysis
 in :mod:`repro.core` groups by.
 
-Execution is delegated to :mod:`repro.sim.parallel`, which partitions the
-(day, run) grid — and, on very large fleets, GPU-index shards within a run
-— into a deterministic shard plan.  Pass ``workers=N`` (or a full
+:func:`run_campaign` plans the campaign with :mod:`repro.sim.parallel`,
+which partitions the (day, run) grid — and, on very large fleets,
+GPU-index shards within a run — into a deterministic shard plan, runs
+the plan there serially or on a pool, and merges the results and the
+shard sinks in plan order.  Pass ``workers=N`` (or a full
 :class:`~repro.sim.parallel.ParallelConfig`) to fan the plan out across
 processes; the result is bit-identical to the serial execution.
 
@@ -23,6 +25,7 @@ the dense p-state grid the steady-state fleet search avoided evaluating
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,6 +35,10 @@ from ..cluster.cluster import Cluster
 from ..cluster.facility import FacilityModel
 from ..config import require
 from ..errors import ConfigError
+from ..gpu.dvfs import SolverStats
+from ..obs.manifest import build_campaign_manifest
+from ..obs.observer import _attach, active_observer
+from ..obs.timeline import measurement_digest
 from ..telemetry.dataset import MeasurementDataset
 from ..telemetry.progress import CampaignProgress
 from ..telemetry.sample import (
@@ -41,13 +48,20 @@ from ..telemetry.sample import (
     METRIC_TEMPERATURE,
 )
 from ..workloads.base import Workload
+from .parallel import (
+    ParallelConfig,
+    ShardTask,
+    _execute_pool,
+    _execute_serial,
+    _group_plan,
+    plan_shards,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+if TYPE_CHECKING:  # pragma: no cover - types only
     from ..obs.manifest import Manifest
     from ..obs.metrics import FleetMonitor
     from ..obs.timeline import TimelineRecorder
     from ..obs.tracer import Tracer
-    from .parallel import ParallelConfig
 
 __all__ = ["CampaignConfig", "run_campaign"]
 
@@ -100,7 +114,7 @@ def run_campaign(
     config: CampaignConfig | None = None,
     *,
     workers: int | None = None,
-    parallel: "ParallelConfig | None" = None,
+    parallel: ParallelConfig | None = None,
     progress: CampaignProgress | None = None,
     tracer: "Tracer | None" = None,
     manifest: "Manifest | None" = None,
@@ -131,39 +145,182 @@ def run_campaign(
     progress:
         Optional :class:`~repro.telemetry.progress.CampaignProgress` sink
         receiving one per-shard timing record as shards complete.
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer` collecting spans and
-        counters for the campaign (see :mod:`repro.obs`).  Tracing never
-        perturbs the measurement: the dataset is byte-identical with or
-        without it.
+    tracer, monitor, timeline:
+        The campaign's sinks: a :class:`~repro.obs.tracer.Tracer` for
+        spans and counters, a :class:`~repro.obs.metrics.FleetMonitor`
+        for the fleet metrics stream (per-GPU gauges, histograms, run
+        samples for health analysis), and a
+        :class:`~repro.obs.timeline.TimelineRecorder` for the
+        flight-recorder event stream (one campaign-lifecycle envelope
+        plus one event per simulated run, on a logical clock only).  The
+        campaign reads them from
+        :func:`~repro.obs.observer.active_observer`; a sink passed here
+        is activated over the active one and ``None`` inherits it.
+        Every shard runs under its own shard-local sinks, in whatever
+        worker executes it, and the payloads merge into these in
+        canonical plan order, so span structure, counter totals, the
+        monitor's sample stream and the timeline are the same at any
+        worker count and backend.  The monitor is then finalized into
+        its fleet-level registry.  No sink perturbs the measurement: the
+        dataset is byte-identical with or without them.
     manifest:
         Optional :class:`~repro.obs.manifest.Manifest`; one audit entry
         (config digest, RNG roots, solver totals, result digest) is
         appended per executed campaign.
-    monitor:
-        Optional :class:`~repro.obs.metrics.FleetMonitor` collecting the
-        fleet metrics stream (per-GPU gauges, histograms, run samples for
-        health analysis).  Like the tracer it is merged in canonical plan
-        order and never perturbs the measurement.
-    timeline:
-        Optional :class:`~repro.obs.timeline.TimelineRecorder` receiving
-        the unified flight-recorder event stream (campaign lifecycle plus
-        one event per simulated run).  Events carry a logical clock only —
-        the recorded timeline is byte-identical at any worker count.
     """
-    from .parallel import ParallelConfig, execute_campaign
-
     config = config if config is not None else CampaignConfig()
-    if workers is not None:
-        if parallel is not None:
-            raise ConfigError(
-                "pass either workers= or parallel=, not both"
-            )
+    if workers is not None and parallel is not None:
+        raise ConfigError("pass either workers= or parallel=, not both")
+    if parallel is None:
         parallel = ParallelConfig(workers=workers)
-    return execute_campaign(
-        cluster, workload, config, parallel=parallel, progress=progress,
-        tracer=tracer, manifest=manifest, monitor=monitor, timeline=timeline,
-    )
+    with _attach(tracer, monitor, timeline):
+        observer = active_observer()
+        tracer, monitor = observer.tracer, observer.monitor
+        timeline = observer.recorder
+        if tracer is not None:
+            campaign_start, campaign_t0 = time.time(), time.perf_counter()
+            plan_start, plan_t0 = time.time(), time.perf_counter()
+        tasks = plan_shards(cluster, workload, config, parallel)
+        if tracer is not None:
+            tracer.record_span(
+                "plan",
+                category="campaign",
+                track=tracer.track,
+                start_s=plan_start,
+                duration_s=time.perf_counter() - plan_t0,
+                n_shards=len(tasks),
+            )
+        if progress is not None:
+            progress.begin(len(tasks))
+        if timeline is not None:
+            # Only plan-determined fields: worker count and backend must
+            # not leave a fingerprint on the byte-stable timeline.
+            timeline.record(
+                "campaign",
+                "campaign_begin",
+                cluster.name,
+                workload=workload.name,
+                days=config.days,
+                runs_per_day=config.runs_per_day,
+                coverage=config.coverage,
+                power_limit_w=config.power_limit_w,
+                n_shards=len(tasks),
+                fleet_gpus=cluster.topology.n_gpus,
+            )
+        backend = parallel.resolved_backend()
+        groups = _group_plan(tasks)
+        n_workers = min(parallel.effective_workers, len(groups))
+        if backend == "serial" or n_workers <= 1:
+            outputs = _execute_serial(
+                cluster, workload, config, tasks, groups, progress, observer
+            )
+        else:
+            outputs = _execute_pool(
+                cluster, workload, config, tasks, groups, backend, n_workers,
+                progress, observer,
+            )
+        parts = [dataset for dataset, _, _, _ in outputs]
+        solvers = [solver for _, _, solver, _ in outputs]
+        payloads = [payload for _, _, _, payload in outputs]
+        if tracer is not None:
+            merge_start, merge_t0 = time.time(), time.perf_counter()
+        dataset = MeasurementDataset.concat(parts)
+        # Canonical-order merge: payloads are indexed by plan position, so
+        # the fold — the monitor's run stream, the span sequence, counter
+        # totals and the timeline's event order — is identical for any
+        # worker layout.
+        for payload in payloads:
+            observer.merge_payload(payload)
+        if monitor is not None:
+            monitor.finalize(cluster.topology.gpu_labels)
+        if tracer is not None:
+            _synthesize_day_spans(tracer, tasks, payloads)
+            tracer.record_span(
+                "merge",
+                category="campaign",
+                track=tracer.track,
+                start_s=merge_start,
+                duration_s=time.perf_counter() - merge_t0,
+                n_parts=len(parts),
+            )
+            tracer.add("campaign.shards", len(tasks))
+            tracer.add("campaign.rows", dataset.n_rows)
+            tracer.record_span(
+                "campaign",
+                category="campaign",
+                track=tracer.track,
+                start_s=campaign_start,
+                duration_s=time.perf_counter() - campaign_t0,
+                cluster=cluster.name,
+                workload=workload.name,
+                days=config.days,
+                runs_per_day=config.runs_per_day,
+                backend=backend,
+                workers=n_workers,
+            )
+        totals = SolverStats()
+        for solver in solvers:
+            if solver is not None:
+                totals.merge(solver)
+        if timeline is not None:
+            timeline.record(
+                "campaign",
+                "campaign_end",
+                cluster.name,
+                rows=dataset.n_rows,
+                n_shards=len(tasks),
+                solves=totals.solves,
+                batches=totals.batches,
+                measurements=measurement_digest(
+                    dataset.column(METRIC_PERFORMANCE),
+                    dataset.column(METRIC_FREQUENCY),
+                    dataset.column(METRIC_POWER),
+                    dataset.column(METRIC_TEMPERATURE),
+                ),
+            )
+    if manifest is not None:
+        manifest.add(
+            build_campaign_manifest(
+                cluster, workload, config, parallel, len(tasks), dataset,
+                totals,
+            )
+        )
+    return dataset
+
+
+def _synthesize_day_spans(
+    tracer: "Tracer", tasks: list[ShardTask], payloads: list[dict]
+) -> None:
+    """Record one span per campaign day covering its shard spans.
+
+    Day spans live on their own ``day-{d:03d}`` tracks (not inside shard
+    tracks) because in parallel execution a day's shards overlap in wall
+    time; a dedicated per-day row shows the day envelope without breaking
+    the time-containment nesting inside shard tracks.
+    """
+    bounds: dict[int, list] = {}
+    for task, payload in zip(tasks, payloads):
+        spans, _ = payload["tracer"]
+        for record in spans:
+            if record.name != "shard":
+                continue
+            entry = bounds.setdefault(
+                task.day, [record.start_s, record.end_s, 0]
+            )
+            entry[0] = min(entry[0], record.start_s)
+            entry[1] = max(entry[1], record.end_s)
+            entry[2] += 1
+    for day in sorted(bounds):
+        start, end, n_shards = bounds[day]
+        tracer.record_span(
+            "day",
+            category="campaign",
+            track=f"day-{day:03d}",
+            start_s=start,
+            duration_s=max(0.0, end - start),
+            day=day,
+            n_shards=n_shards,
+        )
 
 
 def _to_datasets(

@@ -59,17 +59,7 @@ from ..cluster.cluster import Cluster, active_fault_plan
 from ..config import require
 from ..errors import SimulationError
 from ..gpu.dvfs import SolverStats
-from ..obs.manifest import Manifest, build_campaign_manifest
-from ..obs.metrics import FleetMonitor
 from ..obs.observer import Observer
-from ..obs.timeline import TimelineRecorder, measurement_digest
-from ..obs.tracer import Tracer
-from ..telemetry.sample import (
-    METRIC_FREQUENCY,
-    METRIC_PERFORMANCE,
-    METRIC_POWER,
-    METRIC_TEMPERATURE,
-)
 from ..telemetry.dataset import MeasurementDataset
 from ..telemetry.progress import CampaignProgress, ShardTiming
 from ..workloads.base import Workload
@@ -84,7 +74,6 @@ __all__ = [
     "ShardTask",
     "make_executor",
     "plan_shards",
-    "execute_campaign",
 ]
 
 #: Runs on fleets larger than this are split into GPU-index shards.  Sized
@@ -109,7 +98,9 @@ class ParallelConfig:
         plan.
     backend:
         ``"process"`` (default for ``workers > 1``) isolates workers in
-        subprocesses — true parallelism for the NumPy-heavy physics.
+        subprocesses.  On a 2-vCPU host (Python 3.11.7, numpy 2.4.6) it
+        measured 1.4–2.2x slower than serial at ``workers=2`` on every
+        campaign shape tried (docs/PARALLELISM.md).
         ``"thread"`` shares the cluster object and suits tests or
         GIL-releasing BLAS-bound workloads.  ``"serial"`` forces in-process
         execution regardless of ``workers``; ``"auto"`` picks for you.
@@ -303,10 +294,10 @@ def _execute_group(
     :meth:`~repro.obs.observer.Observer.for_shard` — even on the serial
     path), so counter totals, span structure, the metric sample stream,
     and the event timeline are identical for any worker count or backend:
-    the executors merge the returned payloads in canonical plan order
-    afterwards.  Each task's tracer gets a ``shard`` span over the group's
-    wall interval, and each task records an equal share of that interval
-    as its duration.
+    :func:`~repro.sim.campaign.run_campaign` merges the returned payloads
+    in canonical plan order afterwards.  Each task's tracer gets a
+    ``shard`` span over the group's wall interval, and each task records
+    an equal share of that interval as its duration.
     """
     from .campaign import _to_datasets  # deferred: campaign imports us too
 
@@ -439,197 +430,6 @@ def _make_executor(
         initializer=_init_worker,
         initargs=(cluster, workload, power_limit_w),
     )
-
-
-# ---------------------------------------------------------------------------
-# campaign executor
-# ---------------------------------------------------------------------------
-
-
-def execute_campaign(
-    cluster: Cluster,
-    workload: Workload,
-    config: "CampaignConfig",
-    parallel: ParallelConfig | None = None,
-    progress: CampaignProgress | None = None,
-    *,
-    tracer: Tracer | None = None,
-    manifest: Manifest | None = None,
-    monitor: FleetMonitor | None = None,
-    timeline: TimelineRecorder | None = None,
-) -> MeasurementDataset:
-    """Plan, execute (serially or in parallel), and merge a campaign.
-
-    This is the engine behind :func:`repro.sim.campaign.run_campaign`;
-    call that instead unless you are composing executors.
-
-    When ``tracer`` is given, every shard runs under its own shard-local
-    tracer (in whatever worker executes it) and the per-shard payloads are
-    merged into ``tracer`` in canonical plan order after the result merge
-    — so counter totals and span structure are independent of worker
-    count and backend.  ``monitor`` works the same way for the fleet
-    metrics pipeline: shard-local :class:`~repro.obs.metrics.FleetMonitor`
-    instances collect run samples and hook counters, the payloads merge in
-    plan order, and :meth:`~repro.obs.metrics.FleetMonitor.finalize` then
-    derives the fleet-level registry — making the sample stream, health
-    events, and registry totals invariant to ``workers=``.  When
-    ``manifest`` is given, one
-    :class:`~repro.obs.manifest.CampaignManifest` entry is appended after
-    execution.  ``timeline`` receives the unified flight-recorder event
-    stream: one campaign-lifecycle envelope plus every shard's per-run
-    events, folded in plan order so the recorded timeline is byte-identical
-    at any worker count (events carry no wall time at all).  No sink
-    perturbs the campaign: outputs are bit-identical with or without them.
-
-    Only sinks passed here are observed across workers: a sink merely
-    activated on the calling thread (:func:`~repro.obs.observer.activate`)
-    sees the shards of a serial run but never those of a pool.
-    """
-    parallel = parallel if parallel is not None else ParallelConfig()
-    observer = Observer(tracer, monitor, timeline)
-    if tracer is not None:
-        campaign_start, campaign_t0 = time.time(), time.perf_counter()
-        plan_start, plan_t0 = time.time(), time.perf_counter()
-    tasks = plan_shards(cluster, workload, config, parallel)
-    if tracer is not None:
-        tracer.record_span(
-            "plan",
-            category="campaign",
-            track=tracer.track,
-            start_s=plan_start,
-            duration_s=time.perf_counter() - plan_t0,
-            n_shards=len(tasks),
-        )
-    if progress is not None:
-        progress.begin(len(tasks))
-    if timeline is not None:
-        # Only plan-determined fields: worker count and backend must not
-        # leave a fingerprint on the byte-stable timeline.
-        timeline.record(
-            "campaign",
-            "campaign_begin",
-            cluster.name,
-            workload=workload.name,
-            days=config.days,
-            runs_per_day=config.runs_per_day,
-            coverage=config.coverage,
-            power_limit_w=config.power_limit_w,
-            n_shards=len(tasks),
-            fleet_gpus=cluster.topology.n_gpus,
-        )
-    backend = parallel.resolved_backend()
-    groups = _group_plan(tasks)
-    n_workers = min(parallel.effective_workers, len(groups))
-    if backend == "serial" or n_workers <= 1:
-        outputs = _execute_serial(
-            cluster, workload, config, tasks, groups, progress, observer
-        )
-    else:
-        outputs = _execute_pool(
-            cluster, workload, config, tasks, groups, backend, n_workers,
-            progress, observer,
-        )
-    parts = [dataset for dataset, _, _, _ in outputs]
-    solvers = [solver for _, _, solver, _ in outputs]
-    payloads = [payload for _, _, _, payload in outputs]
-    if tracer is not None:
-        merge_start, merge_t0 = time.time(), time.perf_counter()
-    dataset = MeasurementDataset.concat(parts)
-    # Canonical-order merge: payloads are indexed by plan position, so the
-    # fold — the monitor's run stream, the span sequence, counter totals
-    # and the timeline's event order — is identical for any worker layout.
-    for payload in payloads:
-        observer.merge_payload(payload)
-    if monitor is not None:
-        monitor.finalize(cluster.topology.gpu_labels)
-    if tracer is not None:
-        _synthesize_day_spans(tracer, tasks, payloads)
-        tracer.record_span(
-            "merge",
-            category="campaign",
-            track=tracer.track,
-            start_s=merge_start,
-            duration_s=time.perf_counter() - merge_t0,
-            n_parts=len(parts),
-        )
-        tracer.add("campaign.shards", len(tasks))
-        tracer.add("campaign.rows", dataset.n_rows)
-        tracer.record_span(
-            "campaign",
-            category="campaign",
-            track=tracer.track,
-            start_s=campaign_start,
-            duration_s=time.perf_counter() - campaign_t0,
-            cluster=cluster.name,
-            workload=workload.name,
-            days=config.days,
-            runs_per_day=config.runs_per_day,
-            backend=backend,
-            workers=n_workers,
-        )
-    totals = SolverStats()
-    for solver in solvers:
-        if solver is not None:
-            totals.merge(solver)
-    if timeline is not None:
-        timeline.record(
-            "campaign",
-            "campaign_end",
-            cluster.name,
-            rows=dataset.n_rows,
-            n_shards=len(tasks),
-            solves=totals.solves,
-            batches=totals.batches,
-            measurements=measurement_digest(
-                dataset.column(METRIC_PERFORMANCE),
-                dataset.column(METRIC_FREQUENCY),
-                dataset.column(METRIC_POWER),
-                dataset.column(METRIC_TEMPERATURE),
-            ),
-        )
-    if manifest is not None:
-        manifest.add(
-            build_campaign_manifest(
-                cluster, workload, config, parallel, len(tasks), dataset,
-                totals,
-            )
-        )
-    return dataset
-
-
-def _synthesize_day_spans(
-    tracer: Tracer, tasks: list[ShardTask], payloads: list[dict]
-) -> None:
-    """Record one span per campaign day covering its shard spans.
-
-    Day spans live on their own ``day-{d:03d}`` tracks (not inside shard
-    tracks) because in parallel execution a day's shards overlap in wall
-    time; a dedicated per-day row shows the day envelope without breaking
-    the time-containment nesting inside shard tracks.
-    """
-    bounds: dict[int, list] = {}
-    for task, payload in zip(tasks, payloads):
-        spans, _ = payload["tracer"]
-        for record in spans:
-            if record.name != "shard":
-                continue
-            entry = bounds.setdefault(
-                task.day, [record.start_s, record.end_s, 0]
-            )
-            entry[0] = min(entry[0], record.start_s)
-            entry[1] = max(entry[1], record.end_s)
-            entry[2] += 1
-    for day in sorted(bounds):
-        start, end, n_shards = bounds[day]
-        tracer.record_span(
-            "day",
-            category="campaign",
-            track=f"day-{day:03d}",
-            start_s=start,
-            duration_s=max(0.0, end - start),
-            day=day,
-            n_shards=n_shards,
-        )
 
 
 def _place(

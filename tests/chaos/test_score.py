@@ -11,6 +11,7 @@ from repro.chaos import (
     validate_scorecard,
 )
 from repro.errors import ConfigError
+from repro.obs import activate_recorder
 from repro.obs.replay import TimelineReplayer, load_replayer
 from repro.obs.timeline import (
     TimelineRecorder,
@@ -38,6 +39,14 @@ def scored():
     """One recorded cascading-thermal run: (result, timeline)."""
     timeline = TimelineRecorder()
     return run_scenario(timeline=timeline, workers=1), timeline
+
+
+def test_activated_recorder_records_the_same_flight_log(scored):
+    _, passed = scored
+    activated = TimelineRecorder()
+    with activate_recorder(activated):
+        run_scenario(workers=1)
+    assert timeline_lines(activated) == timeline_lines(passed)
 
 
 class TestScorecard:

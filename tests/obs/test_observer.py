@@ -2,7 +2,8 @@
 
 Every sink rides the same shard payload and the same plan-order merge, so
 any subset of {tracer, monitor, timeline} on any executor and shard shape
-must observe exactly what the serial run with every sink attached does.
+— passed as keywords or activated around the call — must observe exactly
+what the serial run with every sink passed does.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.cluster import longhorn
 from repro.obs import (
     FleetMonitor,
@@ -41,13 +43,17 @@ SHARD_BOUNDS = (None, 40, 16)
 
 SINKS = ("tracer", "monitor", "timeline")
 
+#: How the sinks reach the campaign: ``run_campaign`` keywords, or one
+#: ``activate`` around a call that passes none.
+ATTACH = ("keyword", "activate")
+
 
 @functools.lru_cache(maxsize=None)
 def _cluster():
     return longhorn(seed=11, scale=0.25)
 
 
-def _observed(sinks, parallel):
+def _observed(sinks, parallel, attach="keyword"):
     """Run the campaign with fresh ``sinks``; returns what each observed."""
     made = {
         "tracer": Tracer() if "tracer" in sinks else None,
@@ -55,7 +61,12 @@ def _observed(sinks, parallel):
         "timeline": TimelineRecorder() if "timeline" in sinks else None,
     }
     cluster = _cluster()
-    run_campaign(cluster, sgemm(), CONFIG, parallel=parallel, **made)
+    if attach == "keyword":
+        run_campaign(cluster, sgemm(), CONFIG, parallel=parallel, **made)
+    else:
+        with activate(made["tracer"], monitor=made["monitor"],
+                      recorder=made["timeline"]):
+            run_campaign(cluster, sgemm(), CONFIG, parallel=parallel)
     seen = {}
     if made["tracer"] is not None:
         seen["counters"] = made["tracer"].deterministic_counters()
@@ -80,19 +91,37 @@ def _serial_reference(bound):
     backend=st.sampled_from(["serial", "thread"]),
     workers=st.integers(min_value=1, max_value=3),
     bound=st.sampled_from(SHARD_BOUNDS),
+    attach=st.sampled_from(ATTACH),
 )
-@example(sinks=set(SINKS), backend="process", workers=2, bound=40)
+@example(sinks=set(SINKS), backend="process", workers=2, bound=40,
+         attach="keyword")
+@example(sinks=set(SINKS), backend="process", workers=2, bound=40,
+         attach="activate")
 def test_any_sink_subset_observes_the_serial_run(sinks, backend, workers,
-                                                 bound):
+                                                 bound, attach):
     parallel = ParallelConfig(
         workers=workers, backend=backend, max_gpus_per_shard=bound
     )
-    seen = _observed(sinks, parallel)
+    seen = _observed(sinks, parallel, attach)
     reference = _serial_reference(bound)
     assert seen == {key: reference[key] for key in seen}
     assert ("counters" in seen) == ("tracer" in sinks)
     assert ("prometheus" in seen) == ("monitor" in sinks)
     assert ("timeline" in seen) == ("timeline" in sinks)
+
+
+def test_activated_recorder_sees_the_same_monitor_run_at_any_worker_count():
+    recorders = {1: TimelineRecorder(), 2: TimelineRecorder()}
+    for workers, recorder in recorders.items():
+        with activate_recorder(recorder):
+            api.monitor_fleet(
+                cluster=_cluster(), workload=sgemm(), config=CONFIG,
+                workers=workers,
+            )
+    assert timeline_lines(recorders[1]) == timeline_lines(recorders[2])
+    kinds = [event.kind for event in recorders[1].events()]
+    assert kinds[0] == "campaign_begin"
+    assert kinds[-1] == "health_report"
 
 
 class TestNesting:

@@ -43,6 +43,7 @@ from repro.cluster import longhorn
 from repro.gpu import dvfs as dvfs_mod
 from repro.obs.metrics import FleetMonitor
 from repro.sim import CampaignConfig, run_campaign
+from repro.sim import campaign as campaign_mod
 from repro.sim import engine as engine_mod
 from repro.sim import run as run_mod
 from repro.telemetry.io import dataset_to_csv_text
@@ -72,7 +73,7 @@ OUTPUT_PATH = pathlib.Path("BENCH_monitor.json")
 CONFIG = CampaignConfig(days=10, runs_per_day=2)
 
 #: Every module whose hook sites read ``active_observer()`` for the monitor.
-HOOK_MODULES = (run_mod, engine_mod, dvfs_mod)
+HOOK_MODULES = (campaign_mod, run_mod, engine_mod, dvfs_mod)
 
 
 def _timed_campaign(monitor=None):

@@ -44,6 +44,7 @@ from repro.obs import health as health_mod
 from repro.obs.timeline import TimelineRecorder
 from repro.sched import engine as sched_engine_mod
 from repro.sim import CampaignConfig, run_campaign
+from repro.sim import campaign as campaign_mod
 from repro.sim import run as run_mod
 from repro.telemetry.io import dataset_to_csv_text
 from repro.workloads import sgemm
@@ -67,7 +68,7 @@ OUTPUT_PATH = pathlib.Path("BENCH_timeline.json")
 CONFIG = CampaignConfig(days=10, runs_per_day=2)
 
 #: Every module whose hook sites read ``active_observer()`` for the recorder.
-HOOK_MODULES = (run_mod, health_mod, sched_engine_mod)
+HOOK_MODULES = (campaign_mod, run_mod, health_mod, sched_engine_mod)
 
 
 def _timed_campaign(timeline=None):

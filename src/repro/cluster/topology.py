@@ -136,7 +136,8 @@ class Topology:
         """Per-GPU labels, ``<node_label>-<slot>``."""
         return tuple(
             f"{self.node_labels[node]}-{slot}"
-            for node, slot in zip(self.node_of_gpu, self.slot_of_gpu)
+            for node, slot in zip(self.node_of_gpu.tolist(),
+                                  self.slot_of_gpu.tolist())
         )
 
     @cached_property
@@ -214,7 +215,7 @@ def cabinet_topology(
     cabinet_labels = tuple(f"c{num:03d}" for num in cabinet_numbers[:n_cabinets])
     node_labels = tuple(
         f"{cabinet_labels[cab]}-{(i % nodes_per_cabinet) + 1:03d}"
-        for i, cab in enumerate(cabinet_of_node)
+        for i, cab in enumerate(cabinet_of_node.tolist())
     )
     return Topology(
         cluster_name=cluster_name,
@@ -252,7 +253,8 @@ def row_column_topology(
 
     node_labels = tuple(
         f"row{row_labels[r]}-col{c + 1:02d}-n{k + 1:02d}"
-        for r, c, k in zip(row_of_node, column_of_node, node_in_column)
+        for r, c, k in zip(row_of_node.tolist(), column_of_node.tolist(),
+                           node_in_column.tolist())
     )
     cabinet_of_node = row_of_node * n_columns + column_of_node
     cabinet_labels = tuple(

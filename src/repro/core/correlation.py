@@ -6,6 +6,15 @@ negative on NVIDIA clusters under compute loads, performance/temperature is
 weakly positive only on air-cooled machines, and power decouples entirely
 on Summit.  Spearman rank correlation is provided as well because several
 relationships (thermal throttling onsets) are monotone but not linear.
+
+Ranks are average ranks for ties, from one stable sort of the column
+(:class:`~repro.telemetry.dataset.GroupIndex`), with each tie group's
+ranks summed in row order.  :func:`correlation_matrix` converts each
+metric column to float once and ranks a column once when every value in
+it is finite: then no pair drops a row, and every pair's Spearman
+coefficient is the Pearson coefficient of the two columns' ranks.  A
+pair with a NaN or infinity in either column drops its own rows, so it
+ranks the pair afresh through :func:`spearman`.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
-from ..telemetry.dataset import MeasurementDataset
+from ..telemetry.dataset import GroupIndex, MeasurementDataset
 from ..telemetry.sample import PAPER_METRICS
 
 __all__ = ["pearson", "spearman", "CorrelationPair", "correlation_matrix",
@@ -53,17 +62,13 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _rank(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
+    groups = GroupIndex.of(values)
     ranks = np.empty(values.shape[0])
-    ranks[order] = np.arange(1, values.shape[0] + 1, dtype=float)
-    # Average tied ranks.
-    uniq, inverse, counts = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
-    if uniq.shape[0] != values.shape[0]:
-        sums = np.zeros(uniq.shape[0])
-        np.add.at(sums, inverse, ranks)
-        ranks = (sums / counts)[inverse]
+    ranks[groups.order] = np.arange(1, values.shape[0] + 1, dtype=float)
+    # Average tied ranks; bincount sums each group in row order.
+    if groups.n_groups != values.shape[0]:
+        sums = np.bincount(groups.inverse, weights=ranks)
+        ranks = (sums / groups.counts)[groups.inverse]
     return ranks
 
 
@@ -106,16 +111,26 @@ def correlation_matrix(
         raise AnalysisError(
             f"need at least two metric columns, found {present}"
         )
+    columns = {m: np.asarray(dataset.column(m), dtype=float).ravel()
+               for m in present}
+    # A column with no NaN or infinity ranks the same in every pair.
+    ranks = {m: _rank(column) for m, column in columns.items()
+             if np.isfinite(column).all()}
     out: dict[tuple[str, str], CorrelationPair] = {}
     for i, mx in enumerate(present):
         for my in present[i + 1:]:
-            x = dataset.column(mx)
-            y = dataset.column(my)
+            x = columns[mx]
+            y = columns[my]
+            rho = pearson(x, y)
+            if mx in ranks and my in ranks:
+                rho_spearman = pearson(ranks[mx], ranks[my])
+            else:
+                rho_spearman = spearman(x, y)
             out[(mx, my)] = CorrelationPair(
                 metric_x=mx,
                 metric_y=my,
-                rho=pearson(x, y),
-                rho_spearman=spearman(x, y),
+                rho=rho,
+                rho_spearman=rho_spearman,
                 n=x.shape[0],
             )
     return out

@@ -8,11 +8,16 @@ The CSV text is exactly what one ``csv.writer`` row per dataset row
 prints, but it is built from row segments, since most cells of a campaign
 repeat.  Identity columns depend only on the (day, run) or only on the
 GPU, so a run of adjacent columns that prints alike within every group of
-one key is a segment: each group's cells go through ``csv.writer`` once,
-which keeps ``QUOTE_MINIMAL`` quoting exact, and rows gather the segment
-text by the group index.  A numeric column with few distinct values
-formats each once; the rest print cell by cell.  Each row is one
-``','.join`` of its pieces, chunk by chunk.
+one key is a segment: each group's cells print once, column by column,
+and rows gather the segment text by the group index.  A numeric column
+with few distinct values formats each once; the rest print cell by cell.
+Each row is one ``','.join`` of its pieces, chunk by chunk.
+
+The writer quotes each field on its own, so a row is its cell texts
+joined by commas.  Numbers print through ``str``.  A column of plain
+labels, exact ``str`` cells that ``QUOTE_MINIMAL`` leaves unquoted,
+prints as itself; any other object column goes through ``csv.writer``
+one field per row, which keeps quoting exact.
 
 Equality is not print identity, so constancy and distinctness are tested
 on what prints: floats by bit pattern (``-0.0 == 0.0``, and NaN never
@@ -76,6 +81,11 @@ _CSV_CHUNK_ROWS = 2048
 #: (day, run) and each GPU.
 _SEGMENT_KEYS = (("day", "run"), ("gpu_index",))
 
+#: What makes ``QUOTE_MINIMAL`` quote a field: the delimiter, the quote
+#: character and the line terminator's characters.  NUL too, which the
+#: writer of Python 3.10 refuses to write unescaped.
+_QUOTED_CHARS = (",", '"', "\r", "\n", "\0")
+
 
 class _Lines(list):
     """A ``csv.writer`` target that keeps each written row as one string."""
@@ -109,14 +119,27 @@ def _writer_texts(rows, lone: bool) -> list[str]:
     return texts if lone else ["" if text == '""' else text for text in texts]
 
 
+def _plain_labels(cells: list) -> bool:
+    """Whether every cell is a ``str`` the writer prints as is."""
+    if not set(map(type, cells)) <= {str}:
+        return False
+    text = "".join(cells)
+    return not any(char in text for char in _QUOTED_CHARS)
+
+
 def _cell_texts(values: np.ndarray, lone: bool) -> list[str]:
     """Each cell of a column exactly as ``csv.writer`` prints it.
 
     Numbers never need quoting, so they print through ``str``; the writer
-    prints floats by ``repr``, which is the same text.
+    prints floats by ``repr``, which is the same text.  Plain labels print
+    as themselves, unless the column is the whole row (``lone``), where
+    the writer prints an empty label as ``""``.
     """
     if values.dtype == object:
-        return _writer_texts(zip(values.tolist()), lone)
+        cells = values.tolist()
+        if not lone and _plain_labels(cells):
+            return cells
+        return _writer_texts(zip(cells), lone)
     return list(map(str, _cells(values)))
 
 
@@ -166,9 +189,14 @@ def _key_groups(dataset: MeasurementDataset,
 
 def _segment_slot(groups: GroupIndex, columns: list[np.ndarray],
                   lone: bool) -> tuple:
-    """Adjacent columns constant per group: one writer row per group."""
-    rows = zip(*[_cells(column[groups.first]) for column in columns])
-    return np.array(_writer_texts(rows, lone), dtype=object), groups.inverse
+    """Adjacent columns constant per group: each group's text once.
+
+    The writer quotes each field on its own, so a segment row is its
+    columns' cell texts joined by commas.
+    """
+    texts = [_cell_texts(column[groups.first], lone) for column in columns]
+    rows = list(map(",".join, zip(*texts)))
+    return np.array(rows, dtype=object), groups.inverse
 
 
 def _column_slot(column: np.ndarray, print_key: np.ndarray | None,

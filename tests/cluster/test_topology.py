@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.cluster.presets import PAPER_CLUSTERS
 from repro.cluster.topology import Topology, cabinet_topology, row_column_topology
 
 
@@ -130,3 +131,32 @@ class TestValidation:
                 cabinet_labels=("c001",),
                 row_of_node=np.array([0]),  # missing column/labels
             )
+
+
+def _node_labels_oracle(topo: Topology) -> tuple[str, ...]:
+    """Each node label formatted from numpy scalars: the reference."""
+    node_idx = np.arange(topo.n_nodes)
+    if topo.has_grid:
+        n_columns = int(topo.column_of_node.max()) + 1
+        per_column = topo.n_nodes // (len(topo.row_labels) * n_columns)
+        return tuple(
+            f"row{topo.row_labels[r]}-col{c + 1:02d}-n{k + 1:02d}"
+            for r, c, k in zip(topo.row_of_node, topo.column_of_node,
+                               node_idx % per_column)
+        )
+    per_cabinet = int(np.bincount(topo.cabinet_of_node).max())
+    return tuple(
+        f"{topo.cabinet_labels[cab]}-{(i % per_cabinet) + 1:03d}"
+        for i, cab in zip(node_idx, topo.cabinet_of_node)
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.25])
+@pytest.mark.parametrize("name", sorted(PAPER_CLUSTERS))
+def test_preset_labels_match_numpy_scalar_oracle(name, scale):
+    topo = PAPER_CLUSTERS[name](seed=0, scale=scale).topology
+    assert topo.node_labels == _node_labels_oracle(topo)
+    assert topo.gpu_labels == tuple(
+        f"{topo.node_labels[node]}-{slot}"
+        for node, slot in zip(topo.node_of_gpu, topo.slot_of_gpu)
+    )

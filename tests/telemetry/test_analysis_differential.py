@@ -356,21 +356,70 @@ class TestCsvSegments:
         }),
         # ...unless it is the whole row, which the writer prints as "".
         MeasurementDataset({"label": np.array(["", "", None], dtype=object)}),
+        MeasurementDataset({"label": np.array(["", "a", ""], dtype=object)}),
         MeasurementDataset({
             "gpu_index": np.array([0, 0, 1, 1]),
             "label": np.array(["", "", "", ""], dtype=object),
         }),
         MeasurementDataset({"x": np.zeros(0)}),
         MeasurementDataset({"x": np.zeros(1), "y": np.array([""], dtype=object)}),
+        # Plain labels print as themselves; a label holding "," beside
+        # them in the same GPU segment goes through the writer.
+        MeasurementDataset({
+            "gpu_index": np.array([0, 0, 1, 1, 2, 2]),
+            "gpu_label": np.array(["n1-0"] * 2 + ["n1-1"] * 2 + ["n2-0"] * 2,
+                                  dtype=object),
+            "node_label": np.array(["n1"] * 4 + ["n,2"] * 2, dtype=object),
+            "slot": np.array([0, 0, 1, 1, 0, 0]),
+            "performance_ms": np.array([1.5, 2.5, 3.5, 4.5, 5.5, 6.5]),
+        }),
+        # An empty label among plain ones, in a (day, run) and a GPU
+        # segment of several columns.
+        MeasurementDataset({
+            "day": np.array([0, 0, 1, 1]),
+            "weekday": np.array(["", "", "Tue", "Tue"], dtype=object),
+            "run": np.zeros(4, dtype=np.int64),
+            "gpu_index": np.array([0, 1, 0, 1]),
+            "gpu_label": np.array(["a", "", "a", ""], dtype=object),
+            "cabinet": np.array(["", "", "", ""], dtype=object),
+        }),
+        # Cells that are not str print through the writer: None as
+        # nothing, 1.0 by repr.
+        MeasurementDataset({
+            "gpu_index": np.array([0, 0, 1, 1, 2, 2]),
+            "gpu_label": np.array(["a", "a", None, None, 1.0, 1.0],
+                                  dtype=object),
+            "row": np.array(["h", "h", "h", "h", None, None], dtype=object),
+        }),
+        # A leading space and a non-ASCII letter need no quoting.
+        MeasurementDataset({
+            "gpu_index": np.array([0, 0, 1, 1]),
+            "gpu_label": np.array([" a", " a", "caf\u00e9", "caf\u00e9"],
+                                  dtype=object),
+            "note": np.array([" x ", "\u00e9", " x ", "\u00e9"], dtype=object),
+        }),
     ], ids=[
         "signed-zero-gpu-column", "signed-zero-distinct-f64",
         "signed-zero-distinct-f32", "nan-gpu-column", "one-float-true",
         "object-signed-zero", "crlf-labels", "empty-in-segment",
-        "empty-and-none-cells", "lone-empty-record", "empty-label-segment",
-        "empty-dataset", "one-row",
+        "empty-and-none-cells", "lone-empty-record", "lone-plain-labels",
+        "empty-label-segment",
+        "empty-dataset", "one-row", "plain-beside-comma-label",
+        "empty-among-plain-labels", "none-and-float-cells",
+        "leading-space-and-accent",
     ])
     def test_pinned_pitfalls(self, ds):
         assert dataset_to_csv_text(ds) == oracle.dataset_to_csv_text(ds)
+
+    def test_nul_label_matches_writer(self):
+        # Python 3.10's writer raises on NUL; later ones print it as is.
+        ds = MeasurementDataset({
+            "gpu_index": np.array([0, 0, 1, 1]),
+            "gpu_label": np.array(["a\0b"] * 2 + ["c"] * 2, dtype=object),
+        })
+        assert outcome(dataset_to_csv_text, ds) == outcome(
+            oracle.dataset_to_csv_text, ds
+        )
 
     def test_chaos_campaign_with_lost_nodes(self):
         cluster = longhorn(seed=11, scale=0.25)

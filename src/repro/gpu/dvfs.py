@@ -163,10 +163,14 @@ class SolverStats:
     columns_evaluated: int = 0
     #: Cells the dense (n, k) grid would have evaluated for the same solves.
     dense_cells: int = 0
-    #: Elementwise fixed-point iterations executed, summed over cells.
-    #: Cells that converge early stop iterating, so this is at most (and
-    #: usually well under) ``7 * columns_evaluated`` — for
-    #: :meth:`DvfsController.power_grid` as for the fleet search.
+    #: Fixed-point iterations each cell ran until the masked loop saw it
+    #: freeze (bit-stable), summed over cells.  Cells that converge early
+    #: stop iterating, so this is at most (and usually well under)
+    #: ``7 * columns_evaluated`` — for :meth:`DvfsController.power_grid`
+    #: as for the fleet search.  Frozen cells that ride along in a working
+    #: set not worth compacting are not counted, so — like ``solves`` —
+    #: the total is what the cells would cost solved alone, whatever the
+    #: batch or shard plan.
     fixed_point_iterations: int = 0
 
     @property
@@ -485,11 +489,15 @@ class DvfsController:
         sel = None  # positions of the working set in the output; None = all
         tc_w, r_w, base_w, leak_w = tc, r, p_base, leak
         t_w, p_w = out_t, out_p
+        # Cells not yet seen frozen.  Only these are counted: a frozen
+        # cell riding along in an uncompacted working set is the batch's
+        # choice, so counting it would tie the total to the batching.
+        live = m
         for it in range(_FIXED_POINT_ITERS):
             m_a = int(t_w.shape[0])
             if m_a == 0:
                 break
-            self.stats.fixed_point_iterations += m_a
+            self.stats.fixed_point_iterations += live
             s = scratch[:m_a]
             np.multiply(r_w, p_w, out=s)
             np.add(tc_w, s, out=s)
@@ -509,6 +517,7 @@ class DvfsController:
             n_moved = int(np.count_nonzero(mv))
             if n_moved == 0:
                 break
+            live = n_moved
             if n_moved * 2 <= m_a:
                 # A majority of cells froze: park their (t, p) — iterating
                 # a bit-stable cell would reproduce identical bits — and

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cluster.cluster import Cluster
+from ..cluster.cluster import Cluster, active_fault_plan
 from ..cluster.facility import FacilityModel
 from ..config import require
 from ..errors import ConfigError
@@ -208,7 +208,9 @@ def run_campaign(
                 fleet_gpus=cluster.topology.n_gpus,
             )
         backend = parallel.resolved_backend()
-        groups = _group_plan(tasks)
+        groups = _group_plan(
+            tasks, merge_days=active_fault_plan(cluster) is None
+        )
         n_workers = min(parallel.effective_workers, len(groups))
         if backend == "serial" or n_workers <= 1:
             outputs = _execute_serial(
@@ -326,14 +328,16 @@ def _synthesize_day_spans(
 def _to_datasets(
     cluster: Cluster,
     workload: Workload,
-    day: int,
+    days: list[int],
     run_indices: list[int],
     results: list,
 ) -> list[MeasurementDataset]:
-    """The dataset slice of each of one day's runs on the same GPUs.
+    """The dataset slice of each of a group's runs on the same GPUs.
 
-    The identity columns do not depend on the run, so they are built
-    once; each run adds its ``run`` index and its measurements.
+    ``days[i]`` and ``run_indices[i]`` are the coordinates of
+    ``results[i]``.  The GPU identity columns do not depend on the run,
+    so they are built once, and the ``day`` and ``weekday`` columns once
+    per day; each run adds its ``run`` column and its measurements.
     """
     topo = cluster.topology
     idx = results[0].gpu_indices
@@ -341,8 +345,8 @@ def _to_datasets(
     identity: dict[str, np.ndarray | None] = {
         "cluster": np.full(n, cluster.name, dtype=object),
         "workload": np.full(n, workload.name, dtype=object),
-        "day": np.full(n, day, dtype=np.int64),
-        "weekday": np.full(n, FacilityModel.weekday_name(day), dtype=object),
+        "day": None,
+        "weekday": None,
         "run": None,
         "gpu_index": idx.astype(np.int64),
         "gpu_label": topo.gpu_label_array[idx],
@@ -359,9 +363,19 @@ def _to_datasets(
     if topo.has_grid:
         identity["row"] = topo.row_label_of_gpu[idx]
         identity["column"] = (topo.column_of_gpu[idx] + 1).astype(np.int64)
+    calendar = {
+        day: {
+            "day": np.full(n, day, dtype=np.int64),
+            "weekday": np.full(
+                n, FacilityModel.weekday_name(day), dtype=object
+            ),
+        }
+        for day in dict.fromkeys(days)
+    }
     return [
         MeasurementDataset({
             **identity,
+            **calendar[day],
             "run": np.full(n, run_index, dtype=np.int64),
             METRIC_PERFORMANCE: result.performance_ms,
             METRIC_FREQUENCY: result.frequency_mhz,
@@ -373,5 +387,5 @@ def _to_datasets(
             "power_capped": result.power_capped,
             "thermally_capped": result.thermally_capped,
         })
-        for run_index, result in zip(run_indices, results)
+        for day, run_index, result in zip(days, run_indices, results)
     ]

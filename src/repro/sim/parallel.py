@@ -25,7 +25,8 @@ every column, every bit — to the serial one:
    the cluster, the workload, and the campaign/parallel configuration —
    never on the worker count or the backend.  Serial and parallel
    executors run literally the same plan, in the same execution groups
-   (the runs of one (day, shard), whose solves are batched together), so
+   (the runs of consecutive days of one shard, up to a row budget, whose
+   solves are batched together), so
    "serial vs parallel" can only differ in *who* executes a group, which
    the physics cannot see.
 3. **Canonical merge order.**  Results are placed by plan position and
@@ -94,8 +95,8 @@ class ParallelConfig:
     workers:
         Worker count.  ``None`` or ``1`` executes the plan serially in
         the calling process (no pool is created).  The pool never exceeds
-        the number of execution groups (the (day, shard) pairs) in the
-        plan.
+        the number of execution groups (runs of consecutive days of one
+        shard, see :func:`_group_plan`) in the plan.
     backend:
         ``"process"`` (default for ``workers > 1``) isolates workers in
         subprocesses.  On a 2-vCPU host (Python 3.11.7, numpy 2.4.6) it
@@ -232,18 +233,45 @@ def plan_shards(
 # ---------------------------------------------------------------------------
 
 
-def _group_plan(tasks: list[ShardTask]) -> list[list[int]]:
+def _group_plan(
+    tasks: list[ShardTask], merge_days: bool = True
+) -> list[list[int]]:
     """Plan positions of each execution group, in plan order.
 
-    A group is the runs of one (day, shard): the tasks that share a day
-    and a GPU shard, in run order.  Groups are a pure function of the
-    plan, so they — and everything they compute — do not depend on the
-    worker count or the backend.
+    A group is the runs of consecutive days of one shard, in (day, run)
+    order.  A day's runs of one shard join the shard's open group while
+    the day directly follows the group's last day, covers the same GPUs,
+    and keeps the group within :data:`DEFAULT_MAX_GPUS_PER_SHARD` rows
+    (runs x GPUs); otherwise they open a new group, so a day whose own
+    rows exceed the budget is a group by itself.  ``merge_days=False``
+    keeps every (day, shard) alone: the campaign passes it while a chaos
+    fault plan is active, whose days may differ in more than coolant.
+
+    Groups are a pure function of the plan, so they — and everything
+    they compute — do not depend on the worker count or the backend.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
+    days: dict[tuple[int, int], list[int]] = {}
     for position, task in enumerate(tasks):
-        groups.setdefault((task.day, task.shard_index), []).append(position)
-    return list(groups.values())
+        days.setdefault((task.day, task.shard_index), []).append(position)
+    groups: list[list[int]] = []
+    open_groups: dict[int, list[int]] = {}
+    for (day, shard_index), positions in days.items():
+        group = open_groups.get(shard_index)
+        if (
+            merge_days
+            and group is not None
+            and tasks[group[-1]].day == day - 1
+            and (len(group) + len(positions)) * tasks[group[0]].n_gpus
+            <= DEFAULT_MAX_GPUS_PER_SHARD
+            and np.array_equal(
+                tasks[group[0]].gpu_indices, tasks[positions[0]].gpu_indices
+            )
+        ):
+            group.extend(positions)
+            continue
+        open_groups[shard_index] = positions
+        groups.append(positions)
+    return groups
 
 
 def _task_streams(
@@ -305,16 +333,17 @@ def _execute_group(
     results = _simulate_runs(
         cluster,
         workload,
-        tasks[0].day,
         tasks[0].gpu_indices,
         [
-            (task.run_index, *_task_streams(cluster, workload, task), shard)
+            (task.day, task.run_index, *_task_streams(cluster, workload, task),
+             shard)
             for task, shard in zip(tasks, shards)
         ],
         power_limit_w,
     )
     datasets = _to_datasets(
-        cluster, workload, tasks[0].day, [t.run_index for t in tasks], results
+        cluster, workload, [t.day for t in tasks],
+        [t.run_index for t in tasks], results,
     )
     duration = time.perf_counter() - t0
     outputs: list[_TaskOutput] = []

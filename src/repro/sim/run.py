@@ -6,8 +6,8 @@ record the per-GPU medians of performance, frequency, power, and
 temperature through the profiler's sensor path.
 
 The simulation is fully vectorized over the participating GPUs — and,
-in a campaign, over the runs of one (day, shard), whose DVFS solves
-settle as one batch (:func:`_simulate_runs`):
+in a campaign, over the runs of consecutive days of one shard, whose
+DVFS solves settle as one batch (:func:`_simulate_runs`):
 
 1. build the day's fleet and apply run-level coolant jitter;
 2. draw the run's software factors (ML speed/activity multipliers, drift);
@@ -198,9 +198,8 @@ def simulate_run(
     return _simulate_runs(
         cluster,
         workload,
-        day,
         gpu_indices,
-        [(run_index, rng, coolant_shared_offset_c, Observer())],
+        [(day, run_index, rng, coolant_shared_offset_c, Observer())],
         power_limit_w,
         sensor,
     )[0]
@@ -209,36 +208,43 @@ def simulate_run(
 def _simulate_runs(
     cluster: Cluster,
     workload: Workload,
-    day: int,
     gpu_indices: np.ndarray,
     runs: Sequence[
-        tuple[int, np.random.Generator, float | None, Observer]
+        tuple[int, int, np.random.Generator, float | None, Observer]
     ],
     power_limit_w: float | None = None,
     sensor: SensorModel | None = None,
 ) -> list[RunMeasurements]:
-    """Simulate several runs of one day on the same GPUs, solving them together.
+    """Simulate several runs on the same GPUs, solving them together.
 
-    ``runs`` holds one ``(run_index, rng, coolant_shared_offset_c,
-    observer)`` per run (see :func:`simulate_run` for the first three);
+    ``runs`` holds one ``(day, run_index, rng, coolant_shared_offset_c,
+    observer)`` per run (see :func:`simulate_run` for the first four);
     ``observer`` holds the run's own sinks, activated over the sinks
-    active on the calling thread (an empty one activates nothing).
+    active on the calling thread (an empty one activates nothing).  The
+    runs may come from several days, whose fleets must differ only in
+    coolant (the campaign merges days only without a chaos fault plan):
+    each run looks up its own day's
+    :meth:`~repro.cluster.cluster.Cluster.fleet_slice`, each run's row of
+    the group's coolant is ``(its slice's coolant + shared offset) +
+    local jitter``, and every other solver input comes from the first
+    run's slice.
     Each run draws from its own ``rng`` in exactly the order a run
     simulated alone draws, so every run's measurements are bit-identical
     to simulating it alone.  Between the draws, the runs' arrays are
     stacked ``(runs, GPUs)`` and every DVFS steady solve settles all runs
     that need it in one batch — a controller gathered from a view of the
-    cached :meth:`~repro.cluster.cluster.Cluster.fleet_slice` at
-    ``np.tile(arange(n), runs)`` in the runs' concatenated coolant (the
-    view derives the group's solver inputs; the cache keeps none).  The
-    fleet search treats every row on its own, so a batch settles each
-    row exactly as the run's own solve would.  The exception is a
-    dithering policy (AMD DPM), whose solve draws duty cycles from the
-    run's stream: there every run is solved alone.
+    first run's cached slice at ``np.tile(arange(n), runs)`` in the
+    runs' concatenated coolant (the view derives the group's solver
+    inputs; the cache keeps none).  The fleet search treats every row on
+    its own, so a batch settles each row exactly as the run's own solve
+    would.  The exception is a dithering policy (AMD DPM), whose solve
+    draws duty cycles from the run's stream: there every run is solved
+    alone.
 
     Every per-run hook fires once per run, on the sinks active under the
-    run's ``observer``: the fleet-slice lookup, each solve's ``solve`` span and monitor throttle
-    count over the run's rows, the monitor's run sample, the recorder's
+    run's ``observer``: the fleet-slice lookup, each solve's ``solve``
+    span and monitor throttle count over the run's rows, and, each
+    carrying the run's own day, the monitor's run sample, the recorder's
     ``sim/run`` event and the tracer's ``run`` span.  The batched solves
     themselves run with every sink masked.
 
@@ -262,32 +268,33 @@ def _simulate_runs(
     sensor = sensor if sensor is not None else SensorModel()
 
     observers = []
-    for _, _, _, observer in runs:
+    slices = []
+    for day, _, _, _, observer in runs:
         sinks = observer.sinks()
         with activate(**sinks) if sinks else nullcontext():
             # Memoized per (day, shard): the day's facility conditions and
             # the silicon/thermal re-slicing are shared by every run of
             # the shard.
-            fleet = cluster.fleet_slice(day, gpu_indices)
+            slices.append(cluster.fleet_slice(day, gpu_indices))
             observers.append(active_observer())
+    fleet = slices[0]
     n = fleet.n
     b = len(runs)
-    rngs = [rng for _, rng, _, _ in runs]
+    rngs = [rng for _, _, rng, _, _ in runs]
 
-    # Run-level thermal environment fluctuation, then the software
-    # factors: correlated speed / activity draws (Section V-A).
-    offsets = np.empty((b, 1))
-    local, z_shared, e_speed, e_act = np.empty((4, b, n))
-    for i, (_, rng, offset, _) in enumerate(runs):
-        offsets[i] = (
-            rng.normal(0.0, RUN_COOLANT_SIGMA_SHARED)
-            if offset is None else offset
+    # Run-level thermal environment fluctuation on the run's own day,
+    # then the software factors: correlated speed / activity draws
+    # (Section V-A).
+    coolant, z_shared, e_speed, e_act = np.empty((4, b, n))
+    for i, (_, _, rng, offset, _) in enumerate(runs):
+        if offset is None:
+            offset = rng.normal(0.0, RUN_COOLANT_SIGMA_SHARED)
+        coolant[i] = (slices[i].coolant_c + offset) + rng.normal(
+            0.0, RUN_COOLANT_SIGMA_LOCAL, size=n
         )
-        local[i] = rng.normal(0.0, RUN_COOLANT_SIGMA_LOCAL, size=n)
         z_shared[i] = rng.normal(size=n)
         e_speed[i] = rng.normal(size=n)
         e_act[i] = rng.normal(size=n)
-    coolant = fleet.coolant_c + offsets + local
 
     spec = fleet.spec
     act0, dram0 = workload.steady_load(
@@ -421,7 +428,7 @@ def _simulate_runs(
     )
 
     results = []
-    for i, (run_index, _, _, _) in enumerate(runs):
+    for i, (day, run_index, _, _, _) in enumerate(runs):
         obs = observers[i]
         monitor = obs.monitor
         if monitor is not None:

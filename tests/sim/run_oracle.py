@@ -341,7 +341,7 @@ def execute_group_per_run(cluster, workload, power_limit_w, tasks, shards):
                 coolant_shared_offset_c=offset,
             )
             (dataset,) = _to_datasets(
-                cluster, workload, task.day, [task.run_index], [result]
+                cluster, workload, [task.day], [task.run_index], [result]
             )
             duration = time.perf_counter() - started
         outputs.append(

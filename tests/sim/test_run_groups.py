@@ -1,12 +1,13 @@
 """Pinned solver counters of grouped run execution.
 
-The runs of one (day, shard) settle in one batched DVFS solve, so a
-Longhorn campaign with four runs a day takes a quarter of the solver
-batches, while every per-GPU work counter stays exactly where the
-per-run executor (``tests/sim/run_oracle.py``) left it.  Batch-level work
-is charged to the first run of each group; everything else to the run
-whose rows it solved.  Two pinned cases outside the differential's
-search: power-limited groups, and ``simulate_run`` as the one-run group.
+The runs of consecutive days of one shard settle in one batched DVFS
+solve per step, up to 8,192 rows a group, so a campaign takes one solver
+batch per group where the per-run executor (``tests/sim/run_oracle.py``)
+took one per run, while every per-GPU work counter stays exactly where
+that executor left it.  Batch-level work is charged to the first run of
+each group's first day; everything else to the run whose rows it solved.
+Two pinned cases outside the differential's search: power-limited
+groups, and ``simulate_run`` as the one-run group.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.workloads import resnet50, sgemm
 from .run_oracle import per_run_groups
 from .run_oracle import simulate_run as oracle_run
 
+#: 3 days x 4 runs x 96 GPUs of the quarter-scale Longhorn: 1,152 rows,
+#: so the whole campaign is one group.
 CONFIG = CampaignConfig(days=3, runs_per_day=4)
 
 
@@ -35,13 +38,13 @@ def monitored(cluster):
     return progress, monitor, timeline
 
 
-def test_four_runs_a_day_take_a_quarter_of_the_batches(small_longhorn):
+def test_a_campaign_takes_one_batch_per_group(small_longhorn):
     with per_run_groups():
         before, before_monitor, _ = monitored(small_longhorn)
     after, after_monitor, _ = monitored(small_longhorn)
     old, new = before.solver_stats, after.solver_stats
     assert old.batches == CONFIG.days * CONFIG.runs_per_day
-    assert new.batches * CONFIG.runs_per_day == old.batches
+    assert new.batches == 1
     assert (new.solves, new.dense_cells, new.columns_evaluated,
             new.fixed_point_iterations) == (
         old.solves, old.dense_cells, old.columns_evaluated,
@@ -62,17 +65,16 @@ def test_batch_work_is_charged_to_the_first_run_of_each_group(
         assert (stats.solves, stats.dense_cells) == (
             n, n * small_longhorn.spec.n_pstates
         )
-        lead = timing.run_index == 0
+        # The one group's lead: the first run of its first day.
+        lead = (timing.day, timing.run_index) == (0, 0)
         assert stats.batches == int(lead)
         assert (stats.columns_evaluated > 0) == lead
         assert (stats.fixed_point_iterations > 0) == lead
     runs = [e for e in timeline.events() if (e.layer, e.kind) == ("sim", "run")]
     assert len(runs) == CONFIG.days * CONFIG.runs_per_day
-    assert [e.value("batches") for e in runs] == [
-        int(e.value("run_index") == 0) for e in runs
-    ]
+    assert [e.value("batches") for e in runs] == [1] + [0] * (len(runs) - 1)
     end = next(e for e in timeline.events() if e.kind == "campaign_end")
-    assert end.value("batches") == CONFIG.days
+    assert end.value("batches") == 1
 
 
 def test_power_limited_groups_match_the_oracle(tiny_cloudlab):

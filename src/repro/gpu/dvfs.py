@@ -709,6 +709,80 @@ class DvfsController:
             thermally_capped=thermally_capped,
         )
 
+    def certify_top(
+        self,
+        activity: np.ndarray | float,
+        dram_utilization: np.ndarray | float,
+        efficiency: np.ndarray | float = 1.0,
+        power_cap_w: np.ndarray | float | None = None,
+        f_cap_mhz: np.ndarray | float | None = None,
+        *,
+        rows: np.ndarray | None = None,
+        coolant_c: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Rows that :meth:`solve_steady` certainly settles at the top rung.
+
+        A sound, one-pass certificate with no fixed point: row ``i``
+        passes when the top rung is under its boost ceiling, and when
+        ``T_u = Tc + R * cap`` and the leakage expression ``P_u`` at
+        ``T_u`` over the top cell's base power satisfy ``P_u <= cap`` and
+        ``T_u <= t_limit``.  Every quantity is the solver's own float32
+        primitive in its own op order (:meth:`_settle_masked`), so by
+        induction every iterate of every cell of the row stays at or below
+        ``(P_u, T_u)``: ``t_0 = Tc <= T_u``, and ``p_j <= P_u <= cap``
+        gives ``p_j <= fl32(cap)`` and so ``t_{j+1} <= T_u``, each step
+        being a monotone rounded op (lower rungs only lower the base
+        power; the exponential, which is not, gets an eight-ulp margin).
+        So every cell is feasible and the solve returns the top level; a
+        row that fails may still settle there.
+
+        The arguments are those of :meth:`solve_steady`, for the
+        population or, with ``rows``, for those rows of it (the inputs are
+        then per row); ``coolant_c`` replaces the thermal environment
+        (per row), as :meth:`~repro.gpu.GPUFleet.solver_at` does.
+        Returns a bool array, one entry per row; nothing is counted.
+        """
+        f32 = np.float32
+        power = self.power
+        leak = power.leakage_scale_w_f32()
+        vmult = power.v_mult_sq
+        r32, tc32 = self.thermal.fixed_point_params_f32()
+        if rows is not None:
+            leak, vmult, r32 = leak[rows], vmult[rows], r32[rows]
+        if coolant_c is not None:
+            tc32 = np.asarray(coolant_c, dtype=float).astype(f32)
+        elif rows is not None:
+            tc32 = tc32[rows]
+        cap = np.asarray(
+            self.spec.tdp_w if power_cap_w is None else power_cap_w,
+            dtype=float,
+        )
+        top = self.ladder.pstates.shape[0] - 1
+        f_top = self.ladder.pstates[top]
+        # Scalars broadcast against the per-row arrays to the values the
+        # solver's _as_vec copies hold.
+        p_base = power.settle_base_power_w(
+            f_top,
+            np.asarray(activity, dtype=float)
+            * np.asarray(efficiency, dtype=float),
+            dram_utilization,
+            v_sq=self.ladder.vsq[top] * vmult,
+        ).astype(f32)
+        t_u = tc32 + r32 * cap.astype(f32)
+        # float32 np.exp is not monotone to the last ulp (an argument can
+        # round one ulp below a smaller one), so the bound's exponential
+        # is raised by 1 + 2**-20, eight ulps or more, before it bounds
+        # the iterates'.
+        e_u = np.exp(
+            (t_u - f32(25.0)) * f32(self.spec.leakage_temp_coeff)
+        ) * f32(1.0 + 2.0**-20)
+        p_u = p_base + leak * e_u
+        t_limit = self.spec.t_slowdown_c - self.policy.thermal_headroom_c
+        ok = (p_u <= cap) & (t_u <= t_limit)
+        if f_cap_mhz is not None:
+            ok &= f_top <= np.asarray(f_cap_mhz, dtype=float)
+        return ok
+
     def _pair_invariants(self) -> tuple[np.ndarray, ...]:
         """Duplicated per-GPU parameters for the flat (2n,) pair round.
 
@@ -762,8 +836,10 @@ class DvfsController:
           every subsequent round.
         * Inside each evaluation, converged fixed-point cells freeze early
           (:meth:`_settle_masked`); only cells never probed (mostly the
-          level above rows with an empty feasible set) run in one final
-          masked batch.  The cell above a GPU pinned at its boost
+          level above a row whose estimate overshot an empty feasible
+          set) run in one final masked batch.  A row whose pair was
+          rungs (0, 1) and failed both keeps the probed rung 1 as its
+          above cell.  The cell above a GPU pinned at its boost
           ceiling is never settled: nothing reads it, and its slot
           repeats the level's values.
 
@@ -813,6 +889,8 @@ class DvfsController:
             p_hi = np.empty(n, dtype=np.float32)
             t_hi = np.empty(n, dtype=np.float32)
             hi_eval = np.zeros(n, dtype=bool)
+            probed_above = np.zeros(n, dtype=bool)
+            pv_hi = tv_hi = p_hi  # never read: nothing was probed
         else:
             # Pair round: one batched settle of (estimated level, level
             # above) for every row, in a flat [all c_lo | all c_hi]
@@ -840,11 +918,13 @@ class DvfsController:
                 # probe a cell above it; that cell is infeasible.
                 f_lo2 &= c_lo < hi_top
                 f_hi2 &= c_hi < hi_top
-            # The pair resolves a row that brackets the boundary, and a
-            # row whose two cells are both feasible when c_hi is its last
+            # The pair resolves a row that brackets the boundary, a row
+            # whose two cells are both feasible when c_hi is its last
             # rung (the ladder top or its boost ceiling): the level is
-            # c_hi, and solve_steady reads nothing above it there.
-            if np.where(f_hi2, c_hi == hi_top - 1, f_lo2).all():
+            # c_hi, and solve_steady reads nothing above it there; and a
+            # row whose pair (0, 1) failed: the level is rung 0, and the
+            # above cell is the probed rung 1.
+            if np.where(f_hi2, c_hi == hi_top - 1, f_lo2 | (c_lo == 0)).all():
                 # Every row resolved, the common case when the analytic
                 # estimate is exact: the gallop rounds and the endpoint
                 # epilogue have nothing to do, so return the pair directly
@@ -873,6 +953,9 @@ class DvfsController:
             p_hi = np.where(f_lo2, pv_hi, pv_lo)
             t_hi = np.where(f_lo2, tv_hi, tv_lo)
             hi_eval = ~f_hi2
+            # A row whose bottom rung failed settles at level 0, and its
+            # probed c_hi is rung 1: the above cell, already settled.
+            probed_above = ~f_lo2 & (c_lo == 0)
         state = (lo, hi, p_lo, t_lo, p_hi, t_hi, hi_eval)
         self._fleet_bisect(state, act, util, eff, cap, t_limit, c_hi)
 
@@ -895,6 +978,8 @@ class DvfsController:
         # and dithering there, so such rows carry their level's values.
         hi_is_above = hi_eval & (hi == above) & ~at_top
         need_above = ~at_top & ~hi_is_above & (above < hi_top)
+        probed_above = probed_above & need_above
+        need_above &= ~probed_above
 
         rows_l = np.flatnonzero(need_level)
         rows_a = np.flatnonzero(need_above)
@@ -906,8 +991,12 @@ class DvfsController:
             p_level[rows_l] = p_m[: rows_l.size]
             t_level[rows_l] = t_m[: rows_l.size]
 
-        p_above = np.where(hi_is_above, p_hi, p_level)
-        t_above = np.where(hi_is_above, t_hi, t_level)
+        p_above = np.where(
+            hi_is_above, p_hi, np.where(probed_above, pv_hi, p_level)
+        )
+        t_above = np.where(
+            hi_is_above, t_hi, np.where(probed_above, tv_hi, t_level)
+        )
         if rows_a.size:
             p_above[rows_a] = p_m[rows_l.size :]
             t_above[rows_a] = t_m[rows_l.size :]

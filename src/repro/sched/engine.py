@@ -29,7 +29,10 @@ with one vectorized scan, a per-gang-size blocked-queue index instead of
 head rescans, and lookahead job pricing: runtimes are drawn at placement
 and solved in batches through the runtime half of
 :func:`~repro.sim.job.sample_job_runtimes` only once a finish time could
-be the next event, and energy settles once per day after the loop.
+be the next event, except for jobs a top-clock certificate
+(:meth:`~repro.gpu.dvfs.DvfsController.certify_top`) shows to run at
+the top p-state, whose finish lands at their runtime floor with no
+solve; energy settles once per day after the loop.
 Policies describe their ranking via
 :meth:`~repro.sched.policies.PlacementPolicy.indexed_ranking`;
 ``docs/SCHEDULING.md`` carries the byte-stability argument, and the
@@ -58,6 +61,7 @@ from ..obs.observer import active_observer
 from ..sim.job import (  # noqa: F401
     JobDraw,
     JobPricingRequest,
+    _certify_top,
     _draw,
     _job_table,
     _JobTable,
@@ -334,16 +338,26 @@ def _run_loop(
       other jobs of its (workload, day) — the steady load, the fleet's
       top-p-state unit times, the slow-assignment mask — is one table,
       built on the first placement of that pair.  Before each pop, if
-      the heap is empty or the smallest pending ``start + floor`` is
-      ``<=`` the head's time, every pending job's runtime is priced —
-      one batch per placement day, through the runtime half of
+      the heap is empty or the smallest unpriced ``start + floor`` is
+      ``<=`` the head's time, the placements since the last such
+      trigger are first certified, one vectorized pass per placement
+      day: a job whose every GPU passes
+      :meth:`~repro.gpu.dvfs.DvfsController.certify_top` runs at the
+      top p-state, so its runtime is its floor and its finish lands at
+      once.  If an uncertified job still could precede the head, every
+      uncertified job's runtime is priced — one batch per placement
+      day, through the runtime half of
       :func:`~repro.sim.job.sample_job_runtimes` — and its finish event
       lands.  A finish is never earlier than its floor, so nothing
       pending can precede a head that every floor exceeds; ``<=``
       because a FINISH sorts ahead of a SUBMIT at equal times, and the
       heap's ``(time, kind, seq)`` order makes the late push
-      unobservable.  Dithering fleets have a zero floor, so they price
-      every round before the next pop;
+      unobservable.  Certified jobs ride along in the next batch of
+      their day, or in one leftover batch per day after the loop, for
+      their records; one priced off its floor raises
+      :class:`~repro.errors.SimulationError`.  Dithering fleets have a
+      zero floor and certify nothing, so they price every round before
+      the next pop;
     * energy waits for the end.  No decision reads it, so a batch runs
       only the runtime half of pricing (one DVFS solve), and after the
       loop each placement day's multi-GPU gangs settle at their
@@ -440,11 +454,17 @@ def _run_loop(
         return tree.take_prefix(job.n_gpus)
 
     # Placed jobs whose runtime is drawn but not yet solved, each with
-    # the finish-event seq reserved at placement; ``earliest`` is the
-    # smallest start + floor among them.
-    pending: list[
-        tuple[Job, float, tuple[int, ...], tuple[int, ...], bool, int, JobDraw]
-    ] = []
+    # the finish-event seq reserved at placement: ``fresh`` holds the
+    # placements since the last lookahead trigger, not yet certified,
+    # ``pending`` the jobs that failed the certificate, and ``earliest``
+    # the smallest start + floor among both.  ``certified`` (by placement
+    # day) holds the jobs whose finish is already pushed, awaiting a batch.
+    Entry = tuple[
+        Job, float, tuple[int, ...], tuple[int, ...], bool, int, JobDraw
+    ]
+    fresh: list[Entry] = []
+    pending: list[Entry] = []
+    certified: dict[int, list[Entry]] = {}
     earliest = math.inf
 
     def place(job: Job, requests: list[tuple[int, int]],
@@ -490,7 +510,7 @@ def _run_loop(
             day,
             table,
         )
-        pending.append((job, now, nodes, gpus, slow, seq, draw))
+        fresh.append((job, now, nodes, gpus, slow, seq, draw))
         earliest = min(earliest, now + draw.floor_s)
         seq += 1
 
@@ -574,27 +594,72 @@ def _run_loop(
     # each with its jobs' (job, start, nodes, gpus, slow) entries.
     priced: dict[int, list[tuple[list[tuple], _PricedBatch]]] = {}
 
-    def price_pending() -> None:
+    def by_day(entries: list[Entry]) -> dict[int, list[Entry]]:
+        days: dict[int, list[Entry]] = {}
+        for entry in entries:
+            days.setdefault(entry[-1].day, []).append(entry)
+        return days
+
+    def certify_fresh() -> None:
+        # One certificate pass per placement day.  A certified job's
+        # runtime is its floor, so its finish lands now; the rest join
+        # ``pending``, whose floors alone then make ``earliest``.
         nonlocal earliest
-        by_day: dict[int, list[tuple]] = {}
-        for entry in pending:
-            by_day.setdefault(entry[-1].day, []).append(entry)
-        for day, entries in by_day.items():
-            batch = _price_runtimes(
+        n_certified = 0
+        for day, entries in by_day(fresh).items():
+            passed = _certify_top(
                 cluster, [entry[-1] for entry in entries], day
             )
-            if tracer is not None:
-                tracer.add("sched.price_batches")
-            for (job, start, _, _, _, finish_seq, _), runtime in zip(
-                entries, batch.runtime_s.tolist()
-            ):
-                heapq.heappush(
-                    heap,
-                    (start + runtime, _EVT_FINISH, finish_seq, job.job_id),
-                )
-            priced.setdefault(day, []).append(
-                ([entry[:5] for entry in entries], batch)
+            for entry, ok in zip(entries, passed.tolist()):
+                job, start, _, _, _, finish_seq, draw = entry
+                if ok:
+                    heapq.heappush(heap, (
+                        start + draw.floor_s, _EVT_FINISH, finish_seq,
+                        job.job_id,
+                    ))
+                    certified.setdefault(day, []).append(entry)
+                    n_certified += 1
+                else:
+                    pending.append(entry)
+        fresh.clear()
+        earliest = min(
+            (entry[1] + entry[-1].floor_s for entry in pending),
+            default=math.inf,
+        )
+        if tracer is not None:
+            tracer.add("sched.certified_jobs", n_certified)
+
+    def price(day: int, solve: list[Entry], riders: list[Entry]) -> None:
+        # One batch: the jobs whose finish waits on it, then certified
+        # jobs riding along for their records.
+        entries = solve + riders
+        batch = _price_runtimes(
+            cluster, [entry[-1] for entry in entries], day
+        )
+        if tracer is not None:
+            tracer.add("sched.price_batches")
+        runtimes = batch.runtime_s.tolist()
+        for (job, start, _, _, _, finish_seq, _), runtime in zip(
+            solve, runtimes
+        ):
+            heapq.heappush(
+                heap, (start + runtime, _EVT_FINISH, finish_seq, job.job_id)
             )
+        for entry, runtime in zip(riders, runtimes[len(solve):]):
+            if runtime != entry[-1].floor_s:
+                raise SimulationError(
+                    f"job {entry[0].job_id} was certified at its "
+                    f"{entry[-1].floor_s!r} s floor but priced at "
+                    f"{runtime!r} s"
+                )
+        priced.setdefault(day, []).append(
+            ([entry[:5] for entry in entries], batch)
+        )
+
+    def price_pending() -> None:
+        nonlocal earliest
+        for day, entries in by_day(pending).items():
+            price(day, entries, certified.pop(day, []))
         pending.clear()
         earliest = math.inf
 
@@ -637,12 +702,17 @@ def _run_loop(
     )
     with span:
         while True:
-            # Lookahead: a pending job's finish is >= its start + floor, so
-            # nothing pending can precede the heap head while every floor
+            # Lookahead: an unpriced job's finish is >= its start + floor,
+            # so no such job can precede the heap head while every floor
             # lies beyond it.  ``<=``, not ``<``: at equal times a FINISH
-            # sorts ahead of a SUBMIT.
-            if pending and (not heap or earliest <= heap[0][0]):
-                price_pending()
+            # sorts ahead of a SUBMIT.  Once one might, the new placements
+            # are certified first, and only uncertified jobs decide whether
+            # a batch solves.
+            if (fresh or pending) and (not heap or earliest <= heap[0][0]):
+                if fresh:
+                    certify_fresh()
+                if pending and (not heap or earliest <= heap[0][0]):
+                    price_pending()
             if not heap:
                 break
             now, kind, _, job_id = heapq.heappop(heap)
@@ -676,6 +746,9 @@ def _run_loop(
                 if tracer is not None:
                     tracer.add("sched.completed")
             dispatch(now)
+        # Certified jobs that no later batch of their day took along.
+        for day, riders in certified.items():
+            price(day, [], riders)
         settle_records()
 
     queued = len(bucket_queue) if use_buckets else len(flat_queue)

@@ -325,6 +325,17 @@ def _synthesize_day_spans(
         )
 
 
+def _shared_str_column(n: int, value: str) -> np.ndarray:
+    """An object column of ``n`` references to the one ``value``.
+
+    ``np.full(n, value, dtype=object)`` converts through a unicode array
+    and stores a new ``str`` per cell; ``fill`` stores ``value`` itself.
+    """
+    column = np.empty(n, dtype=object)
+    column.fill(value)
+    return column
+
+
 def _to_datasets(
     cluster: Cluster,
     workload: Workload,
@@ -343,8 +354,8 @@ def _to_datasets(
     idx = results[0].gpu_indices
     n = idx.shape[0]
     identity: dict[str, np.ndarray | None] = {
-        "cluster": np.full(n, cluster.name, dtype=object),
-        "workload": np.full(n, workload.name, dtype=object),
+        "cluster": _shared_str_column(n, cluster.name),
+        "workload": _shared_str_column(n, workload.name),
         "day": None,
         "weekday": None,
         "run": None,
@@ -366,8 +377,8 @@ def _to_datasets(
     calendar = {
         day: {
             "day": np.full(n, day, dtype=np.int64),
-            "weekday": np.full(
-                n, FacilityModel.weekday_name(day), dtype=object
+            "weekday": _shared_str_column(
+                n, FacilityModel.weekday_name(day)
             ),
         }
         for day in dict.fromkeys(days)

@@ -26,7 +26,9 @@ Four entry points:
   gathering their GPUs' solver inputs by index from the day fleet,
   bitwise equal to pricing each job alone.  It has two halves: one
   vectorized DVFS solve for the runtimes, and one for the energy of the
-  multi-GPU gangs, which may settle many batches of a day at once.
+  multi-GPU gangs, which may settle many batches of a day at once.  A
+  drawn job that passes the top-clock certificate (:func:`_certify_top`)
+  is known to price at its floor before any solve.
 """
 
 from __future__ import annotations
@@ -286,12 +288,16 @@ class JobDraw:
     :func:`draw_job_runtime` builds it; :func:`sample_job_runtimes` prices
     a batch of them.  ``floor_s`` is an exact lower bound on the priced
     ``runtime_s``: the engine may defer pricing until a job's finish time
-    could be the next event.  ``normals`` is the job's whole
+    could be the next event.  It is the runtime at the top p-state, so
+    it *is* the runtime of a job whose every GPU passes the top-clock
+    certificate (:func:`_certify_top`), and the engine schedules such a
+    finish with no solve.  ``normals`` is the job's whole
     ``standard_normal(1 + 5n)`` draw; the factors the floor needs
     (``time_multiplier``, ``drift``) are derived from it at placement,
-    the run's coolant and activity only in the pricing batch.  On
-    dithering fleets nothing is pre-drawn (the per-GPU fields are
-    ``None``, the stream untouched) and the floor is ``0.0``.
+    the run's coolant and activity (:func:`_run_rows`) only where a
+    certificate pass or a pricing batch reads them.  On dithering
+    fleets nothing is pre-drawn (the per-GPU fields are ``None``, the
+    stream untouched), the floor is ``0.0`` and nothing certifies.
     """
 
     request: JobPricingRequest
@@ -529,13 +535,121 @@ class _PricedBatch:
     multi_dram: np.ndarray
 
 
+def _job_spans(draws: Sequence[JobDraw]) -> tuple[np.ndarray, np.ndarray]:
+    """Each job's first row and width in a batch's concatenated rows."""
+    widths = np.array([draw.gpu_indices.shape[0] for draw in draws])
+    starts = np.zeros(len(draws), dtype=np.int64)
+    np.cumsum(widths[:-1], out=starts[1:])
+    return starts, widths
+
+
+@dataclass(frozen=True)
+class _RunRows:
+    """A batch of drawn jobs as one row per GPU, in job order.
+
+    Per row: the GPU (``concat``) and the run's activity, coolant and
+    DRAM load, from each job's normals with the elementwise operations of
+    the one-job path.  Per job: its workload's slot in ``workloads``
+    (told apart by identity: two workloads may share a name).
+    """
+
+    concat: np.ndarray
+    act_run: np.ndarray
+    coolant: np.ndarray
+    dram0_row: np.ndarray
+    workloads: list[Workload]
+    workload_of_job: np.ndarray
+
+
+def _run_rows(
+    day_fleet, draws: Sequence[JobDraw], widths: np.ndarray
+) -> _RunRows:
+    """The :class:`_RunRows` of non-dithering ``draws`` on ``day_fleet``.
+
+    A job's ``normals`` are its shared coolant offset, then ``n`` each of
+    local coolant, shared, speed, activity and drift normals.  Per-job
+    factors repeat over the job's rows; the row normals are the jobs'
+    slices, concatenated.
+    """
+    mix_of: dict[int, tuple[int, float, float, float]] = {}
+    workloads: list[Workload] = []
+    slots, per_job, blocks = [], [], []
+    for draw in draws:
+        workload = draw.request.workload
+        mix = mix_of.get(id(workload))
+        if mix is None:
+            mix = mix_of[id(workload)] = (
+                len(workloads), *_speed_mix(workload),
+                -workload.activity_mix_sigma,
+            )
+            workloads.append(workload)
+        z = draw.normals
+        n = draw.gpu_indices.shape[0]
+        slots.append(mix[0])
+        per_job.append((
+            mix[1], mix[2], mix[3], draw.act0, draw.dram0,
+            0.0 + RUN_COOLANT_SIGMA_SHARED * float(z[0]),
+        ))
+        # Local coolant, shared, speed and activity normals, by row.
+        blocks.append(z[1 : 1 + 4 * n].reshape(4, n))
+    corr, ortho, neg_sigma, act0, dram0, offset = np.repeat(
+        np.array(per_job).T, widths, axis=1
+    )
+    z_local, z_shared, _, z_act = np.concatenate(blocks, axis=1)
+    concat = np.concatenate([draw.gpu_indices for draw in draws])
+    # np.clip(x, 0.02, 1.0) in its bits (see _draw).
+    act_run = np.minimum(np.maximum(
+        act0 * np.exp(neg_sigma * (corr * z_shared + ortho * z_act)), 0.02
+    ), 1.0)
+    coolant = (
+        day_fleet.coolant_c[concat]
+        + offset
+        + (0.0 + RUN_COOLANT_SIGMA_LOCAL * z_local)
+    )
+    return _RunRows(
+        concat, act_run, coolant, dram0, workloads, np.array(slots)
+    )
+
+
+def _certify_top(
+    cluster: Cluster, draws: Sequence[JobDraw], day: int
+) -> np.ndarray:
+    """Which drawn jobs certainly price at their floor, without a solve.
+
+    A job passes when every GPU of its gang passes the DVFS solver's
+    top-clock certificate (:meth:`~repro.gpu.dvfs.DvfsController.certify_top`)
+    at the run's activity and coolant: its free-running clock is then
+    the top p-state, which is the clock :attr:`JobDraw.floor_s` assumes,
+    so its priced ``runtime_s`` equals ``floor_s`` bit for bit.  On a
+    dithering fleet no job passes (nothing is drawn ahead there).
+    Returns one bool per draw.
+    """
+    day_fleet = cluster.fleet_for_day(day)
+    if day_fleet.policy.dither:
+        return np.zeros(len(draws), dtype=bool)
+    starts, widths = _job_spans(draws)
+    rows = _run_rows(day_fleet, draws, widths)
+    concat = rows.concat
+    arrays = day_fleet.arrays
+    passed = day_fleet.controller.certify_top(
+        rows.act_run,
+        rows.dram0_row,
+        arrays.efficiency[concat],
+        power_cap_w=arrays.power_cap_w[concat],
+        f_cap_mhz=arrays.f_cap_mhz[concat],
+        rows=concat,
+        coolant_c=rows.coolant,
+    )
+    return np.logical_and.reduceat(passed, starts)
+
+
 def _price_runtimes(
     cluster: Cluster, draws: Sequence[JobDraw], day: int
 ) -> _PricedBatch:
     """The runtime half of :func:`sample_job_runtimes`, for drawn jobs.
 
     * the run's coolant and activity come from the jobs' concatenated
-      normals, with the elementwise operations of the one-job path;
+      normals (:func:`_run_rows`);
     * the gangs' solver inputs are gathered by index from the day fleet
       (:meth:`~repro.gpu.GPUFleet.solver_at` — no sub-fleet is built),
       and every gang's free-running clock settles in one vectorized
@@ -546,66 +660,20 @@ def _price_runtimes(
       evaluated for all jobs at once.  Each is the one-job expression
       elementwise, so every result keeps its bits.
     """
-    n_jobs = len(draws)
-    widths = np.array([draw.gpu_indices.shape[0] for draw in draws])
-    starts = np.zeros(n_jobs, dtype=np.int64)
-    np.cumsum(widths[:-1], out=starts[1:])
     day_fleet = cluster.fleet_for_day(day)
     if day_fleet.policy.dither:
-        return _priced_alone(cluster, draws, day, starts, widths)
+        return _priced_alone(cluster, draws, day)
 
-    job_of_row = np.repeat(np.arange(n_jobs), widths)
-    width_row = widths[job_of_row]
-    pos_row = np.arange(job_of_row.shape[0]) - starts[job_of_row]
-    concat = np.concatenate([draw.gpu_indices for draw in draws])
-
-    # Per-job scalars; workloads are told apart by identity (two
-    # workloads may share a name).
-    slot_of: dict[int, int] = {}
-    workloads: list[Workload] = []
-    workload_of_job = np.empty(n_jobs, dtype=np.int64)
-    for j, draw in enumerate(draws):
-        workload = draw.request.workload
-        slot = slot_of.get(id(workload))
-        if slot is None:
-            slot = slot_of[id(workload)] = len(workloads)
-            workloads.append(workload)
-        workload_of_job[j] = slot
-    mix = np.array([_speed_mix(w) for w in workloads])
-    act0 = np.array([draw.act0 for draw in draws])
-    dram0 = np.array([draw.dram0 for draw in draws])
+    starts, widths = _job_spans(draws)
+    job_of_row = np.repeat(np.arange(len(draws)), widths)
+    g = _run_rows(day_fleet, draws, widths)
+    workloads, workload_of_job = g.workloads, g.workload_of_job
     workload_row = workload_of_job[job_of_row]
-
-    # The normals: a job's z[0] is the shared coolant offset, then n
-    # each of local coolant, shared, speed, activity and drift normals.
-    z = np.concatenate([draw.normals for draw in draws])
-    z_start = np.zeros(n_jobs, dtype=np.int64)
-    np.cumsum(1 + 5 * widths[:-1], out=z_start[1:])
-    z_first = z_start[job_of_row]
-    z_row = z_first + pos_row
-    z_shared = z[z_row + 1 + width_row]
-    z_act = (
-        mix[workload_row, 0] * z_shared
-        + mix[workload_row, 1] * z[z_row + 1 + 3 * width_row]
-    )
-    neg_mix_sigma = -np.array([w.activity_mix_sigma for w in workloads])
-    act_run = np.clip(
-        act0[job_of_row] * np.exp(neg_mix_sigma[workload_row] * z_act),
-        0.02,
-        1.0,
-    )
-    coolant = (
-        day_fleet.coolant_c[concat]
-        + (0.0 + RUN_COOLANT_SIGMA_SHARED * z[z_first])
-        + (0.0 + RUN_COOLANT_SIGMA_LOCAL * z[z_row + 1])
-    )
-    dram0_row = dram0[job_of_row]
-
-    controller, arrays = day_fleet.solver_at(concat, coolant)
+    controller, arrays = day_fleet.solver_at(g.concat, g.coolant)
     efficiency = arrays.efficiency
     op = controller.solve_steady(
-        act_run,
-        dram0_row,
+        g.act_run,
+        g.dram0_row,
         efficiency,
         power_cap_w=arrays.power_cap_w,
         f_cap_mhz=arrays.f_cap_mhz,
@@ -613,7 +681,7 @@ def _price_runtimes(
     spec = day_fleet.spec
     f_effective = op.f_effective_mhz
     mem_bw = arrays.mem_bandwidth_gbs
-    free_ms = np.empty(concat.shape[0])
+    free_ms = np.empty(job_of_row.shape[0])
     for slot, workload in enumerate(workloads):
         rows = np.flatnonzero(workload_row == slot)
         free_ms[rows] = workload.unit_time_ms(
@@ -658,7 +726,7 @@ def _price_runtimes(
         ranked[starts + (widths - 1) // 2] + ranked[starts + widths // 2]
     ) / 2
     units = np.array([int(draw.request.work_units) for draw in draws])
-    multi = np.flatnonzero(width_row > 1)
+    multi = np.flatnonzero(widths[job_of_row] > 1)
     return _PricedBatch(
         starts=starts,
         widths=widths,
@@ -669,19 +737,15 @@ def _price_runtimes(
         power_w=op.power_w,
         multi=multi,
         multi_job=job_of_row[multi],
-        multi_gpus=concat[multi],
-        multi_coolant=coolant[multi],
-        multi_act=act_run[multi],
-        multi_dram=dram0_row[multi],
+        multi_gpus=g.concat[multi],
+        multi_coolant=g.coolant[multi],
+        multi_act=g.act_run[multi],
+        multi_dram=g.dram0_row[multi],
     )
 
 
 def _priced_alone(
-    cluster: Cluster,
-    draws: Sequence[JobDraw],
-    day: int,
-    starts: np.ndarray,
-    widths: np.ndarray,
+    cluster: Cluster, draws: Sequence[JobDraw], day: int
 ) -> _PricedBatch:
     """The runtime half on a dithering fleet: each job priced alone.
 
@@ -699,6 +763,7 @@ def _priced_alone(
         )
         for draw in draws
     ]
+    starts, widths = _job_spans(draws)
     none = np.empty(0, dtype=np.int64)
     empty = np.empty(0)
     return _PricedBatch(

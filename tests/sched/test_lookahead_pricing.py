@@ -9,11 +9,19 @@ eagerly, one at a time, so any mis-ordered finish, any pricing on the
 wrong day, and any stream drawn out of turn shows up as a differing
 event log or record here.
 
+Before a batch solves, the engine certifies its new placements: a job
+whose every GPU passes the top-clock certificate runs at the top p-state,
+so its finish lands at ``start + floor`` with no solve, and it rides
+along in a later batch (or one leftover batch per day) for its records.
+A certified job priced off its floor fails closed with
+:class:`~repro.errors.SimulationError`.
+
 Hypothesis varies trace seeds, arrival rates, diurnal shapes, bursts of
 equal submit times, work down to one unit (floors on or near the next
 event), traces that straddle a day boundary with jobs pending, every
-shipped policy with backfill on and off, and a dithering AMD fleet
-(Corona), whose zero floors keep the eager per-round path.
+shipped policy with backfill on and off, a dithering AMD fleet (Corona),
+whose zero floors keep the eager per-round path, a power-capped Longhorn
+where no certificate passes, and a Summit where most do.
 """
 
 from __future__ import annotations
@@ -22,10 +30,19 @@ import dataclasses
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.chaos import (
+    FaultSchedule,
+    PowerCapDirective,
+    Scenario,
+    compile_plan,
+)
+from repro.errors import SimulationError
+from repro.gpu.dvfs import DvfsController
 from repro.obs import Tracer, activate
 from repro.sched import (
     BackfillPolicy,
@@ -46,8 +63,24 @@ from tests.sched.reference_engine import run_reference
 DAY = 86_400.0
 
 
+#: Every GPU capped at 30% of TDP: no job runs at the top p-state.
+CAPPED = Scenario(
+    name="capped",
+    description="a facility-wide power cap",
+    faults=(PowerCapDirective(FaultSchedule(onset_day=0), 0.3),),
+)
+
+
 @functools.cache
 def _cluster(name: str):
+    if name == "longhorn-capped":
+        cluster = _fresh_cluster("longhorn")
+        cluster.set_fault_plan(compile_plan(CAPPED, cluster))
+        return cluster
+    return _fresh_cluster(name)
+
+
+def _fresh_cluster(name: str):
     scale = 0.25 if name == "longhorn" else 0.1
     return api.load_preset(name, seed=2022, scale=scale)
 
@@ -81,7 +114,9 @@ def _policy(key: str, backfill: bool, cluster):
 
 @st.composite
 def scenarios(draw):
-    cluster_name = draw(st.sampled_from(("longhorn", "longhorn", "corona")))
+    cluster_name = draw(st.sampled_from(
+        ("longhorn", "longhorn", "corona", "longhorn-capped", "summit")
+    ))
     lo = draw(st.sampled_from((1, 1, 5, 40)))
     hi = draw(st.sampled_from((1, 3, 40, 160)))
     diurnal = draw(st.booleans())
@@ -183,15 +218,65 @@ def test_finish_exactly_at_next_submit_prices_first():
     assert kinds.index(("finish", 0)) < kinds.index(("submit", 1))
 
 
-def test_pricing_is_deferred_and_batched():
-    """Lookahead prices far fewer batches than there are placements."""
-    cluster = _cluster("longhorn")
+def _traced_batches(cluster_name: str):
+    """A fixed 60-job trace's outcome and counters."""
+    cluster = _cluster(cluster_name)
     jobs = api.generate_trace(
         api.TraceConfig(n_jobs=60, arrival_rate_per_hour=900.0, seed=5)
     )
-    policy = _policy("variability-aware", True, cluster)
     tracer = Tracer()
     with activate(tracer):
-        run_schedule(cluster, jobs, policy)
+        outcome = run_schedule(
+            cluster, jobs, _policy("variability-aware", True, cluster)
+        )
     assert tracer.counters["sched.placements"] == 60
-    assert tracer.counters["sched.price_batches"] < 60 / 2
+    return outcome, tracer.counters
+
+
+#: ``sched.price_batches`` of that trace on Longhorn, capped or not,
+#: when no job certifies: what lookahead alone batches.
+LOOKAHEAD_BATCHES = 15
+
+
+def test_pricing_is_deferred_and_batched():
+    """Lookahead prices far fewer batches than there are placements."""
+    _, counters = _traced_batches("longhorn")
+    assert counters["sched.price_batches"] < 60 / 2
+
+
+def test_certified_jobs_skip_their_solves():
+    _, counters = _traced_batches("longhorn")
+    assert counters["sched.certified_jobs"] > 0
+    assert counters["sched.price_batches"] < LOOKAHEAD_BATCHES
+
+
+def test_with_no_certified_job_the_batches_stay_as_before(monkeypatch):
+    """No job certifies under a deep cap, nor under a certificate that
+    fails every row: pricing then batches exactly as lookahead alone."""
+    _, counters = _traced_batches("longhorn-capped")
+    assert counters["sched.certified_jobs"] == 0
+    assert counters["sched.price_batches"] == LOOKAHEAD_BATCHES
+    certified, _ = _traced_batches("longhorn")
+    monkeypatch.setattr(
+        DvfsController, "certify_top",
+        lambda self, activity, *args, **kwargs: np.zeros(
+            np.shape(activity), dtype=bool
+        ),
+    )
+    outcome, counters = _traced_batches("longhorn")
+    assert counters["sched.certified_jobs"] == 0
+    assert counters["sched.price_batches"] == LOOKAHEAD_BATCHES
+    assert outcome.records == certified.records
+    assert outcome.events == certified.events
+
+
+def test_a_false_certificate_fails_closed(monkeypatch):
+    """Certifying every row of a power-capped fleet must not go unseen."""
+    monkeypatch.setattr(
+        DvfsController, "certify_top",
+        lambda self, activity, *args, **kwargs: np.ones(
+            np.shape(activity), dtype=bool
+        ),
+    )
+    with pytest.raises(SimulationError, match="certified"):
+        _traced_batches("longhorn-capped")

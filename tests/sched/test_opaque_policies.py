@@ -136,6 +136,10 @@ def _policy(family: str, backfill: bool, admission: bool, cluster):
     )
 
 
+#: How the engine prices, which the eagerly pricing oracle does not count.
+_PRICING_COUNTERS = ("sched.price_batches", "sched.certified_jobs")
+
+
 def _observe(run, cluster, jobs, policy):
     """Event lines, records, sched counters and any error of one run."""
     tracer = Tracer()
@@ -149,7 +153,7 @@ def _observe(run, cluster, jobs, policy):
     counters = {
         name: value
         for name, value in tracer.counters.items()
-        if name.startswith("sched.") and name != "sched.price_batches"
+        if name.startswith("sched.") and name not in _PRICING_COUNTERS
     }
     return result, counters
 

@@ -36,7 +36,7 @@ deprecated in 1.x and removed in 2.0: they now raise :class:`ImportError`
 naming the supported replacement — see the migration table in the README.
 """
 
-from . import api
+import importlib
 
 __version__ = "2.0.0"
 
@@ -128,12 +128,16 @@ _REMOVED_EXPORTS: dict[str, tuple[str, str]] = {
 
 
 def __getattr__(name: str):
-    """Raise :class:`ImportError` for removed legacy names, with a hint.
+    """Serve :mod:`repro.api` on first access; reject removed legacy names.
 
-    The 1.x top-level re-exports were deprecated in PR 3 and removed in
-    2.0.  The objects still live in their home subpackages; the error
-    names the supported spelling so migration is a one-line edit.
+    ``import repro.<package>`` loads no facade: the facade loads when
+    ``repro.api`` is first named.  The 1.x top-level re-exports were
+    removed in 2.0.  The objects still live in their home subpackages;
+    the error names the supported spelling so migration is a one-line
+    edit.
     """
+    if name == "api":
+        return importlib.import_module(".api", __name__)
     try:
         module_name, replacement = _REMOVED_EXPORTS[name]
     except KeyError:

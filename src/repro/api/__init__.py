@@ -43,23 +43,18 @@ removed in 2.0 and now raise :class:`ImportError` naming the replacement.
 
 from __future__ import annotations
 
-import importlib
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..cluster import get_preset, list_presets
+from .._lazy import lazy_exports
 from ..cluster.cluster import Cluster
-from ..core import (
-    VariabilitySuite,
-    flag_outlier_gpus,
-    metric_boxstats,
-    persistent_outliers,
-    project_variation,
-)
-from ..core.boxstats import BoxStats
-from ..core.outliers import OutlierReport
+from ..cluster.presets import get_preset, list_presets
 from ..errors import ConfigError
+from ..obs.observer import _attach, activate_recorder, active_monitor
+from ..telemetry.sample import METRIC_PERFORMANCE
+from ..workloads import get_workload, list_workloads
+from ..workloads.base import Workload
 from .requests import (
     EXECUTION_FIELDS,
     REQUEST_KINDS,
@@ -74,54 +69,23 @@ from .requests import (
     request_from_dict,
     request_from_json,
 )
-from ..core.suite import ClusterReport
-from ..core.classify import ApplicationClass, classify_workload
-from ..core.scheduler import PlacementPlan
-from ..core.scheduler import node_variability_scores as _node_variability_scores
-from ..core.scheduler import plan_placements as _plan_placements
-from ..core.scheduler import (
-    slow_assignment_probability as _slow_assignment_probability,
-)
-from ..obs import (
-    FleetMonitor,
-    Manifest,
-    MonitorConfig,
-    TimelineEvent,
-    TimelineRecorder,
-    Tracer,
-    activate_recorder,
-    active_monitor,
-    canonical_digest,
-    read_manifest,
-    read_timeline,
-    render_prometheus,
-    validate_manifest,
-    write_chrome_trace,
-    write_events_jsonl,
-    write_timeline,
-)
-from ..obs.health import (
-    FleetHealthReport,
-    HealthEvent,
-    HealthEventKind,
-    HealthPolicy,
-    HealthTracker,
-    analyze_fleet_health,
-    validate_health_report,
-    write_health_events,
-)
-from ..obs.observer import _attach
-from ..sim.campaign import CampaignConfig
-from ..sim.campaign import run_campaign as _run_campaign
-from ..sim.parallel import ParallelConfig
-from ..telemetry.dataset import MeasurementDataset
-from ..telemetry.progress import CampaignProgress
-from ..telemetry.sample import METRIC_PERFORMANCE
-from ..workloads import get_workload, list_workloads
-from ..workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - types only; see _LAZY_EXPORTS
     from ..chaos import ChaosRunResult, Scenario
+    from ..core.boxstats import BoxStats
+    from ..core.outliers import OutlierReport
+    from ..core.scheduler import PlacementPlan
+    from ..core.suite import ClusterReport
+    from ..obs.health import (
+        FleetHealthReport,
+        HealthEvent,
+        HealthPolicy,
+        HealthTracker,
+    )
+    from ..obs.manifest import Manifest
+    from ..obs.metrics import FleetMonitor, MonitorConfig
+    from ..obs.timeline import TimelineRecorder
+    from ..obs.tracer import Tracer
     from ..sched import (
         Job,
         JobRecord,
@@ -130,12 +94,62 @@ if TYPE_CHECKING:  # pragma: no cover - types only; see _LAZY_EXPORTS
         SchedulingReport,
         TraceConfig,
     )
+    from ..sim.campaign import CampaignConfig
+    from ..sim.parallel import ParallelConfig
+    from ..telemetry.dataset import MeasurementDataset
+    from ..telemetry.progress import CampaignProgress
 
-#: Re-exports from packages only some verbs use, by home module.  Each
-#: loads on first access (PEP 562 ``__getattr__`` below), so ``import
-#: repro.api`` pays for none of them; the verbs that need them import at
-#: call time.
+#: Re-exports that ``import repro.api`` plus a preset do not need, by home
+#: module.  Each loads on first access (PEP 562, through
+#: :mod:`repro._lazy`), so ``import repro.api`` pays for none of them; each
+#: verb imports the layers it runs when it is called.
 _LAZY_EXPORTS = {
+    "BoxStats": "repro.core.boxstats",
+    "OutlierReport": "repro.core.outliers",
+    "ClusterReport": "repro.core.suite",
+    **dict.fromkeys(
+        ("ApplicationClass", "classify_workload"), "repro.core.classify"
+    ),
+    "PlacementPlan": "repro.core.scheduler",
+    "Tracer": "repro.obs.tracer",
+    **dict.fromkeys(
+        ("write_chrome_trace", "write_events_jsonl"), "repro.obs.export"
+    ),
+    **dict.fromkeys(
+        ("Manifest", "read_manifest", "validate_manifest"),
+        "repro.obs.manifest",
+    ),
+    **dict.fromkeys(
+        ("FleetMonitor", "MonitorConfig", "render_prometheus"),
+        "repro.obs.metrics",
+    ),
+    **dict.fromkeys(
+        (
+            "TimelineEvent",
+            "TimelineRecorder",
+            "canonical_digest",
+            "read_timeline",
+            "write_timeline",
+        ),
+        "repro.obs.timeline",
+    ),
+    **dict.fromkeys(
+        (
+            "FleetHealthReport",
+            "HealthEvent",
+            "HealthEventKind",
+            "HealthPolicy",
+            "HealthTracker",
+            "analyze_fleet_health",
+            "validate_health_report",
+            "write_health_events",
+        ),
+        "repro.obs.health",
+    ),
+    "CampaignConfig": "repro.sim.campaign",
+    "ParallelConfig": "repro.sim.parallel",
+    "MeasurementDataset": "repro.telemetry.dataset",
+    "CampaignProgress": "repro.telemetry.progress",
     **dict.fromkeys(
         (
             "ENGINE_MODES",
@@ -179,18 +193,7 @@ _LAZY_EXPORTS = {
     ),
 }
 
-
-def __getattr__(name: str):
-    home = _LAZY_EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(home), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)
 
 
 __all__ = [
@@ -382,6 +385,8 @@ def run_campaign(
     the sink active on this thread (:func:`repro.obs.activate`), and the
     sinks see the same campaign at any worker count.
     """
+    from ..sim.campaign import run_campaign as _run_campaign
+
     return _run_campaign(
         cluster,
         workload,
@@ -430,6 +435,9 @@ def characterize(
     wire surface shared with the CLI and :mod:`repro.service`) or the
     constructed ``cluster``/``workload``/``config`` objects — not both.
     """
+    from ..core.suite import VariabilitySuite
+    from ..sim.campaign import CampaignConfig
+
     if request is not None:
         _require_request_only(
             "characterize", cluster=cluster, workload=workload,
@@ -519,6 +527,11 @@ def monitor_fleet(
     ``window`` feeds the health detector) or the constructed objects — not
     both.
     """
+    from ..obs.health import HealthPolicy, analyze_fleet_health
+    from ..obs.metrics import FleetMonitor
+    from ..obs.timeline import canonical_digest
+    from ..sim.campaign import CampaignConfig
+
     if request is not None:
         _require_request_only(
             "monitor_fleet", cluster=cluster, workload=workload,
@@ -621,6 +634,9 @@ def screen(
     Pass either a :class:`~repro.api.requests.ScreenRequest` (workloads by
     name) or the constructed objects — not both.
     """
+    from ..core.outliers import flag_outlier_gpus, persistent_outliers
+    from ..sim.campaign import CampaignConfig
+
     if request is not None:
         _require_request_only(
             "screen", cluster=cluster, workloads=workloads, config=config,
@@ -706,6 +722,9 @@ def sweep(
     Pass either a :class:`~repro.api.requests.SweepRequest` or the
     constructed objects — not both.
     """
+    from ..core.boxstats import BoxStats
+    from ..sim.campaign import CampaignConfig
+
     if request is not None:
         _require_request_only(
             "sweep", cluster=cluster, power_limits_w=power_limits_w,
@@ -771,6 +790,10 @@ def project(
     timeline: TimelineRecorder | None = None,
 ) -> ProjectionReport:
     """Measure a cluster, then project its variation to a larger fleet."""
+    from ..core.projection import project_variation
+    from ..core.variability import metric_boxstats
+    from ..sim.campaign import CampaignConfig
+
     workload = workload if workload is not None else get_workload("sgemm")
     config = config if config is not None else CampaignConfig(days=5)
     dataset = run_campaign(
@@ -813,6 +836,10 @@ def slow_assignment_probability(
     :func:`repro.core.scheduler.slow_assignment_probability` — the paper's
     18% (single-GPU, Longhorn) / 40-50% (4-GPU) user-impact numbers.
     """
+    from ..core.scheduler import (
+        slow_assignment_probability as _slow_assignment_probability,
+    )
+
     return _slow_assignment_probability(
         dataset,
         n_gpus=n_gpus,
@@ -832,6 +859,10 @@ def node_variability_scores(
     Keyword-only facade over
     :func:`repro.core.scheduler.node_variability_scores`.
     """
+    from ..core.scheduler import (
+        node_variability_scores as _node_variability_scores,
+    )
+
     return _node_variability_scores(dataset, metric=metric)
 
 
@@ -846,6 +877,8 @@ def plan_placements(
     Keyword-only facade over
     :func:`repro.core.scheduler.plan_placements`.
     """
+    from ..core.scheduler import plan_placements as _plan_placements
+
     return _plan_placements(dataset, list(workloads), metric=metric)
 
 
@@ -909,6 +942,8 @@ def _build_policy(
         node_grades_from_gpu_grades,
         node_power_watts,
     )
+    from ..core.scheduler import node_variability_scores as _scores
+    from ..sim.campaign import CampaignConfig
 
     if isinstance(policy, PlacementPolicy):
         return policy, None
@@ -954,7 +989,7 @@ def _build_policy(
             tracer=tracer,
             manifest=manifest,
         )
-        scores = _node_variability_scores(dataset)
+        scores = _scores(dataset)
         # Nodes the campaign never reached (coverage < 1) carry no
         # information; rank them with the worst profiled node.
         fallback = max(scores.values())
@@ -1049,6 +1084,7 @@ def schedule(
     request's ``engine`` field is validated and ignored.
     """
     from ..sched import TraceConfig
+    from ..sim.campaign import CampaignConfig
 
     if request is not None:
         _require_request_only(
@@ -1100,6 +1136,7 @@ def _schedule_built(
         generate_trace,
         run_schedule,
     )
+    from ..obs.timeline import canonical_digest
 
     if trace is None:
         trace = TraceConfig()

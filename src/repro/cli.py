@@ -74,9 +74,22 @@ from typing import Sequence
 
 from . import api
 from .errors import ReproError
-from .telemetry.io import write_csv
 
 __all__ = ["main", "build_parser"]
+
+
+class _PolicyNames:
+    """The ``sched --policy`` choices, read from :mod:`repro.sched` on use.
+
+    argparse only tests membership and lists the names in help and error
+    text, so building the parser for any other command loads no scheduler.
+    """
+
+    def __contains__(self, name: object) -> bool:
+        return name in api.POLICY_NAMES
+
+    def __iter__(self):
+        return iter(api.POLICY_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "policy (Section VII)")
     _add_cluster_args(p)
     _add_execution_args(p)
-    p.add_argument("--policy", default="fifo",
-                   choices=list(api.POLICY_NAMES),
-                   help="placement policy (aware policies profile the "
-                        "fleet first)")
+    p.add_argument("--policy", default="fifo", choices=_PolicyNames(),
+                   metavar="POLICY",
+                   help="placement policy: %(choices)s (aware policies "
+                        "profile the fleet first)")
     p.add_argument("--jobs", type=int, default=100,
                    help="jobs in the generated trace")
     p.add_argument("--trace-seed", type=int, default=0,
@@ -395,6 +408,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     )
     print(result.report.render())
     if args.csv:
+        from .telemetry.io import write_csv
+
         write_csv(result.dataset, args.csv)
         print(f"\nraw measurements written to {args.csv} "
               f"({result.dataset.n_rows} rows)")
@@ -434,6 +449,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         result.report.write_json(args.report)
         print(f"health report written to {args.report}")
     if args.csv:
+        from .telemetry.io import write_csv
+
         write_csv(result.dataset, args.csv)
         print(f"raw measurements written to {args.csv} "
               f"({result.dataset.n_rows} rows)")

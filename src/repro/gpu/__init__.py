@@ -5,51 +5,44 @@ Each simulated GPU is a sample from a manufacturing distribution layered on a
 vendor SKU specification; its run-time behaviour emerges from the interaction
 of the power model, the RC thermal model, and the vendor DVFS controller —
 exactly the causal chain the paper identifies as the source of variability.
+
+Every name below loads its home module on first access
+(:mod:`repro._lazy`).
 """
 
-from .specs import (
-    GPUSpec,
-    VENDOR_AMD,
-    VENDOR_NVIDIA,
-    MI60,
-    RTX5000,
-    V100,
-    get_spec,
-    list_specs,
-)
-from .silicon import SiliconConfig, SiliconPopulation, sample_population
-from .defects import DefectType, DefectConfig, assign_defects
-from .power import PowerModel
-from .thermal import ThermalModel
-from .dvfs import (
-    DvfsController,
-    DvfsPolicy,
-    SolverStats,
-    default_solver,
-)
-from .device import FleetArrays, GPUFleet
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "VENDOR_AMD",
-    "VENDOR_NVIDIA",
-    "MI60",
-    "RTX5000",
-    "V100",
-    "get_spec",
-    "list_specs",
-    "SiliconConfig",
-    "SiliconPopulation",
-    "sample_population",
-    "DefectType",
-    "DefectConfig",
-    "assign_defects",
-    "PowerModel",
-    "ThermalModel",
-    "DvfsController",
-    "DvfsPolicy",
-    "SolverStats",
-    "default_solver",
-    "GPUFleet",
-    "FleetArrays",
-]
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "GPUSpec",
+            "VENDOR_AMD",
+            "VENDOR_NVIDIA",
+            "MI60",
+            "RTX5000",
+            "V100",
+            "get_spec",
+            "list_specs",
+        ),
+        "repro.gpu.specs",
+    ),
+    **dict.fromkeys(
+        ("SiliconConfig", "SiliconPopulation", "sample_population"),
+        "repro.gpu.silicon",
+    ),
+    **dict.fromkeys(
+        ("DefectType", "DefectConfig", "assign_defects"),
+        "repro.gpu.defects",
+    ),
+    "PowerModel": "repro.gpu.power",
+    "ThermalModel": "repro.gpu.thermal",
+    **dict.fromkeys(
+        ("DvfsController", "DvfsPolicy", "SolverStats", "default_solver"),
+        "repro.gpu.dvfs",
+    ),
+    **dict.fromkeys(("FleetArrays", "GPUFleet"), "repro.gpu.device"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

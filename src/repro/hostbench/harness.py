@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import require
-from ..telemetry.dataset import MeasurementDataset
+from ..telemetry.dataset import MeasurementDataset, shared_str_column
 from ..telemetry.sample import METRIC_PERFORMANCE
 from .kernels import KERNELS, HostKernel
 
@@ -81,12 +81,12 @@ def run_host_benchmark(
     n = durations_arr.shape[0]
     seconds = durations_arr / 1000.0
     return MeasurementDataset({
-        "workload": np.full(n, f"host-{kernel.name}", dtype=object),
+        "workload": shared_str_column(n, f"host-{kernel.name}"),
         "gpu_index": np.asarray(block_ids, dtype=np.int64),
         "gpu_label": np.asarray(
             [f"host-block-{b:02d}" for b in block_ids], dtype=object
         ),
-        "node_label": np.full(n, "localhost", dtype=object),
+        "node_label": shared_str_column(n, "localhost"),
         "run": np.asarray(rep_ids, dtype=np.int64),
         METRIC_PERFORMANCE: durations_arr,
         "achieved_gflops": kernel.flop / seconds / 1.0e9,

@@ -41,80 +41,93 @@ outputs are **bit-identical** to untraced runs — the tracer never draws
 randomness and never touches a float that feeds a measurement; with
 tracing disabled, the hooks reduce to one thread-local read and a
 ``None`` check.
+
+Every name below loads its home module on first access
+(:mod:`repro._lazy`): a hook site imports :mod:`repro.obs.observer`
+alone, and the sink modules load when a caller builds a sink.
 """
 
-from .tracer import (
-    NONDETERMINISTIC_COUNTER_PREFIXES,
-    SpanRecord,
-    Tracer,
-)
-from .export import write_chrome_trace, write_events_jsonl
-from .manifest import (
-    MANIFEST_SCHEMA,
-    CampaignManifest,
-    Manifest,
-    build_campaign_manifest,
-    campaign_config_from_manifest,
-    read_manifest,
-    validate_manifest,
-)
-from .metrics import (
-    DEFAULT_HISTOGRAM_EDGES,
-    FleetMonitor,
-    FleetRun,
-    MetricsRegistry,
-    MonitorConfig,
-    RunSample,
-    render_prometheus,
-)
-from .timeline import (
-    TIMELINE_LAYERS,
-    TIMELINE_SCHEMA_VERSION,
-    TimelineError,
-    TimelineEvent,
-    TimelineRecorder,
-    canonical_digest,
-    read_timeline,
-    timeline_lines,
-    validate_timeline_event,
-    write_timeline,
-)
-from .observer import (
-    Observer,
-    activate,
-    activate_recorder,
-    active_monitor,
-    active_observer,
-)
+from .._lazy import lazy_exports
 
-#: Names served lazily from :mod:`repro.obs.health` (PEP 562).  Health
-#: pulls in :mod:`repro.core` — whose package init reaches back through
-#: sim/telemetry into :mod:`repro.gpu.dvfs`, which imports *this* package
-#: for its hook primitives — so importing it eagerly here would deadlock
-#: the import graph whenever ``repro.gpu`` loads first.  The hook-side
-#: modules (observer and its three sinks) stay eager and dependency-light.
-_HEALTH_EXPORTS = (
-    "GRADES",
-    "HEALTH_REPORT_SCHEMA",
-    "FleetHealthReport",
-    "HealthEvent",
-    "HealthEventKind",
-    "HealthPolicy",
-    "HealthTracker",
-    "analyze_fleet_health",
-    "build_health_report",
-    "validate_health_report",
-    "write_health_events",
-)
-
-#: Names served lazily from :mod:`repro.obs.replay` — the replayer's
-#: ``--check`` mode rebuilds scheduling reports, so it reaches into
-#: :mod:`repro.sched` and must not load with the hook-side modules.
-_REPLAY_EXPORTS = (
-    "ReplayCheck",
-    "TimelineReplayer",
-    "load_replayer",
-)
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        ("NONDETERMINISTIC_COUNTER_PREFIXES", "SpanRecord", "Tracer"),
+        "repro.obs.tracer",
+    ),
+    **dict.fromkeys(
+        ("write_chrome_trace", "write_events_jsonl"),
+        "repro.obs.export",
+    ),
+    **dict.fromkeys(
+        (
+            "MANIFEST_SCHEMA",
+            "CampaignManifest",
+            "Manifest",
+            "build_campaign_manifest",
+            "campaign_config_from_manifest",
+            "read_manifest",
+            "validate_manifest",
+        ),
+        "repro.obs.manifest",
+    ),
+    **dict.fromkeys(
+        (
+            "DEFAULT_HISTOGRAM_EDGES",
+            "FleetMonitor",
+            "FleetRun",
+            "MetricsRegistry",
+            "MonitorConfig",
+            "RunSample",
+            "render_prometheus",
+        ),
+        "repro.obs.metrics",
+    ),
+    **dict.fromkeys(
+        (
+            "TIMELINE_LAYERS",
+            "TIMELINE_SCHEMA_VERSION",
+            "TimelineError",
+            "TimelineEvent",
+            "TimelineRecorder",
+            "canonical_digest",
+            "read_timeline",
+            "timeline_lines",
+            "validate_timeline_event",
+            "write_timeline",
+        ),
+        "repro.obs.timeline",
+    ),
+    **dict.fromkeys(
+        (
+            "Observer",
+            "activate",
+            "activate_recorder",
+            "active_monitor",
+            "active_observer",
+        ),
+        "repro.obs.observer",
+    ),
+    **dict.fromkeys(
+        (
+            "GRADES",
+            "HEALTH_REPORT_SCHEMA",
+            "FleetHealthReport",
+            "HealthEvent",
+            "HealthEventKind",
+            "HealthPolicy",
+            "HealthTracker",
+            "analyze_fleet_health",
+            "build_health_report",
+            "validate_health_report",
+            "write_health_events",
+        ),
+        "repro.obs.health",
+    ),
+    **dict.fromkeys(
+        ("ReplayCheck", "TimelineReplayer", "load_replayer"),
+        "repro.obs.replay",
+    ),
+}
 
 #: Removed names -> what to use instead; importing one raises a hint.
 _REMOVED_EXPORTS = {
@@ -122,64 +135,15 @@ _REMOVED_EXPORTS = {
     "the health detector's windows live in repro.obs.health",
 }
 
+_lazy_getattr, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
 
 def __getattr__(name: str):
-    if name in _HEALTH_EXPORTS:
-        from . import health
-
-        return getattr(health, name)
-    if name in _REPLAY_EXPORTS:
-        from . import replay
-
-        return getattr(replay, name)
     if name in _REMOVED_EXPORTS:
         raise ImportError(
             f"'repro.obs.{name}' was removed; {_REMOVED_EXPORTS[name]}"
         )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _lazy_getattr(name)
 
 
-def __dir__() -> list[str]:
-    return sorted(
-        set(globals()) | set(_HEALTH_EXPORTS) | set(_REPLAY_EXPORTS)
-    )
-
-
-__all__ = [
-    *_HEALTH_EXPORTS,
-    *_REPLAY_EXPORTS,
-    "DEFAULT_HISTOGRAM_EDGES",
-    "FleetMonitor",
-    "FleetRun",
-    "MetricsRegistry",
-    "MonitorConfig",
-    "RunSample",
-    "render_prometheus",
-    "SpanRecord",
-    "Tracer",
-    "NONDETERMINISTIC_COUNTER_PREFIXES",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "TIMELINE_LAYERS",
-    "TIMELINE_SCHEMA_VERSION",
-    "TimelineError",
-    "TimelineEvent",
-    "TimelineRecorder",
-    "canonical_digest",
-    "read_timeline",
-    "timeline_lines",
-    "validate_timeline_event",
-    "write_timeline",
-    "Observer",
-    "activate",
-    "activate_recorder",
-    "active_monitor",
-    "active_observer",
-    "CampaignManifest",
-    "Manifest",
-    "MANIFEST_SCHEMA",
-    "build_campaign_manifest",
-    "campaign_config_from_manifest",
-    "read_manifest",
-    "validate_manifest",
-]
+__all__ = list(_LAZY_EXPORTS)

@@ -23,12 +23,11 @@ import threading
 from contextlib import AbstractContextManager, contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .metrics import FleetMonitor
-from .timeline import TimelineRecorder
-from .tracer import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - types only (sim imports obs)
+if TYPE_CHECKING:  # pragma: no cover - types only
     from ..sim.parallel import ShardTask
+    from .metrics import FleetMonitor
+    from .timeline import TimelineRecorder
+    from .tracer import Tracer
 
 __all__ = [
     "Observer",
@@ -78,6 +77,12 @@ class Observer:
         """
         if not self.sinks():
             return self
+        # The sink modules load here, where a sink is built, so a hook
+        # site that imports this module loads none of them.
+        from .metrics import FleetMonitor
+        from .timeline import TimelineRecorder
+        from .tracer import Tracer
+
         return Observer(
             tracer=None if self.tracer is None else Tracer(
                 track=_SHARD_TRACK.format(

@@ -16,44 +16,41 @@ across worker processes with bit-identical results
 (``run_campaign(..., workers=N)``).  :mod:`repro.sim.job` prices one
 scheduled gang job on its allocated GPUs — the runtime model behind the
 batch-queue simulator (:mod:`repro.sched`).
+
+Every name below loads its home module on first access
+(:mod:`repro._lazy`), so a campaign never loads the engine, job or
+spatial models.
 """
 
-from .run import RunMeasurements, run_rng_label, simulate_run
-from .job import JobPerformance, reference_unit_times, sample_job_runtime
-from .engine import Engine, EngineConfig
-from .timeseries import simulate_timeseries
-from .campaign import CampaignConfig, run_campaign
-from .parallel import (
-    ParallelConfig,
-    ShardTask,
-    make_executor,
-    plan_shards,
-)
-from .spatial import (
-    SharedNodeResult,
-    simulate_with_neighbors,
-    spatial_penalty,
-    temporal_soak_slowdown,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RunMeasurements",
-    "simulate_run",
-    "run_rng_label",
-    "JobPerformance",
-    "reference_unit_times",
-    "sample_job_runtime",
-    "Engine",
-    "EngineConfig",
-    "simulate_timeseries",
-    "CampaignConfig",
-    "run_campaign",
-    "ParallelConfig",
-    "ShardTask",
-    "make_executor",
-    "plan_shards",
-    "SharedNodeResult",
-    "simulate_with_neighbors",
-    "spatial_penalty",
-    "temporal_soak_slowdown",
-]
+_LAZY_EXPORTS = {
+    **dict.fromkeys(
+        ("RunMeasurements", "run_rng_label", "simulate_run"),
+        "repro.sim.run",
+    ),
+    **dict.fromkeys(
+        ("JobPerformance", "reference_unit_times", "sample_job_runtime"),
+        "repro.sim.job",
+    ),
+    **dict.fromkeys(("Engine", "EngineConfig"), "repro.sim.engine"),
+    "simulate_timeseries": "repro.sim.timeseries",
+    **dict.fromkeys(("CampaignConfig", "run_campaign"), "repro.sim.campaign"),
+    **dict.fromkeys(
+        ("ParallelConfig", "ShardTask", "make_executor", "plan_shards"),
+        "repro.sim.parallel",
+    ),
+    **dict.fromkeys(
+        (
+            "SharedNodeResult",
+            "simulate_with_neighbors",
+            "spatial_penalty",
+            "temporal_soak_slowdown",
+        ),
+        "repro.sim.spatial",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)
+
+__all__ = list(_LAZY_EXPORTS)

@@ -36,10 +36,9 @@ from ..cluster.facility import FacilityModel
 from ..config import require
 from ..errors import ConfigError
 from ..gpu.dvfs import SolverStats
-from ..obs.manifest import build_campaign_manifest
 from ..obs.observer import _attach, active_observer
 from ..obs.timeline import measurement_digest
-from ..telemetry.dataset import MeasurementDataset
+from ..telemetry.dataset import MeasurementDataset, shared_str_column
 from ..telemetry.progress import CampaignProgress
 from ..telemetry.sample import (
     METRIC_FREQUENCY,
@@ -236,7 +235,7 @@ def run_campaign(
         if monitor is not None:
             monitor.finalize(cluster.topology.gpu_labels)
         if tracer is not None:
-            _synthesize_day_spans(tracer, tasks, payloads)
+            _synthesize_day_spans(tracer, tasks, groups, payloads)
             tracer.record_span(
                 "merge",
                 category="campaign",
@@ -281,6 +280,8 @@ def run_campaign(
                 ),
             )
     if manifest is not None:
+        from ..obs.manifest import build_campaign_manifest
+
         manifest.add(
             build_campaign_manifest(
                 cluster, workload, config, parallel, len(tasks), dataset,
@@ -291,7 +292,10 @@ def run_campaign(
 
 
 def _synthesize_day_spans(
-    tracer: "Tracer", tasks: list[ShardTask], payloads: list[dict]
+    tracer: "Tracer",
+    tasks: list[ShardTask],
+    groups: list[list[int]],
+    payloads: list[dict],
 ) -> None:
     """Record one span per campaign day covering its shard spans.
 
@@ -299,6 +303,11 @@ def _synthesize_day_spans(
     tracks) because in parallel execution a day's shards overlap in wall
     time; a dedicated per-day row shows the day envelope without breaking
     the time-containment nesting inside shard tracks.
+
+    A run group simulates consecutive days together, so each of its days
+    gets the group's one wall interval: no per-day timing exists.  Such a
+    day span carries ``group_days``, every day its interval is shared
+    with, so a reader charges the interval once, not once per day.
     """
     bounds: dict[int, list] = {}
     for task, payload in zip(tasks, payloads):
@@ -312,8 +321,15 @@ def _synthesize_day_spans(
             entry[0] = min(entry[0], record.start_s)
             entry[1] = max(entry[1], record.end_s)
             entry[2] += 1
+    shared: dict[int, set[int]] = {}
+    for group in groups:
+        days = {tasks[i].day for i in group}
+        for day in days:
+            shared.setdefault(day, set()).update(days)
     for day in sorted(bounds):
         start, end, n_shards = bounds[day]
+        group_days = tuple(sorted(shared[day]))
+        extra = {"group_days": group_days} if len(group_days) > 1 else {}
         tracer.record_span(
             "day",
             category="campaign",
@@ -322,18 +338,8 @@ def _synthesize_day_spans(
             duration_s=max(0.0, end - start),
             day=day,
             n_shards=n_shards,
+            **extra,
         )
-
-
-def _shared_str_column(n: int, value: str) -> np.ndarray:
-    """An object column of ``n`` references to the one ``value``.
-
-    ``np.full(n, value, dtype=object)`` converts through a unicode array
-    and stores a new ``str`` per cell; ``fill`` stores ``value`` itself.
-    """
-    column = np.empty(n, dtype=object)
-    column.fill(value)
-    return column
 
 
 def _to_datasets(
@@ -354,8 +360,8 @@ def _to_datasets(
     idx = results[0].gpu_indices
     n = idx.shape[0]
     identity: dict[str, np.ndarray | None] = {
-        "cluster": _shared_str_column(n, cluster.name),
-        "workload": _shared_str_column(n, workload.name),
+        "cluster": shared_str_column(n, cluster.name),
+        "workload": shared_str_column(n, workload.name),
         "day": None,
         "weekday": None,
         "run": None,
@@ -377,7 +383,7 @@ def _to_datasets(
     calendar = {
         day: {
             "day": np.full(n, day, dtype=np.int64),
-            "weekday": _shared_str_column(
+            "weekday": shared_str_column(
                 n, FacilityModel.weekday_name(day)
             ),
         }

@@ -34,6 +34,17 @@ def _as_column(values: Any) -> np.ndarray:
     return view
 
 
+def shared_str_column(n: int, value: str) -> np.ndarray:
+    """An object column of ``n`` references to the one ``value``.
+
+    ``np.full(n, value, dtype=object)`` converts through a unicode array
+    and stores a new ``str`` per cell; ``fill`` stores ``value`` itself.
+    """
+    column = np.empty(n, dtype=object)
+    column.fill(value)
+    return column
+
+
 @dataclass(frozen=True)
 class GroupIndex:
     """The rows of a dataset grouped by one key column, from one stable sort.

@@ -68,6 +68,15 @@ class TestHarness:
         assert np.all(dataset["performance_ms"] > 0)
         assert np.all(dataset["achieved_gflops"] > 0)
 
+    def test_constant_columns_share_one_string(self, dataset):
+        """One ``str`` per constant column, not a new one per cell."""
+        for column, value in (("workload", "host-gemm"),
+                              ("node_label", "localhost")):
+            cells = dataset[column]
+            assert cells.dtype == object
+            assert list(cells) == [value] * dataset.n_rows
+            assert all(cell is cells[0] for cell in cells)
+
     def test_kernel_by_name(self):
         ds = run_host_benchmark(
             "stream", HostBenchConfig(blocks=2, reps_per_block=3)

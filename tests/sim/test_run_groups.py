@@ -12,7 +12,8 @@ groups, and ``simulate_run`` as the one-run group.
 
 from __future__ import annotations
 
-from repro.obs import TimelineRecorder
+from repro.cluster import longhorn
+from repro.obs import TimelineRecorder, Tracer
 from repro.obs.metrics import FleetMonitor
 from repro.sim import CampaignConfig, run_campaign, simulate_run
 from repro.telemetry import CampaignProgress
@@ -75,6 +76,37 @@ def test_batch_work_is_charged_to_the_first_run_of_each_group(
     assert [e.value("batches") for e in runs] == [1] + [0] * (len(runs) - 1)
     end = next(e for e in timeline.events() if e.kind == "campaign_end")
     assert end.value("batches") == 1
+
+
+def test_day_spans_of_a_group_name_the_days_they_share():
+    # Full Longhorn at 4 runs a day is 1,664 rows a day, so days 0-3
+    # settle as one group of 6,656 rows and days 4-5 as another.
+    tracer = Tracer()
+    run_campaign(
+        longhorn(seed=0), sgemm(), CampaignConfig(days=6, runs_per_day=4),
+        tracer=tracer,
+    )
+    days = {
+        dict(span.args)["day"]: span
+        for span in tracer.spans if span.name == "day"
+    }
+    assert sorted(days) == list(range(6))
+    for day, span in days.items():
+        shared = (0, 1, 2, 3) if day < 4 else (4, 5)
+        assert dict(span.args)["group_days"] == shared
+        # The interval is the group's, not a per-day timing.
+        lead = days[shared[0]]
+        assert (span.start_s, span.duration_s) == (
+            lead.start_s, lead.duration_s
+        )
+
+
+def test_a_day_simulated_alone_has_no_group_days(small_longhorn):
+    tracer = Tracer()
+    run_campaign(small_longhorn, sgemm(), CampaignConfig(days=1),
+                 tracer=tracer)
+    (day,) = [span for span in tracer.spans if span.name == "day"]
+    assert "group_days" not in dict(day.args)
 
 
 def test_power_limited_groups_match_the_oracle(tiny_cloudlab):

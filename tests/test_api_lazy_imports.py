@@ -1,11 +1,14 @@
 """``import repro.api`` loads only what a verb uses.
 
 Each short job starts a fresh interpreter, so the facade's import cost is
-paid on every launch.  The scheduler, chaos and replay packages, scipy
-(sparse graphs only) and ``multiprocessing`` (process pools only) load on
-first use; the facade re-exports their names through one lazy table.
-These tests pin both halves: a fresh interpreter stays lean, and every
-lazy name resolves to its home module's object.
+paid on every launch.  ``import repro.api`` plus one preset loads the
+cluster, GPU and workload models and nothing else: the analysis suite,
+the campaign, the sink modules, the scheduler, chaos and replay packages,
+scipy (sparse graphs only) and ``multiprocessing`` (process pools only)
+load on first use, and each verb imports the layers it runs.  The facade
+re-exports their names through one lazy table.  These tests pin both
+halves: a fresh interpreter stays lean, each verb loads only its own
+layers, and every lazy name resolves to its home module's object.
 """
 
 from __future__ import annotations
@@ -32,7 +35,33 @@ NOT_ON_IMPORT = (
     "repro.service",
     "repro.loadgen",
     "multiprocessing",
+    "repro.core",
+    "repro.sim.campaign",
+    "repro.obs.health",
+    "repro.obs.manifest",
 )
+
+#: Modules a characterization never runs: health analysis, the job,
+#: engine, spatial and time-series models, and the scheduler.
+NOT_IN_CHARACTERIZE = (
+    "repro.obs.health",
+    "repro.sim.job",
+    "repro.sim.engine",
+    "repro.sim.spatial",
+    "repro.sim.timeseries",
+    "repro.sched",
+)
+
+#: Modules a monitored campaign never runs.
+NOT_IN_MONITOR = ("repro.sched", "repro.sim.job")
+
+
+def _loaded(modules: tuple[str, ...]) -> str:
+    """Code that prints which of ``modules`` the interpreter has loaded."""
+    return (
+        "import json, sys\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
+    )
 
 
 def _fresh(code: str) -> dict:
@@ -50,11 +79,41 @@ def _fresh(code: str) -> dict:
 
 class TestFreshInterpreter:
     def test_import_loads_no_verb_package(self):
+        loaded = _fresh("import repro.api\n" + _loaded(NOT_ON_IMPORT))
+        assert loaded == []
+
+    def test_preset_loads_no_verb_layer(self):
         loaded = _fresh(
-            "import json, sys\n"
-            "import repro.api\n"
-            f"print(json.dumps([m for m in {NOT_ON_IMPORT!r} "
-            "if m in sys.modules]))\n"
+            "import repro.api as api\n"
+            "api.load_preset('Summit', scale=0.05)\n"
+            + _loaded(NOT_ON_IMPORT)
+        )
+        assert loaded == []
+
+    def test_characterize_loads_only_its_layers(self):
+        loaded = _fresh(
+            "import repro.api as api\n"
+            "api.characterize(request=api.CharacterizeRequest(\n"
+            "    cluster='longhorn', scale=0.25, days=2))\n"
+            + _loaded(NOT_IN_CHARACTERIZE)
+        )
+        assert loaded == []
+
+    def test_monitor_loads_no_scheduler(self):
+        loaded = _fresh(
+            "import repro.api as api\n"
+            "api.monitor_fleet(request=api.MonitorRequest(\n"
+            "    cluster='longhorn', scale=0.25, days=2))\n"
+            + _loaded(NOT_IN_MONITOR)
+        )
+        assert loaded == []
+
+    def test_cli_parser_loads_no_scheduler(self):
+        """``--policy`` choices resolve on use, not when the parser builds."""
+        loaded = _fresh(
+            "from repro.cli import build_parser\n"
+            "build_parser().parse_args(['list'])\n"
+            + _loaded(("repro.sched",))
         )
         assert loaded == []
 
